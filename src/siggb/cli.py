@@ -134,12 +134,19 @@ def _print_basis(basis, out):
 
 def run(args, out=sys.stdout, err=sys.stderr) -> int:
     """Execute one CLI invocation; returns the exit status."""
+    if args.engine == "gm" and (args.certify or args.improved_scan):
+        flag = "--certify" if args.certify else "--improved-scan"
+        print(f"error: {flag} requires the f5 engine", file=err)
+        return EXIT_ENGINE
     try:
         if args.random:
             try:
                 k, d, n = (int(x) for x in args.random.split(","))
             except ValueError:
                 print("error: --random expects K,D,N", file=err)
+                return EXIT_PARSE
+            if min(k, d, n) < 1:
+                print("error: --random expects K,D,N all at least 1", file=err)
                 return EXIT_PARSE
             gens = random_ideal(k, d, n, seed=args.seed, p=DEFAULT_PRIME)
             spec = IdealSpec(gens[0].ring, gens)
@@ -207,9 +214,6 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
                 print(line, file=out)
 
     if args.certify:
-        if f5_state is None:
-            print("error: --certify requires the f5 engine", file=err)
-            return EXIT_ENGINE
         try:
             certs = certify_all(f5_state)
         except CertificateError as e:
@@ -221,9 +225,6 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
             print(cert.render(f5_state), file=out)
 
     if args.improved_scan:
-        if f5_state is None:
-            print("error: --improved-scan requires the f5 engine", file=err)
-            return EXIT_ENGINE
         report = scan_run(f5_state)
         for line in report.lines(f5_state):
             print(line, file=out)

@@ -18,15 +18,17 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     StructureError,
+    compare,
     exp_degree,
     exp_div,
     exp_divides,
+    exp_mask,
     exp_mul,
     lcm_term,
     reduced_basis,
 )
 from .signature import LabeledPoly, Signature, sig_compare, sig_key, sig_mul
-from .syzygy import ModuleVector, evaluate, mht
+from .syzygy import ModuleVector, certify_rejection, evaluate, mht
 
 
 class EngineError(RuntimeError):
@@ -40,7 +42,8 @@ class EngineOptions:
     certify: bool = False              # carry module-vector witnesses
     validate_witnesses: bool = False   # check admissibility after every step
     check_on_creation: bool = True     # run both criteria at pair creation
-    recheck_on_pop: bool = True        # and again when the pair is popped
+    recheck_on_pop: bool = True        # Rewritten again when the pair is popped;
+                                       # F5 too, unless checked on creation
     max_elements: int = 4000           # safety valve for runaway runs
 
 
@@ -83,6 +86,10 @@ class RewriteRule:
     index: int
     seq: int
     label: object = None  # basis position, or "syzygy:<n>" for zero reductions
+    mask: int = dfield(init=False, repr=False)  # divisor mask of gamma
+
+    def __post_init__(self):
+        self.mask = exp_mask(self.gamma)
 
     def render_label(self) -> str:
         return str(self.label)
@@ -108,16 +115,31 @@ class CriticalPair:
 
 @dataclass
 class NormalizedVerdict:
+    """F5 verdict on a pair: the first witness found, (component, witness).
+
+    ``witnesses`` lists every witness of both components on access, from the
+    basis as it stood at the snapshot the verdict was judged against.
+    """
+
     normalized: bool
-    witnesses: tuple  # ((comp, prev_pos), ...)
+    component: str | None = None
+    witness: int | None = None
+    pair: CriticalPair | None = dfield(default=None, repr=False)
+    state: BasisState | None = dfield(default=None, repr=False, compare=False)
+    snapshot: Snapshot | None = dfield(default=None, repr=False)
 
     @property
-    def component(self):
-        return self.witnesses[0][0] if self.witnesses else None
-
-    @property
-    def witness(self):
-        return self.witnesses[0][1] if self.witnesses else None
+    def witnesses(self) -> tuple:
+        """((comp, prev_pos), ...), component i first, in basis order."""
+        if self.normalized:
+            return ()
+        return tuple(
+            (comp, prev)
+            for comp in ("i", "j")
+            for prev in component_f5_witnesses(
+                *self.pair.component(comp), self.state, self.snapshot
+            )
+        )
 
 
 @dataclass
@@ -153,8 +175,18 @@ class PairRejected:
     kind: str  # "f5crit" | "rewrite"
     stage: str  # "creation" | "pop"
     component: str
-    witnesses: tuple = ()  # f5crit: ((comp, prev_pos), ...)
+    verdict: NormalizedVerdict | None = None  # f5crit
     rule: RewriteRule | None = None
+
+    @property
+    def witness(self) -> int | None:
+        """f5crit: the first witness, the one the certificate uses."""
+        return self.verdict.witness if self.verdict else None
+
+    @property
+    def witnesses(self) -> tuple:
+        """f5crit: every witness, ((comp, prev_pos), ...)."""
+        return self.verdict.witnesses if self.verdict else ()
 
     def render(self, state) -> str:
         ring = state.ring
@@ -240,6 +272,7 @@ class BasisState:
         self.m = m
         self.opts = opts or EngineOptions()
         self.elements: list[LabeledPoly] = []
+        self.ht_masks: list[int] = []  # divisor masks of the head terms
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
         self.stats = Stats()
@@ -287,13 +320,14 @@ class BasisState:
         self._rule_seq += 1
         rule = RewriteRule(gamma, index, self._rule_seq, label)
         lst = self.rules.setdefault(index, [])
-        if lst and compare_gamma(lst[-1].gamma, gamma, self.ring.order) is Cmp.GT:
+        if lst and compare(lst[-1].gamma, gamma, self.ring.order) is Cmp.GT:
             self.events.append(RuleOutOfOrder(index, gamma))
         lst.append(rule)
         return rule
 
     def append_input(self, lp: LabeledPoly) -> int:
         self.elements.append(lp)
+        self.ht_masks.append(exp_mask(lp.poly.ht))
         pos = self.size
         rule = self.add_rule(self.ring.zero_exp, pos, label=pos)
         self.element_rule.append(rule)
@@ -303,6 +337,7 @@ class BasisState:
         if self.size >= self.opts.max_elements:
             raise EngineError(f"basis exceeded {self.opts.max_elements} elements")
         self.elements.append(lp)
+        self.ht_masks.append(exp_mask(lp.poly.ht))
         pos = self.size
         self.element_rule.append(rule)
         rule.label = pos
@@ -314,23 +349,21 @@ class BasisState:
         self._trail_seq += 1
         return f"syzygy:{self._trail_seq}"
 
+    def validate_witness(self, pos: int):
+        """Admissibility of one element: its witness evaluates to its
+        polynomial and has the stored signature as module head term."""
+        elt = self.element(pos)
+        if elt.witness is None:
+            raise EngineError(f"element {pos} has no witness")
+        if evaluate(elt.witness, self) != elt.poly:
+            raise EngineError(f"witness of element {pos} does not evaluate to it")
+        if mht(elt.witness, self) != elt.sig:
+            raise EngineError(f"witness of element {pos} has wrong module head term")
+
     def validate_witnesses(self):
-        """Admissibility: every witness evaluates to its polynomial and has
-        the stored signature as module head term."""
+        """Admissibility of every element."""
         for pos in range(1, self.size + 1):
-            elt = self.element(pos)
-            if elt.witness is None:
-                raise EngineError(f"element {pos} has no witness")
-            if evaluate(elt.witness, self) != elt.poly:
-                raise EngineError(f"witness of element {pos} does not evaluate to it")
-            if mht(elt.witness, self) != elt.sig:
-                raise EngineError(f"witness of element {pos} has wrong module head term")
-
-
-def compare_gamma(a, b, order) -> Cmp:
-    from .polyring import compare
-
-    return compare(a, b, order)
+            self.validate_witness(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +373,21 @@ def component_f5_witnesses(
     u: tuple[int, ...], pos: int, state: BasisState,
     snapshot: Snapshot | None = None, first_only: bool = False,
 ) -> list[int]:
-    """Basis elements of larger index whose head divides u * Gamma(Sig(r_pos))."""
+    """Basis elements of larger index whose head divides u * Gamma(Sig(r_pos)).
+
+    A head whose divisor mask names a variable that t lacks is skipped
+    without the exponent-wise test.
+    """
     elt = state.element(pos)
     k0 = elt.sig.index
     t = exp_mul(u, elt.sig.gamma)
+    miss = ~exp_mask(t)
+    elements, masks = state.elements, state.ht_masks
     out = []
     for prev in state.active_positions(snapshot):
-        pe = state.elements[prev - 1]
+        if masks[prev - 1] & miss:
+            continue
+        pe = elements[prev - 1]
         if pe.sig.index > k0 and exp_divides(pe.poly.ht, t):
             out.append(prev)
             if first_only:
@@ -365,11 +406,12 @@ def component_rewriter(
     elt = state.element(pos)
     own = state.element_rule[pos - 1]
     t = exp_mul(u, elt.sig.gamma)
+    miss = ~exp_mask(t)
     max_seq = snapshot.rule_seq if snapshot else None
     for rule in reversed(state.rules.get(elt.sig.index, [])):
         if max_seq is not None and rule.seq > max_seq:
             continue
-        if exp_divides(rule.gamma, t):
+        if not rule.mask & miss and exp_divides(rule.gamma, t):
             return None if rule is own else rule
     return None
 
@@ -377,13 +419,19 @@ def component_rewriter(
 def is_normalized(
     pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
 ) -> NormalizedVerdict:
-    """F5 criterion: both components are scanned and all witnesses collected."""
-    witnesses = []
+    """F5 criterion: component i, then j, scanned up to the first witness.
+
+    One witness decides the verdict and builds the certificate; the verdict
+    rebuilds the full list only when it is read.  Without a snapshot the pair
+    is judged against the current basis, which the verdict then records.
+    """
     for comp in ("i", "j"):
         u, pos = pair.component(comp)
-        for prev in component_f5_witnesses(u, pos, state, snapshot):
-            witnesses.append((comp, prev))
-    return NormalizedVerdict(not witnesses, tuple(witnesses))
+        hit = component_f5_witnesses(u, pos, state, snapshot, first_only=True)
+        if hit:
+            snap = snapshot or state.snapshot()
+            return NormalizedVerdict(False, comp, hit[0], pair, state, snap)
+    return NormalizedVerdict(True)
 
 
 def is_rewritable(
@@ -517,24 +565,29 @@ def _make_pair(state: BasisState, a: int, b: int) -> None:
         seq=state._pair_seq, snapshot=state.snapshot(),
     )
     state.events.append(PairCreated(pair))
-    if state.opts.check_on_creation:
-        nv = is_normalized(pair, state)
-        if not nv.normalized:
-            state.stats.rejected_not_normalized += 1
-            state.events.append(
-                PairRejected(pair, "f5crit", "creation", nv.component, nv.witnesses)
-            )
-            return
-        rw = is_rewritable(pair, state)
-        if rw.rewritable:
-            state.stats.rejected_rewritable += 1
-            state.events.append(
-                PairRejected(pair, "rewrite", "creation", rw.component, rule=rw.rule)
-            )
-            return
+    if state.opts.check_on_creation and _rejected(state, pair, "creation", f5=True):
+        return
     heapq.heappush(
         state._heap, (pair.degree, sig_key(pair.sig, order), pair.seq, pair)
     )
+
+
+def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bool:
+    """Run the F5 criterion (when f5 is set), then the Rewritten criterion;
+    record and count the rejection when one of them discards the pair."""
+    if f5:
+        snapshot = pair.snapshot if stage == "creation" else None
+        nv = is_normalized(pair, state, snapshot)
+        if not nv.normalized:
+            state.stats.rejected_not_normalized += 1
+            state.events.append(PairRejected(pair, "f5crit", stage, nv.component, nv))
+            return True
+    rw = is_rewritable(pair, state)
+    if rw.rewritable:
+        state.stats.rejected_rewritable += 1
+        state.events.append(PairRejected(pair, "rewrite", stage, rw.component, rule=rw.rule))
+        return True
+    return False
 
 
 def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
@@ -568,7 +621,7 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
         elif res.kind == "reduced":
             pos = state.add_element(res.element, lp_rule)
             if state.opts.certify and state.opts.validate_witnesses:
-                state.validate_witnesses()
+                state.validate_witness(pos)
             for other in list(state.active_positions()):
                 if other != pos:
                     _make_pair(state, pos, other)
@@ -619,21 +672,13 @@ def incremental_basis(
                 _make_pair(state, k, pos)
         while state._heap:
             _, _, _, pair = heapq.heappop(state._heap)
-            if state.opts.recheck_on_pop:
-                nv = is_normalized(pair, state)
-                if not nv.normalized:
-                    state.stats.rejected_not_normalized += 1
-                    state.events.append(
-                        PairRejected(pair, "f5crit", "pop", nv.component, nv.witnesses)
-                    )
-                    continue
-                rw = is_rewritable(pair, state)
-                if rw.rewritable:
-                    state.stats.rejected_rewritable += 1
-                    state.events.append(
-                        PairRejected(pair, "rewrite", "pop", rw.component, rule=rw.rule)
-                    )
-                    continue
+            # An F5 witness has a larger index than the component it flags,
+            # and every element added in this iteration has index k, so a
+            # verdict taken at creation still holds; only rules can change.
+            if state.opts.recheck_on_pop and _rejected(
+                state, pair, "pop", f5=not state.opts.check_on_creation
+            ):
+                continue
             rule = state.add_rule(pair.sig.gamma, pair.sig.index)
             state.events.append(PairAdmitted(pair))
             _reduce_admitted(state, pair, rule)
@@ -658,9 +703,4 @@ def rejection_events(state: BasisState) -> list[PairRejected]:
 
 def certify_all(state: BasisState) -> list:
     """Build and verify a certificate for every criterion rejection."""
-    from .syzygy import certify_rejection
-
-    out = []
-    for ev in rejection_events(state):
-        out.append(certify_rejection(ev.pair, ev, state))
-    return out
+    return [certify_rejection(ev.pair, ev, state) for ev in rejection_events(state)]

@@ -17,7 +17,6 @@ from .f5engine import (
     CriticalPair,
     PairCreated,
     Snapshot,
-    component_f5_witnesses,
     is_normalized,
 )
 
@@ -140,12 +139,11 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
             continue
         pair = ev.pair
         snap = pair.snapshot
-        nv = is_normalized(pair, state, snap)
         cn = completely_normalized(pair, state, snap)
-        part_b = (not cn.completely_normalized) and cn.via == "b"
+        part_b = cn.via == "b"
         if part_b:
             report.part_b_firings += 1
         report.pair_scans.append(
-            PairScan(pair, nv.normalized, cn.completely_normalized, part_b)
+            PairScan(pair, cn.via != "a", cn.completely_normalized, part_b)
         )
     return report

@@ -62,6 +62,19 @@ def exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def exp_mask(e: tuple[int, ...]) -> int:
+    """Divisor mask: bit i is set when variable i occurs in e.
+
+    If a divides b then ``exp_mask(a) & ~exp_mask(b) == 0``, so a nonzero
+    result rules out divisibility without an exponent-wise test.
+    """
+    m = 0
+    for i, x in enumerate(e):
+        if x:
+            m |= 1 << i
+    return m
+
+
 def exp_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     """a / b as a monomial, or None when b does not divide a."""
     if len(a) != len(b):

@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .polyring import Cmp, DomainError, Polynomial, StructureError, exp_mul
+from .polyring import (
+    Cmp,
+    DomainError,
+    Polynomial,
+    StructureError,
+    compare,
+    exp_div,
+    exp_mul,
+)
 from .signature import Signature, sig_compare, sig_mul
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,8 +170,6 @@ def check_t_representation(rep: TRepresentation, state, order=None) -> RepCheck:
         lam = rep.combination.entries[pos]
         prod = lam * state.poly(pos)
         if not prod.is_zero:
-            from .polyring import compare
-
             if compare(prod.ht, rep.t, order) is not Cmp.LT:
                 return RepCheck(False, "head-term", pos)
         bound = sig_mul(lam.ht, state.sig(pos))
@@ -287,16 +293,12 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     a_vec = _creation_syzygy(pos_k, state).mul_term(u_k)
     rewrite_equality = None
     if verdict.kind == "f5crit":
-        prev = verdict.witnesses[0][1]
-        from .polyring import exp_div
-
+        prev = verdict.witness
         lam = exp_div(exp_mul(u_k, sig_k.gamma), state.poly(prev).ht)
         b_vec = principal_syzygy(prev, k0, state).mul_term(lam)
         crit_pos = prev
     else:
         rule = verdict.rule
-        from .polyring import exp_div
-
         lam = exp_div(exp_mul(u_k, sig_k.gamma), rule.gamma)
         if isinstance(rule.label, int):
             crit_pos = rule.label

@@ -5,6 +5,7 @@ import pytest
 
 from siggb.cli import (
     EXIT_CERTIFICATE,
+    EXIT_ENGINE,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
@@ -14,6 +15,7 @@ from siggb.cli import (
 )
 from siggb.polyring import ParseError, PrimeField, QQ
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_FILE = os.path.join(DATA, "golden.ideal")
 
@@ -133,6 +135,35 @@ def test_run_random_smoke():
 def test_run_certify_requires_f5():
     code, _, err = cli(GOLDEN_FILE, "--engine", "gm", "--certify")
     assert code == 2  # engine error, distinct from parse errors
+
+
+@pytest.mark.parametrize("flag", ["--certify", "--improved-scan"])
+def test_run_f5_only_flag_rejected_before_work(flag):
+    code, out, err = cli(GOLDEN_FILE, "--engine", "gm", flag)
+    assert code == EXIT_ENGINE
+    assert out == ""
+    assert err == f"error: {flag} requires the f5 engine\n"
+
+
+@pytest.mark.parametrize("spec", ["0,2,3", "2,2,0", "2,-1,3"])
+def test_run_random_rejects_sizes_below_one(spec):
+    code, out, err = cli("--random", spec)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --random")
+
+
+def test_golden_trace_byte_identical(monkeypatch):
+    """tests/data/golden.trace is the output of scripts/golden_trace.py, the
+    byte-level contract for the engine's behaviour."""
+    monkeypatch.chdir(ROOT)
+    code, out, err = cli(
+        "tests/data/golden.ideal", "--engine", "both", "--trace-criteria",
+        "--stats", "--certify", "--improved-scan",
+    )
+    assert code == EXIT_OK and err == ""
+    with open(os.path.join(DATA, "golden.trace"), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
 
 
 def test_run_gm_engine(golden_expected):

@@ -4,8 +4,12 @@ from siggb.baseline import buchberger_basis, ideal_equal
 from siggb.f5engine import (
     BasisState,
     CriticalPair,
+    ElementAdded,
     EngineError,
     EngineOptions,
+    IterationBegin,
+    PairAdmitted,
+    PairCreated,
     PairRejected,
     Snapshot,
     incremental_basis,
@@ -15,7 +19,17 @@ from siggb.f5engine import (
     rejection_events,
     top_reduction_signed,
 )
-from siggb.polyring import DomainError, PolyRing, exp_degree, lcm_term, top_reduce, spol
+from siggb.corpus import cyclic, katsura
+from siggb.polyring import (
+    DomainError,
+    PolyRing,
+    exp_degree,
+    exp_divides,
+    exp_mul,
+    lcm_term,
+    top_reduce,
+    spol,
+)
 from siggb.signature import LabeledPoly, Signature
 
 
@@ -123,6 +137,72 @@ def test_is_normalized_top_index_trivial():
     state.add_element(extra, rule)
     pair = _pair(state, 3, 2, (1, 0), (0, 2))
     assert is_normalized(pair, state).normalized
+
+
+def _eager_witnesses(pair, state, snapshot):
+    """Every F5 witness of both components by a full scan, without masks."""
+    out = []
+    for comp in ("i", "j"):
+        u, pos = pair.component(comp)
+        sig = state.sig(pos)
+        t = exp_mul(u, sig.gamma)
+        for prev in state.active_positions(snapshot):
+            if state.sig(prev).index > sig.index and exp_divides(state.poly(prev).ht, t):
+                out.append((comp, prev))
+    return out
+
+
+def _pop_snapshots(state):
+    """(pair, basis at pop time) for every pair popped in a default run."""
+    size, k = state.m, state.m
+    for ev in state.events:
+        if isinstance(ev, IterationBegin):
+            k = ev.index
+        elif isinstance(ev, ElementAdded):
+            size += 1
+        elif isinstance(ev, PairAdmitted) or (
+            isinstance(ev, PairRejected) and ev.stage == "pop"
+        ):
+            yield ev.pair, Snapshot(size, k, 10**9)
+
+
+def test_first_witness_matches_eager_scan(golden_gens):
+    for gens in (golden_gens, cyclic(4), katsura(4)):
+        state, events = incremental_basis(gens)
+        pairs = [ev.pair for ev in events if isinstance(ev, PairCreated)]
+        assert pairs
+        for pair in pairs:
+            eager = _eager_witnesses(pair, state, pair.snapshot)
+            v = is_normalized(pair, state, pair.snapshot)
+            assert v.normalized == (not eager)
+            if eager:
+                assert (v.component, v.witness) == eager[0]
+                assert v.witnesses == tuple(eager)
+        for ev in rejection_events(state):
+            if ev.kind == "f5crit":
+                eager = _eager_witnesses(ev.pair, state, ev.pair.snapshot)
+                assert ev.witnesses == tuple(eager)
+                assert (ev.component, ev.witness) == eager[0]
+        # what lets the engine skip the F5 recheck at pop: no popped pair
+        # has a witness in the basis as it stood when it was popped
+        popped = list(_pop_snapshots(state))
+        assert popped
+        for pair, snap in popped:
+            assert not _eager_witnesses(pair, state, snap)
+
+
+def test_f5_criterion_runs_at_pop_without_creation_checks(golden_gens):
+    state, _ = incremental_basis(golden_gens, opts=EngineOptions(check_on_creation=False))
+    stages = {ev.stage for ev in rejection_events(state) if ev.kind == "f5crit"}
+    assert stages == {"pop"}
+
+
+def test_no_pop_stage_f5_rejections_on_corpus(corpus_runs):
+    for run in corpus_runs:
+        assert not [
+            ev for ev in rejection_events(run["state"])
+            if ev.kind == "f5crit" and ev.stage == "pop"
+        ], run["name"]
 
 
 def test_is_rewritable_empty_rule_table(golden_gens):

@@ -16,6 +16,7 @@ from siggb.polyring import (
     compare,
     exp_div,
     exp_divides,
+    exp_mask,
     exp_mul,
     lcm_term,
     reduce_full,
@@ -105,6 +106,15 @@ def test_lcm_properties(a, b):
     l = lcm_term(a, b)
     assert exp_divides(a, l) and exp_divides(b, l)
     assert lcm_term(b, a) == l
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8))
+def test_exp_mask_never_skips_a_divisor(pairs):
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    for t in (b, exp_mul(a, b)):
+        if exp_divides(a, t):
+            assert exp_mask(a) & ~exp_mask(t) == 0
 
 
 # -- ring construction / parsing ----------------------------------------------
