@@ -181,13 +181,15 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
             f5_basis = interreduce(f5_state)
         if args.engine in ("gm", "both"):
             gm_basis = buchberger_basis(spec.generators, stats=gm_stats)
-    except (EngineError, DomainError) as e:
+        agree = args.engine != "both" or ideal_equal(f5_basis, gm_basis)
+    except (EngineError, DomainError, RuntimeError) as e:
+        # RuntimeError: reduced_basis found no autoreduction fixpoint
         print(f"engine error: {e}", file=err)
         return EXIT_ENGINE
 
     status = EXIT_OK
     if args.engine == "both":
-        if ideal_equal(f5_basis, gm_basis):
+        if agree:
             _print_basis(f5_basis, out)
         else:
             print("oracle mismatch: engines disagree", file=err)

@@ -473,11 +473,16 @@ def _find_reductor(poly: Polynomial, sig: Signature, state: BasisState):
 
     A reductor multiple must not share the working signature, must be
     normalized, and must not be rewritable (same predicates as pair
-    components).
+    components).  A head whose divisor mask names a variable that HT(poly)
+    lacks is skipped without the exponent-wise test.
     """
     ht = poly.ht
     order = state.ring.order
+    miss = ~exp_mask(ht)
+    masks = state.ht_masks
     for pos in state.active_positions():
+        if masks[pos - 1] & miss:
+            continue
         elt = state.elements[pos - 1]
         u = exp_div(ht, elt.poly.ht)
         if u is None:

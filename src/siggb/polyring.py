@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -52,14 +54,14 @@ def exp_degree(e: tuple[int, ...]) -> int:
 def exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when the monomial a divides b componentwise."""
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_mask(e: tuple[int, ...]) -> int:
@@ -79,18 +81,14 @@ def exp_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     """a / b as a monomial, or None when b does not divide a."""
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    u = tuple(map(sub, a, b))
+    return u if min(u, default=0) >= 0 else None
 
 
 def lcm_term(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -278,6 +276,7 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder()
         self.zero_exp = (0,) * self.nvars
         self._keycache: dict[tuple[int, ...], tuple] = {}
+        self._desc_keycache: dict[tuple[int, ...], tuple] = {}
         self._token_re = self._build_token_re()
 
     def __eq__(self, other):
@@ -299,6 +298,24 @@ class PolyRing:
         if k is None:
             k = self.order.key(e)
             self._keycache[e] = k
+        return k
+
+    def desc_key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """A flat int tuple that ascends as ``key`` descends.
+
+        heapq pops its least entry, so a heap of these yields the largest
+        monomial first.  Every key of one ring has the same shape, so
+        negating and flattening it reverses the order exactly.
+        """
+        k = self._desc_keycache.get(e)
+        if k is None:
+            flat: list[int] = []
+            for x in self.key(e):
+                if isinstance(x, tuple):
+                    flat.extend(-y for y in x)
+                else:
+                    flat.append(-x)
+            k = self._desc_keycache[e] = tuple(flat)
         return k
 
     # construction ---------------------------------------------------------
@@ -490,7 +507,7 @@ class Polynomial:
     # arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise StructureError("polynomials from different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -543,16 +560,44 @@ class Polynomial:
         return Polynomial(self.ring, tuple((e, f.mul(tc, c)) for e, tc in self.terms))
 
     def sub_mul(self, c, e: tuple[int, ...], other: "Polynomial") -> "Polynomial":
-        """self - c * x^e * other."""
+        """self - c * x^e * other, as one merge of two descending term lists.
+
+        Multiplying by x^e keeps the order of other's terms, so the product
+        streams out already sorted and nothing is re-sorted.
+        """
         self._check(other)
-        f = self.ring.field
-        acc = dict(self.terms)
+        ring = self.ring
+        if len(e) != ring.nvars:
+            raise StructureError("exponent length mismatch")
+        f = ring.field
+        prime = f.p if f.is_prime else 0
+        keys, key = ring._keycache, ring.key
+        a = self.terms
+        n = len(a)
+        out = []
+        i = 0
+        ka = (keys.get(a[0][0]) or key(a[0][0])) if n else None
         for te, tc in other.terms:
-            m = exp_mul(te, e)
-            v = f.mul(tc, c)
-            prev = acc.get(m)
-            acc[m] = f.sub(prev, v) if prev is not None else f.neg(v)
-        return self.ring.build(acc)
+            m = tuple(map(add, te, e))
+            km = keys.get(m) or key(m)
+            while i < n and ka > km:
+                out.append(a[i])
+                i += 1
+                if i < n:
+                    ka = keys.get(a[i][0]) or key(a[i][0])
+            if i < n and ka == km:
+                v = a[i][1] - tc * c
+                i += 1
+                if i < n:
+                    ka = keys.get(a[i][0]) or key(a[i][0])
+            else:
+                v = -(tc * c)
+            if prime:
+                v %= prime
+            if v:
+                out.append((m, v))
+        out.extend(a[i:])
+        return Polynomial(ring, tuple(out))
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -620,43 +665,80 @@ def spol(p1: Polynomial, p2: Polynomial):
     return u1, u2, s
 
 
+def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomial:
+    """The reduction loop behind ``reduce_full`` and ``top_reduce``.
+
+    The working polynomial is a ``{exp: coeff}`` accumulator plus a heap of
+    ``desc_key`` entries; a term that cancels leaves the accumulator and its
+    heap entry is dropped when popped.  Each popped term is reduced by the
+    first basis element, in insertion order, whose head divides it, exactly
+    as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
+    the same.  A reducer whose head mask names a variable the term lacks is
+    skipped without the exponent-wise test.  ``full=False`` stops at the
+    first irreducible term.
+    """
+    ring = p.ring
+    reducers = []
+    for g in basis:
+        if g.terms:
+            p._check(g)
+            ht, hc = g.terms[0]
+            reducers.append((exp_mask(ht), ht, hc, g.terms))
+    f = ring.field
+    div = f.div
+    prime = f.p if f.is_prime else 0
+    dkeys, desc_key = ring._desc_keycache, ring.desc_key
+    acc = dict(p.terms)
+    heap = [(dkeys.get(e) or desc_key(e), e) for e, _ in p.terms]  # ascending: a heap
+    done = []
+    while heap:
+        e = heappop(heap)[1]
+        c = acc.pop(e, None)
+        if c is None:
+            continue
+        miss = ~exp_mask(e)
+        for mask, ht, hc, terms in reducers:
+            if mask & miss:
+                continue
+            u = exp_div(e, ht)
+            if u is None:
+                continue
+            q = div(c, hc)
+            for te, tc in terms[1:]:
+                m = tuple(map(add, te, u))
+                prev = acc.get(m)
+                if prev is None:
+                    v = -(tc * q)
+                    heappush(heap, (dkeys.get(m) or desc_key(m), m))
+                else:
+                    v = prev - tc * q
+                if prime:
+                    v %= prime
+                if v:
+                    acc[m] = v
+                elif prev is not None:
+                    del acc[m]
+            break
+        else:
+            done.append((e, c))
+            if not full:
+                done.extend(sorted(acc.items(), key=lambda t: dkeys[t[0]]))
+                break
+    return Polynomial(ring, tuple(done))
+
+
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Head-reduce p by the first eligible reducer in insertion order.
 
     Only head terms are rewritten; the result is monic (or zero) and its head
     is divisible by no basis head.
     """
-    reducers = [g for g in basis if not g.is_zero]
-    while not p.is_zero:
-        ht = p.ht
-        for g in reducers:
-            u = exp_div(ht, g.ht)
-            if u is not None:
-                c = p.ring.field.div(p.hc, g.hc)
-                p = p.sub_mul(c, u, g)
-                break
-        else:
-            break
-    return p.monic()
+    return _reduce(p, basis, full=False).monic()
 
 
 def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form: every term of the result is irreducible."""
-    reducers = [g for g in basis if not g.is_zero]
-    done: dict[tuple[int, ...], object] = {}
-    while not p.is_zero:
-        ht, hc = p.terms[0]
-        for g in reducers:
-            u = exp_div(ht, g.ht)
-            if u is not None:
-                p = p.sub_mul(p.ring.field.div(hc, g.hc), u, g)
-                break
-        else:
-            done[ht] = hc
-            p = Polynomial(p.ring, p.terms[1:])
-    if not done:
-        return p.ring.zero
-    return p.ring.build(done)
+    return _reduce(p, basis, full=True)
 
 
 def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:

@@ -189,3 +189,19 @@ def test_stdin_input(monkeypatch):
 
 def test_exit_codes_distinct():
     assert len({EXIT_OK, EXIT_PARSE, EXIT_MISMATCH, EXIT_CERTIFICATE, 2}) == 5
+
+
+@pytest.mark.parametrize("engine", ["f5", "gm", "both"])
+def test_autoreduction_failure_is_engine_error(monkeypatch, engine):
+    import siggb.baseline
+    import siggb.f5engine
+
+    def no_fixpoint(polys):
+        raise RuntimeError("autoreduction did not stabilize")
+
+    monkeypatch.setattr(siggb.f5engine, "reduced_basis", no_fixpoint)
+    monkeypatch.setattr(siggb.baseline, "reduced_basis", no_fixpoint)
+    code, out, err = cli(GOLDEN_FILE, "--engine", engine)
+    assert code == EXIT_ENGINE
+    assert out == ""
+    assert err == "engine error: autoreduction did not stabilize\n"

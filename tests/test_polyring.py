@@ -10,6 +10,7 @@ from siggb.polyring import (
     MonomialOrder,
     ParseError,
     PolyRing,
+    Polynomial,
     PrimeField,
     QQ,
     StructureError,
@@ -332,3 +333,154 @@ def test_reduced_basis_simple():
     x, y = ring.parse("x"), ring.parse("y")
     out = reduced_basis([x, ring.parse("x + y")])
     assert out == [y, x] or set(out) == {x, y}
+
+
+# -- differential: the merge and the heap loop against dict-and-sort -------------
+#
+# The reference below is the dict-and-sort arithmetic: every sub_mul rebuilds
+# a coefficient dict and re-sorts it, and both reductions repeat sub_mul on the
+# head term.  Small exponents and coefficients in a small prime field make
+# terms collide and cancel inside the accumulator often.
+#
+# Under lex a reduction may take a very long chain of steps (the tail of a
+# reducer can carry a higher total degree than its head), and autoreducing
+# arbitrary input of this size can run for minutes.  So no generated term has
+# a total degree above that of its polynomial's head: then a reduction never
+# raises the degree, every monomial it meets lies in the finite set below the
+# input's degree, and each monomial is reduced at most once.  The
+# reduced_basis cases are homogeneous, so every polynomial autoreduction makes
+# is homogeneous too and keeps that bound.
+
+def ref_sub_mul(p, c, e, g):
+    f = p.ring.field
+    acc = dict(p.terms)
+    for te, tc in g.terms:
+        m = exp_mul(te, e)
+        v = f.mul(tc, c)
+        acc[m] = f.sub(acc[m], v) if m in acc else f.neg(v)
+    live = [(m, v) for m, v in acc.items() if not f.is_zero(v)]
+    live.sort(key=lambda t: p.ring.key(t[0]), reverse=True)
+    return Polynomial(p.ring, tuple(live))
+
+
+def ref_first_reducer(t, basis):
+    for g in basis:
+        if not g.is_zero and exp_divides(g.ht, t):
+            return g
+    return None
+
+
+def ref_top_reduce(p, basis):
+    while not p.is_zero:
+        g = ref_first_reducer(p.ht, basis)
+        if g is None:
+            break
+        p = ref_sub_mul(p, p.ring.field.div(p.hc, g.hc), exp_div(p.ht, g.ht), g)
+    return p.monic()
+
+
+def ref_reduce_full(p, basis):
+    done = []
+    while not p.is_zero:
+        g = ref_first_reducer(p.ht, basis)
+        if g is None:
+            done.append(p.terms[0])
+            p = Polynomial(p.ring, p.terms[1:])
+        else:
+            p = ref_sub_mul(p, p.ring.field.div(p.hc, g.hc), exp_div(p.ht, g.ht), g)
+    return Polynomial(p.ring, tuple(done))
+
+
+def ref_reduced_basis(polys):
+    current = [p.monic() for p in polys if not p.is_zero]
+    if not current:
+        return []
+    ring = current[0].ring
+    while True:
+        current.sort(key=lambda p: ring.key(p.ht))
+        reduced, changed = [], False
+        for i, f in enumerate(current):
+            r = ref_reduce_full(f, reduced + current[i + 1:])
+            if r.is_zero:
+                changed = True
+                continue
+            r = r.monic()
+            changed = changed or r != f
+            reduced.append(r)
+        if not changed:
+            return current
+        current = reduced
+
+
+DIFF_ORDERS = (
+    MonomialOrder("degrevlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("degrevlex", precedence=(2, 0, 1)),
+    MonomialOrder("lex", precedence=(1, 2, 0)),
+)
+DIFF_FIELDS = (QQ, PrimeField(7))
+exps3 = st.tuples(*([st.integers(0, 2)] * 3))
+
+
+def degree_bounded(q, homogeneous=False):
+    """q without the terms of higher total degree than its head (without
+    every term of another degree, if homogeneous)."""
+    if q.is_zero:
+        return q
+    top = sum(q.ht)
+    keep = (lambda d: d == top) if homogeneous else (lambda d: d <= top)
+    return Polynomial(q.ring, tuple(t for t in q.terms if keep(sum(t[0]))))
+
+
+@st.composite
+def diff_case(draw, max_basis=4, homogeneous=False):
+    """A ring, a polynomial and a basis; the basis may be empty, and may
+    repeat a head term through a scaled copy of one element."""
+    ring = PolyRing(("x", "y", "z"), draw(st.sampled_from(DIFF_FIELDS)),
+                    draw(st.sampled_from(DIFF_ORDERS)))
+    coeffs = st.integers(-3, 3).map(ring.field.of)
+    poly = st.dictionaries(exps3, coeffs, max_size=6).map(
+        lambda d: degree_bounded(ring.build(d), homogeneous))
+    basis = draw(st.lists(poly, max_size=max_basis))
+    if basis and draw(st.booleans()):
+        g = basis[draw(st.integers(0, len(basis) - 1))]
+        if not g.is_zero:
+            basis.append(g.scale(ring.field.of(2)) + g.lot.scale(ring.field.of(3)))
+    return ring, draw(poly), basis
+
+
+@given(diff_case(), exps3, st.integers(-3, 3))
+@settings(max_examples=300)
+def test_sub_mul_matches_dict_and_sort(case, e, c):
+    ring, p, basis = case
+    c = ring.field.of(c)
+    for g in basis + [p, ring.zero]:
+        assert p.sub_mul(c, e, g) == ref_sub_mul(p, c, e, g)
+
+
+@given(diff_case())
+@settings(max_examples=300)
+def test_sub_mul_cancels_to_zero(case):
+    ring, p, _ = case
+    assert p.sub_mul(ring.field.one, ring.zero_exp, p).is_zero
+    assert ring.zero.sub_mul(ring.field.one, ring.zero_exp, ring.zero).is_zero
+
+
+@given(diff_case())
+@settings(max_examples=300)
+def test_reductions_match_dict_and_sort(case):
+    ring, p, basis = case
+    for q in (p, ring.zero):
+        assert top_reduce(q, basis) == ref_top_reduce(q, basis)
+        assert reduce_full(q, basis) == ref_reduce_full(q, basis)
+    # p and its multiples, reduced first by p itself, cancel inside the loop
+    assert reduce_full(p, [p] + basis).is_zero
+    assert top_reduce(p.mul_term((1, 0, 1)), [p] + basis).is_zero
+
+
+@given(diff_case(max_basis=5, homogeneous=True))
+@settings(max_examples=150)
+def test_reduced_basis_matches_dict_and_sort(case):
+    _, p, basis = case
+    assert reduced_basis(basis + [p]) == ref_reduced_basis(basis + [p])
+    assert reduced_basis([]) == []
