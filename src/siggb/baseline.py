@@ -19,6 +19,7 @@ from .polyring import (
     exp_divides,
     exp_mul,
     lcm_term,
+    minimal_basis,
     reduce_full,
     reduced_basis,
     spol,
@@ -154,7 +155,7 @@ def buchberger_basis(
         else:
             _update(G, queue, r.monic(), stats, strategy)
             stats.elements_added += 1
-    return reduced_basis(G)
+    return reduced_basis(minimal_basis(G))
 
 
 def ideal_equal(A: Sequence[Polynomial], B: Sequence[Polynomial], order=None) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dfield
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -25,6 +26,7 @@ from .polyring import (
     exp_mask,
     exp_mul,
     lcm_term,
+    minimal_basis,
     reduced_basis,
 )
 from .signature import LabeledPoly, Signature, sig_compare, sig_key, sig_mul
@@ -302,11 +304,12 @@ class BasisState:
         return self.element(pos).sig
 
     def active_positions(self, snapshot: Snapshot | None = None):
+        """Ascending positions of the elements a pair or reductor may use:
+        inputs from the current index on, then every derived element."""
         max_pos = snapshot.max_pos if snapshot else self.size
         min_index = snapshot.min_index if snapshot else self.current_index
-        for pos in range(1, max_pos + 1):
-            if pos > self.m or pos >= min_index:
-                yield pos
+        m = self.m
+        return chain(range(min_index, min(m, max_pos) + 1), range(m + 1, max_pos + 1))
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self.size, self.current_index, self._rule_seq)
@@ -694,12 +697,15 @@ def incremental_basis(
 
 
 def interreduce(basis, order: MonomialOrder | None = None) -> list[Polynomial]:
-    """Unique reduced monic Groebner basis of the given basis."""
+    """Unique reduced monic Groebner basis of the given basis.
+
+    A ``BasisState`` holds a Groebner basis, so its redundant elements are
+    dropped (``minimal_basis``) before autoreduction instead of being
+    reduced to zero; any other sequence is autoreduced as it is.
+    """
     if isinstance(basis, BasisState):
-        polys = basis.polys()
-    else:
-        polys = list(basis)
-    return reduced_basis(polys)
+        return reduced_basis(minimal_basis(basis.polys()))
+    return reduced_basis(list(basis))
 
 
 def rejection_events(state: BasisState) -> list[PairRejected]:

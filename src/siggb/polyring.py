@@ -4,6 +4,13 @@ Monomials are exponent tuples over a fixed variable list.  Polynomials keep
 their terms strictly descending in the ring's monomial order; the zero
 polynomial is the empty term sequence.  Coefficients are exact: arbitrary
 precision rationals or a word-sized prime field.
+
+The reduction loop (``reduce_full``, ``top_reduce``) works on packed
+monomials instead (``PolyRing.pack``): one int of fixed-width fields, whose
+int order is the monomial order, whose sum is the product, and where one
+subtraction and a guard-bit mask test divisibility.  It packs its inputs and
+unpacks only its result.  A packed field holds at most 2^31 - 1, so an
+exponent (under degrevlex, a total degree) beyond that raises DomainError.
 """
 
 from __future__ import annotations
@@ -89,6 +96,13 @@ def lcm_term(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
     return tuple(map(max, a, b))
+
+
+# Packed monomials (``PolyRing.pack``): one field per entry, its top bit a
+# guard that a valid monomial leaves clear, so an entry is at most 2^31 - 1.
+_FIELD_BITS = 32
+_GUARD = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,10 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder()
         self.zero_exp = (0,) * self.nvars
         self._keycache: dict[tuple[int, ...], tuple] = {}
-        self._desc_keycache: dict[tuple[int, ...], tuple] = {}
+        self._packcache: dict[tuple[int, ...], int] = {}
+        self._unpackcache: dict[int, tuple[int, ...]] = {}
+        nfields = self.nvars * (2 if self.order.kind == "degrevlex" else 1)
+        self._guard = sum(_GUARD << (_FIELD_BITS * i) for i in range(nfields))
         self._token_re = self._build_token_re()
 
     def __eq__(self, other):
@@ -300,23 +317,53 @@ class PolyRing:
             self._keycache[e] = k
         return k
 
-    def desc_key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        """A flat int tuple that ascends as ``key`` descends.
+    def pack(self, e: tuple[int, ...]) -> int:
+        """The packed monomial of e: one int whose order is ``compare``.
 
-        heapq pops its least entry, so a heap of these yields the largest
-        monomial first.  Every key of one ring has the same shape, so
-        negating and flattening it reverses the order exactly.
+        Fields of ``_FIELD_BITS`` bits, most significant first, each topped
+        by a guard bit that stays clear: under degrevlex the degree, then
+        S_{n-1}, ..., S_1 with S_k = x_1 + ... + x_k, then x_1, ..., x_n;
+        under lex x_1, ..., x_n; variables taken in ``precedence`` order.
+        Adding two packed monomials multiplies them, and h divides e exactly
+        when ``(e - h) & self._guard`` is zero.  Raises DomainError for an
+        exponent that does not fit its field.
         """
-        k = self._desc_keycache.get(e)
+        k = self._packcache.get(e)
         if k is None:
-            flat: list[int] = []
-            for x in self.key(e):
-                if isinstance(x, tuple):
-                    flat.extend(-y for y in x)
-                else:
-                    flat.append(-x)
-            k = self._desc_keycache[e] = tuple(flat)
+            if len(e) != self.nvars:
+                raise StructureError("exponent length mismatch")
+            prec = self.order.precedence
+            x = [e[i] for i in prec] if prec is not None else list(e)
+            fields = x
+            if self.order.kind == "degrevlex":
+                sums = [0]
+                for v in x[:-1]:
+                    sums.append(sums[-1] + v)
+                fields = [sums[-1] + x[-1]] + sums[:0:-1] + x
+            if min(x) < 0 or max(fields) >= _GUARD:
+                raise DomainError(f"exponent {e} does not fit a packed monomial")
+            k = 0
+            for v in fields:
+                k = (k << _FIELD_BITS) | v
+            self._packcache[e] = k
+            self._unpackcache[k] = e
         return k
+
+    def unpack(self, k: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        e = self._unpackcache.get(k)
+        if e is None:
+            n = self.nvars
+            x = [(k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)]
+            prec = self.order.precedence
+            if prec is not None:
+                y = [0] * n
+                for i, v in zip(prec, x):
+                    y[i] = v
+                x = y
+            e = self._unpackcache[k] = tuple(x)
+            self._packcache[e] = k
+        return e
 
     # construction ---------------------------------------------------------
 
@@ -460,11 +507,12 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; terms strictly descending in the order."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_reducer")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
+        self._reducer = None  # filled the first time it reduces: _pack_reducer
 
     # inspection -------------------------------------------------------------
 
@@ -665,51 +713,71 @@ def spol(p1: Polynomial, p2: Polynomial):
     return u1, u2, s
 
 
+def _pack_reducer(g: Polynomial) -> tuple:
+    """Fill g's reducer slot: its packed head, the inverse of its head
+    coefficient (None when it is one) and its packed tail."""
+    ring = g.ring
+    pack = ring.pack
+    (ht, hc), *tail = g.terms
+    inv = None if hc == ring.field.one else ring.field.inv(hc)
+    g._reducer = (pack(ht), inv, tuple((pack(e), c) for e, c in tail))
+    return g._reducer
+
+
 def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomial:
     """The reduction loop behind ``reduce_full`` and ``top_reduce``.
 
-    The working polynomial is a ``{exp: coeff}`` accumulator plus a heap of
-    ``desc_key`` entries; a term that cancels leaves the accumulator and its
-    heap entry is dropped when popped.  Each popped term is reduced by the
-    first basis element, in insertion order, whose head divides it, exactly
-    as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
-    the same.  A reducer whose head mask names a variable the term lacks is
-    skipped without the exponent-wise test.  ``full=False`` stops at the
-    first irreducible term.
+    It runs on packed monomials (``PolyRing.pack``): the working polynomial
+    is a ``{packed: coeff}`` accumulator plus a heap of negated packed ints,
+    so heapq pops the largest monomial first; a term that cancels leaves the
+    accumulator and its heap entry is dropped when popped.  Each popped term
+    is reduced by the first basis element, in insertion order, whose head
+    divides it (the guard-bit test), exactly as a term-by-term ``sub_mul``
+    would, so every intermediate polynomial is the same.  Only the result is
+    unpacked.  ``full=False`` stops at the first irreducible term.
+
+    Under degrevlex no product outgrows the term it replaces; under lex a
+    product can, and one whose exponent overflows its field raises
+    DomainError.
     """
     ring = p.ring
     reducers = []
     for g in basis:
         if g.terms:
             p._check(g)
-            ht, hc = g.terms[0]
-            reducers.append((exp_mask(ht), ht, hc, g.terms))
+            reducers.append(g._reducer or _pack_reducer(g))
     f = ring.field
-    div = f.div
     prime = f.p if f.is_prime else 0
-    dkeys, desc_key = ring._desc_keycache, ring.desc_key
-    acc = dict(p.terms)
-    heap = [(dkeys.get(e) or desc_key(e), e) for e, _ in p.terms]  # ascending: a heap
+    guard = ring._guard
+    lex = ring.order.kind == "lex"
+    pack = ring.pack
+    acc = {}
+    heap = []  # p's terms descend, so their negations ascend: a heap
+    for e, c in p.terms:
+        k = pack(e)
+        acc[k] = c
+        heap.append(-k)
     done = []
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = acc.pop(e, None)
         if c is None:
             continue
-        miss = ~exp_mask(e)
-        for mask, ht, hc, terms in reducers:
-            if mask & miss:
+        for hk, inv, tail in reducers:
+            u = e - hk
+            if u & guard:
                 continue
-            u = exp_div(e, ht)
-            if u is None:
-                continue
-            q = div(c, hc)
-            for te, tc in terms[1:]:
-                m = tuple(map(add, te, u))
+            q = c
+            if inv is not None:
+                q = c * inv % prime if prime else c * inv
+            for te, tc in tail:
+                m = te + u
+                if lex and m & guard:
+                    raise DomainError("exponent overflow in a packed monomial")
                 prev = acc.get(m)
                 if prev is None:
                     v = -(tc * q)
-                    heappush(heap, (dkeys.get(m) or desc_key(m), m))
+                    heappush(heap, -m)
                 else:
                     v = prev - tc * q
                 if prime:
@@ -722,9 +790,10 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomia
         else:
             done.append((e, c))
             if not full:
-                done.extend(sorted(acc.items(), key=lambda t: dkeys[t[0]]))
+                done.extend(sorted(acc.items(), reverse=True))
                 break
-    return Polynomial(ring, tuple(done))
+    unpack = ring.unpack
+    return Polynomial(ring, tuple((unpack(e), c) for e, c in done))
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -741,11 +810,36 @@ def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _reduce(p, basis, full=True)
 
 
+def minimal_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The nonzero elements whose head no other element's head divides,
+    keeping the first of equal heads, in their given order.
+
+    For a Groebner basis the result is a minimal Groebner basis of the same
+    ideal; for other input it can lose part of the ideal.
+    """
+    polys = [p for p in polys if p.terms]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    guard = ring._guard
+    heads = [ring.pack(p.terms[0][0]) for p in polys]
+    return [
+        p for i, (p, h) in enumerate(zip(polys, heads))
+        if not any(
+            not (h - g) & guard and (g != h or j < i)
+            for j, g in enumerate(heads) if j != i
+        )
+    ]
+
+
 def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """The unique reduced monic basis of a Groebner basis, head-ascending.
 
-    Sequential autoreduction iterated to a fixpoint: every element is fully
-    reduced against all the others, redundant elements fall out as zeros.
+    Sequential autoreduction, round by round: every element is fully reduced
+    against all the others, redundant elements fall out as zeros.  A round
+    that changes no surviving head is the last: each of its results was
+    reduced against every head that survives it, so no term of one is
+    divisible by another's head, and a further round would change nothing.
     """
     current = [p.monic() for p in polys if not p.is_zero]
     if not current:
@@ -754,17 +848,15 @@ def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     for _ in range(100):
         current.sort(key=lambda p: ring.key(p.ht))
         reduced: list[Polynomial] = []
-        changed = False
+        heads_kept = True
         for i, f in enumerate(current):
             r = reduce_full(f, reduced + current[i + 1:])
             if r.is_zero:
-                changed = True
                 continue
-            r = r.monic()
-            if r != f:
-                changed = True
-            reduced.append(r)
-        if not changed:
-            return current
+            if r.terms[0][0] != f.terms[0][0]:
+                heads_kept = False
+            reduced.append(r.monic())
+        if heads_kept:
+            return reduced
         current = reduced
     raise RuntimeError("autoreduction did not stabilize")

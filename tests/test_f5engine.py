@@ -19,7 +19,8 @@ from siggb.f5engine import (
     rejection_events,
     top_reduction_signed,
 )
-from siggb.corpus import cyclic, katsura
+import siggb.polyring
+from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
 from siggb.polyring import (
     DomainError,
     PolyRing,
@@ -27,6 +28,8 @@ from siggb.polyring import (
     exp_divides,
     exp_mul,
     lcm_term,
+    minimal_basis,
+    reduced_basis,
     top_reduce,
     spol,
 )
@@ -295,6 +298,34 @@ def test_interreduce_examples(golden_state, golden_expected):
     ]
     assert interreduce([ring.parse("x^2")]) == [ring.parse("x^2")]
     assert interreduce(golden_state) == golden_expected
+
+
+def test_minimalized_interreduce_matches_plain_autoreduction():
+    systems = [cyclic(4), katsura(4, p=None)]
+    systems += [random_ideal(*shape) for shape in corpus_shapes(30)]
+    for gens in systems:
+        state, _ = incremental_basis(gens)
+        out = interreduce(state)
+        assert out == reduced_basis(state.polys())
+        # a minimal Groebner basis has as many elements as the reduced one
+        assert len(minimal_basis(state.polys())) == len(out)
+
+
+def test_reduced_basis_of_a_groebner_basis_takes_one_round(monkeypatch):
+    state, _ = incremental_basis(katsura(4))
+    calls = []
+    reduce_full = siggb.polyring.reduce_full
+
+    def counted(p, basis):
+        calls.append(p)
+        return reduce_full(p, basis)
+
+    monkeypatch.setattr(siggb.polyring, "reduce_full", counted)
+    reduced_basis(state.polys())
+    assert len(calls) == state.size
+    calls.clear()
+    out = interreduce(state)
+    assert len(calls) == len(out) < state.size
 
 
 # -- engine robustness -------------------------------------------------------------------

@@ -20,6 +20,7 @@ from siggb.polyring import (
     exp_mask,
     exp_mul,
     lcm_term,
+    minimal_basis,
     reduce_full,
     reduced_basis,
     spol,
@@ -116,6 +117,57 @@ def test_exp_mask_never_skips_a_divisor(pairs):
     for t in (b, exp_mul(a, b)):
         if exp_divides(a, t):
             assert exp_mask(a) & ~exp_mask(t) == 0
+
+
+# -- packed monomials -----------------------------------------------------------
+
+@st.composite
+def packed_case(draw):
+    """A ring of 1-7 variables under degrevlex or lex, with or without a
+    precedence, and two of its monomials."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("degrevlex", "lex")))
+    prec = draw(st.none() | st.permutations(range(n)).map(tuple))
+    names = tuple(f"x{i}" for i in range(n))
+    exps = st.tuples(*([st.integers(0, 9)] * n))
+    return names, MonomialOrder(kind, prec), draw(exps), draw(exps)
+
+
+@given(packed_case())
+def test_packed_monomials_match_exponent_tuples(case):
+    names, order, a, b = case
+    ring = PolyRing(names, QQ, order)
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert (pa > pb) - (pa < pb) == int(compare(a, b, order))
+    assert pa + pb == ring.pack(exp_mul(a, b))
+    assert (not (pb - pa) & ring._guard) == exp_divides(a, b)
+    # a fresh ring has no cached entry, so unpack decodes the fields
+    assert PolyRing(names, QQ, order).unpack(pa + pb) == exp_mul(a, b)
+    assert ring.unpack(pa) == a
+
+
+def test_oversized_exponent_raises_domain_error():
+    lex = PolyRing(("x", "y"), QQ, LEX)
+    top = 2**31 - 1
+    assert lex.unpack(lex.pack((top, 0))) == (top, 0)
+    with pytest.raises(DomainError):
+        lex.pack((top + 1, 0))
+    drl = PolyRing(("x", "y"))
+    with pytest.raises(DomainError):  # the degree field overflows first
+        drl.pack((2**30, 2**30))
+    with pytest.raises(DomainError):
+        reduce_full(drl.monomial((top + 1, 0)), [drl.parse("y")])
+    # under lex a product can outgrow its factors: x^2 -> x*y^K -> y^(2K)
+    k = 2**30
+    with pytest.raises(DomainError):
+        reduce_full(lex.parse("x^2"), [lex.parse(f"x - y^{k}")])
+
+
+def test_minimal_basis_keeps_first_of_equal_heads():
+    ring = PolyRing(("x", "y"))
+    polys = [ring.parse(s) for s in ("x^2 + y", "x + 1", "x + y", "y^2")]
+    assert minimal_basis(polys + [ring.zero]) == [polys[1], polys[3]]
+    assert minimal_basis([]) == []
 
 
 # -- ring construction / parsing ----------------------------------------------
