@@ -26,10 +26,21 @@ from .polyring import (
     exp_mask,
     exp_mul,
     lcm_term,
+    _pack_reducer,
+    _packed,
+    _settle,
+    _sub_tail,
     minimal_basis,
     reduced_basis,
 )
-from .signature import LabeledPoly, Signature, sig_compare, sig_key, sig_mul
+from .signature import (
+    LabeledPoly,
+    Signature,
+    build_labeled_spol,
+    sig_compare,
+    sig_key,
+    sig_mul,
+)
 from .syzygy import ModuleVector, certify_rejection, evaluate, mht
 
 
@@ -471,15 +482,14 @@ def _monicize(lp: LabeledPoly) -> LabeledPoly:
     return LabeledPoly(lp.sig, lp.poly.scale(inv), w)
 
 
-def _find_reductor(poly: Polynomial, sig: Signature, state: BasisState):
-    """First eligible reductor in insertion order.
+def _find_reductor(ht: tuple[int, ...], sig: Signature, state: BasisState):
+    """First eligible reductor of the head term ht, in insertion order.
 
     A reductor multiple must not share the working signature, must be
     normalized, and must not be rewritable (same predicates as pair
-    components).  A head whose divisor mask names a variable that HT(poly)
-    lacks is skipped without the exponent-wise test.
+    components).  A head whose divisor mask names a variable that ht lacks
+    is skipped without the exponent-wise test.
     """
-    ht = poly.ht
     order = state.ring.order
     miss = ~exp_mask(ht)
     masks = state.ht_masks
@@ -509,43 +519,71 @@ def top_reduction_signed(
 
     Smaller-signature reductors rewrite the head in place (the signature never
     changes); a larger-signature reductor splits the computation: the element
-    is returned untouched together with the new S-polynomial against the
-    reductor.  Reduction to the zero polynomial reports zero.
+    is returned together with the new S-polynomial against the reductor.
+    Reduction to the zero polynomial reports zero.
+
+    The working polynomial lives on packed monomials, as in ``polyring``'s
+    reduction loop: an accumulator plus a heap, where a step pops the head
+    and subtracts q*x^u times the reductor's packed tail (``_sub_tail``),
+    so it costs the reductor's length, not the working polynomial's.  The
+    working polynomial and its witness are kept unscaled (the certified
+    per-step check compares the two as they are) and made monic only where
+    they leave the loop, so the result equals that of rescaling after every
+    step: on a split with no step taken the element is r itself, and a zero
+    result's witness is the last step's divided by the head coefficient
+    before that step (by one when it was the first).
     """
-    opts = state.opts
     if r.poly.is_zero:
         return TRResult("zero", r)
+    opts = state.opts
+    check = opts.certify and opts.validate_witnesses
+    ring = state.ring
+    field = ring.field
+    prime = field.p if field.is_prime else 0
+    overflow = ring._guard if ring.order.kind == "lex" else 0
+    unpack = ring.unpack
+    acc, heap = _packed(r.poly)
+    head = -heapq.heappop(heap)
+    c = acc.pop(head)
+    witness = r.witness
+    scale = None  # head coefficient after the last step; None before the first
     while True:
-        found = _find_reductor(r.poly, r.sig, state)
-        if found is None:
-            return TRResult("reduced", _monicize(r))
-        u, pos, elt, cm = found
-        if cm is Cmp.LT:
-            c = state.ring.field.div(r.poly.hc, elt.poly.hc)
-            poly = r.poly.sub_mul(c, u, elt.poly)
-            witness = r.witness
-            if witness is not None:
-                witness = witness - ModuleVector.unit(pos, state.ring).mul_term(u, c)
-            state.stats.reduction_steps += 1
-            r = _monicize(LabeledPoly(r.sig, poly, witness))
-            if opts.certify and opts.validate_witnesses and not r.poly.is_zero:
-                if evaluate(r.witness, state) != r.poly:
-                    raise EngineError("working witness diverged during reduction")
-            if r.poly.is_zero:
-                return TRResult("zero", r)
-        else:
+        found = _find_reductor(unpack(head), r.sig, state)
+        if found is None or found[3] is Cmp.GT:
+            if scale is not None:
+                poly = _settle(ring, [(head, c)], acc, prime)
+                r = _monicize(LabeledPoly(r.sig, poly, witness))
+            if found is None:
+                return TRResult("reduced", _monicize(r))
             # Spol(r_red, r) with the larger multiplied signature
-            new_sig = sig_mul(u, elt.sig)
-            new_poly = elt.poly.mul_term(u, r.poly.hc).sub_mul(elt.poly.hc, state.ring.zero_exp, r.poly)
-            new_witness = None
-            if r.witness is not None:
-                new_witness = ModuleVector.unit(pos, state.ring).mul_term(
-                    u, r.poly.hc
-                ) - r.witness.mul_term(state.ring.zero_exp, elt.poly.hc)
+            u, pos, elt, _ = found
+            unit = ModuleVector.unit(pos, ring) if r.witness is not None else None
+            new = build_labeled_spol(sig_mul(u, elt.sig), elt.poly, unit, r.poly, r.witness)
             state.stats.splits += 1
-            return TRResult(
-                "split", r, _monicize(LabeledPoly(new_sig, new_poly, new_witness))
-            )
+            return TRResult("split", r, _monicize(new))
+        u, pos, elt, _ = found
+        hk, inv, tail = elt.poly._reducer or _pack_reducer(elt.poly)
+        q = c
+        if inv is not None:
+            q = c * inv % prime if prime else c * inv
+        _sub_tail(acc, heap, q, head - hk, tail, overflow)
+        if witness is not None:
+            witness = witness - ModuleVector.unit(pos, ring).mul_term(u, q)
+        state.stats.reduction_steps += 1
+        while heap:
+            head = -heapq.heappop(heap)
+            c = acc.pop(head)
+            if prime:
+                c %= prime
+            if c:
+                break
+        else:
+            if witness is not None and scale is not None:
+                witness = witness.scale(field.inv(scale))
+            return TRResult("zero", LabeledPoly(r.sig, ring.zero, witness))
+        scale = c
+        if check and evaluate(witness, state) != _settle(ring, [(head, c)], acc, prime):
+            raise EngineError("working witness diverged during reduction")
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +637,13 @@ def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bo
 
 
 def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
-    pi, pj = state.poly(pair.i), state.poly(pair.j)
-    s = pi.mul_term(pair.u_i, pj.hc).sub_mul(pi.hc, pair.u_j, pj)
-    witness = None
+    wi = wj = None
     if state.opts.certify:
-        ring = state.ring
-        witness = ModuleVector.unit(pair.i, ring).mul_term(
-            pair.u_i, pj.hc
-        ) - ModuleVector.unit(pair.j, ring).mul_term(pair.u_j, pi.hc)
-    return _monicize(LabeledPoly(pair.sig, s, witness))
+        wi = ModuleVector.unit(pair.i, state.ring)
+        wj = ModuleVector.unit(pair.j, state.ring)
+    return _monicize(
+        build_labeled_spol(pair.sig, state.poly(pair.i), wi, state.poly(pair.j), wj)
+    )
 
 
 def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -> None:

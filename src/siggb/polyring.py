@@ -5,12 +5,15 @@ their terms strictly descending in the ring's monomial order; the zero
 polynomial is the empty term sequence.  Coefficients are exact: arbitrary
 precision rationals or a word-sized prime field.
 
-The reduction loop (``reduce_full``, ``top_reduce``) works on packed
-monomials instead (``PolyRing.pack``): one int of fixed-width fields, whose
-int order is the monomial order, whose sum is the product, and where one
-subtraction and a guard-bit mask test divisibility.  It packs its inputs and
-unpacks only its result.  A packed field holds at most 2^31 - 1, so an
-exponent (under degrevlex, a total degree) beyond that raises DomainError.
+Reduction works on packed monomials instead (``PolyRing.pack``): one int of
+fixed-width fields, whose int order is the monomial order, whose sum is the
+product, and where one subtraction and a guard-bit mask test divisibility.
+Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
+``top_reduce``) and the signature engine's signed top reduction, keep the
+working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
+share one subtract step, ``_sub_tail``; they pack their inputs and unpack
+only their results.  A packed field holds at most 2^31 - 1, so an exponent
+(under degrevlex, a total degree) beyond that raises DomainError.
 """
 
 from __future__ import annotations
@@ -585,9 +588,14 @@ class Polynomial:
         c = f.one if c is None else c
         if f.is_zero(c):
             return self.ring.zero
-        return Polynomial(
-            self.ring, tuple((exp_mul(te, e), f.mul(tc, c)) for te, tc in self.terms)
-        )
+        if len(e) != self.ring.nvars:
+            raise StructureError("exponent length mismatch")
+        if f.is_prime:
+            p = f.p
+            terms = tuple((tuple(map(add, te, e)), tc * c % p) for te, tc in self.terms)
+        else:
+            terms = tuple((tuple(map(add, te, e)), f.mul(tc, c)) for te, tc in self.terms)
+        return Polynomial(self.ring, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -605,6 +613,9 @@ class Polynomial:
         f = self.ring.field
         if f.is_zero(c):
             return self.ring.zero
+        if f.is_prime:
+            p = f.p
+            return Polynomial(self.ring, tuple((e, tc * c % p) for e, tc in self.terms))
         return Polynomial(self.ring, tuple((e, f.mul(tc, c)) for e, tc in self.terms))
 
     def sub_mul(self, c, e: tuple[int, ...], other: "Polynomial") -> "Polynomial":
@@ -724,14 +735,62 @@ def _pack_reducer(g: Polynomial) -> tuple:
     return g._reducer
 
 
+def _packed(p: Polynomial) -> tuple[dict, list]:
+    """p as a ``{packed: coeff}`` accumulator and a heap of its negated
+    packed monomials, so heapq pops the largest monomial first."""
+    pack = p.ring.pack
+    acc = {}
+    heap = []  # p's terms descend, so their negations ascend: a heap
+    for e, c in p.terms:
+        k = pack(e)
+        acc[k] = c
+        heap.append(-k)
+    return acc, heap
+
+
+def _sub_tail(acc: dict, heap: list, q, u: int, tail: tuple, overflow: int) -> None:
+    """acc -= q * x^u * tail, tail a reducer's packed tail: the one subtract
+    step of both reduction loops.
+
+    A monomial new to acc goes on the heap.  Nothing leaves acc here and no
+    coefficient is reduced: over GF(p) a coefficient is a raw sum of
+    products, taken mod p only where a loop reads it, and a term that
+    cancels, over ℚ too, stays as a zero that the reader skips.
+    ``overflow`` is the ring's guard mask under lex, where a product can
+    outgrow its field (DomainError), and 0 under degrevlex, where none can.
+    """
+    get = acc.get
+    for te, tc in tail:
+        m = te + u
+        if overflow and m & overflow:
+            raise DomainError("exponent overflow in a packed monomial")
+        prev = get(m)
+        if prev is None:
+            acc[m] = -tc * q
+            heappush(heap, -m)
+        else:
+            acc[m] = prev - tc * q
+
+
+def _settle(ring: PolyRing, done: list, acc: dict, prime: int) -> Polynomial:
+    """The polynomial of the packed terms ``done``, then of acc's nonzero
+    terms, descending, taken mod p over GF(p) (``prime`` is 0 over ℚ)."""
+    for k in sorted(acc, reverse=True):
+        v = acc[k] % prime if prime else acc[k]
+        if v:
+            done.append((k, v))
+    unpack = ring.unpack
+    return Polynomial(ring, tuple((unpack(k), v) for k, v in done))
+
+
 def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomial:
     """The reduction loop behind ``reduce_full`` and ``top_reduce``.
 
     It runs on packed monomials (``PolyRing.pack``): the working polynomial
     is a ``{packed: coeff}`` accumulator plus a heap of negated packed ints,
-    so heapq pops the largest monomial first; a term that cancels leaves the
-    accumulator and its heap entry is dropped when popped.  Each popped term
-    is reduced by the first basis element, in insertion order, whose head
+    so heapq pops the largest monomial first; a popped term that is zero
+    (mod p) has cancelled and is skipped.  Each nonzero popped term is
+    reduced by the first basis element, in insertion order, whose head
     divides it (the guard-bit test), exactly as a term-by-term ``sub_mul``
     would, so every intermediate polynomial is the same.  Only the result is
     unpacked.  ``full=False`` stops at the first irreducible term.
@@ -749,19 +808,15 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomia
     f = ring.field
     prime = f.p if f.is_prime else 0
     guard = ring._guard
-    lex = ring.order.kind == "lex"
-    pack = ring.pack
-    acc = {}
-    heap = []  # p's terms descend, so their negations ascend: a heap
-    for e, c in p.terms:
-        k = pack(e)
-        acc[k] = c
-        heap.append(-k)
+    overflow = guard if ring.order.kind == "lex" else 0
+    acc, heap = _packed(p)
     done = []
     while heap:
         e = -heappop(heap)
-        c = acc.pop(e, None)
-        if c is None:
+        c = acc.pop(e)
+        if prime:
+            c %= prime
+        if not c:
             continue
         for hk, inv, tail in reducers:
             u = e - hk
@@ -770,30 +825,13 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomia
             q = c
             if inv is not None:
                 q = c * inv % prime if prime else c * inv
-            for te, tc in tail:
-                m = te + u
-                if lex and m & guard:
-                    raise DomainError("exponent overflow in a packed monomial")
-                prev = acc.get(m)
-                if prev is None:
-                    v = -(tc * q)
-                    heappush(heap, -m)
-                else:
-                    v = prev - tc * q
-                if prime:
-                    v %= prime
-                if v:
-                    acc[m] = v
-                elif prev is not None:
-                    del acc[m]
+            _sub_tail(acc, heap, q, u, tail, overflow)
             break
         else:
             done.append((e, c))
             if not full:
-                done.extend(sorted(acc.items(), reverse=True))
                 break
-    unpack = ring.unpack
-    return Polynomial(ring, tuple((unpack(e), c) for e, c in done))
+    return _settle(ring, done, acc, prime)
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:

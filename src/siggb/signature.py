@@ -68,6 +68,21 @@ class LabeledPoly:
         return self.sig.index
 
 
+def build_labeled_spol(sig: Signature, a: Polynomial, wa, b: Polynomial, wb) -> LabeledPoly:
+    """The labeled S-polynomial hc(b)*u_a*a - hc(a)*u_b*b with signature sig,
+    u_a and u_b the cofactors of lcm(HT(a), HT(b)); its witness is
+    hc(b)*u_a*wa - hc(a)*u_b*wb when both witnesses are given, else None.
+
+    The one construction behind ``spol_labeled`` and the engine's pair and
+    split S-polynomials; the caller picks the signature.
+    """
+    u_a, u_b, s = spol(a, b)
+    witness = None
+    if wa is not None and wb is not None:
+        witness = wa.mul_term(u_a, b.hc) - wb.mul_term(u_b, a.hc)
+    return LabeledPoly(sig, s, witness)
+
+
 def spol_labeled(
     r1: LabeledPoly,
     r2: LabeledPoly,
@@ -87,10 +102,8 @@ def spol_labeled(
         raise DomainError("S-polynomial of a zero labeled polynomial")
     order = order if order is not None else p1.ring.order
     l = lcm_term(p1.ht, p2.ht)
-    u1 = exp_div(l, p1.ht)
-    u2 = exp_div(l, p2.ht)
-    s1 = sig_mul(u1, r1.sig)
-    s2 = sig_mul(u2, r2.sig)
+    s1 = sig_mul(exp_div(l, p1.ht), r1.sig)
+    s2 = sig_mul(exp_div(l, p2.ht), r2.sig)
     c = sig_compare(s1, s2, order)
     if c is Cmp.EQ:
         # proportional polynomials cancel exactly; anything else is ambiguous
@@ -101,19 +114,12 @@ def spol_labeled(
             )
     if c is Cmp.LT:
         r1, r2 = r2, r1
-        u1, u2 = u2, u1
         s1 = s2
-        p1, p2 = p2, p1
         pos1, pos2 = pos2, pos1
-    _, _, s = spol(p1, p2)
-    witness = None
-    if r1.witness is not None and r2.witness is not None:
-        witness = r1.witness.mul_term(u1, p2.hc) - r2.witness.mul_term(u2, p1.hc)
-    elif pos1 is not None and pos2 is not None:
+    w1, w2 = r1.witness, r2.witness
+    if (w1 is None or w2 is None) and pos1 is not None and pos2 is not None:
         from .syzygy import ModuleVector
 
         ring = p1.ring
-        witness = ModuleVector.unit(pos1, ring).mul_term(u1, p2.hc) - ModuleVector.unit(
-            pos2, ring
-        ).mul_term(u2, p1.hc)
-    return LabeledPoly(s1, s, witness)
+        w1, w2 = ModuleVector.unit(pos1, ring), ModuleVector.unit(pos2, ring)
+    return build_labeled_spol(s1, r1.poly, w1, r2.poly, w2)

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siggb.baseline import buchberger_basis, ideal_equal
 from siggb.f5engine import (
@@ -12,6 +16,8 @@ from siggb.f5engine import (
     PairCreated,
     PairRejected,
     Snapshot,
+    TRResult,
+    _find_reductor,
     incremental_basis,
     interreduce,
     is_normalized,
@@ -22,8 +28,13 @@ from siggb.f5engine import (
 import siggb.polyring
 from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
 from siggb.polyring import (
+    QQ,
+    Cmp,
     DomainError,
+    MonomialOrder,
     PolyRing,
+    Polynomial,
+    PrimeField,
     exp_degree,
     exp_divides,
     exp_mul,
@@ -33,7 +44,8 @@ from siggb.polyring import (
     top_reduce,
     spol,
 )
-from siggb.signature import LabeledPoly, Signature
+from siggb.signature import LabeledPoly, Signature, sig_mul
+from siggb.syzygy import ModuleVector, evaluate
 
 
 def _pair(state, i, j, ui, uj):
@@ -286,6 +298,178 @@ def test_top_reduction_ordinary_preserves_signature():
     assert out.kind == "reduced"
     assert out.element.sig == r.sig
     assert state.stats.reduction_steps >= 1
+
+
+def test_certified_reduction_detects_a_diverged_witness():
+    ring = PolyRing(("x", "y"))
+    opts = EngineOptions(certify=True, validate_witnesses=True)
+    state = BasisState(ring, 2, opts)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("y^3")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("x - y")))
+    state.current_index = 1
+    # x^3 - x^2*y + y^3 = 1*r_1 + x^2*r_2; one step by x^2*r_2 leaves y^3
+    witness = ModuleVector(ring, {1: ring.one, 2: ring.parse("x^2")})
+    r = LabeledPoly(Signature((0, 0), 1), ring.parse("x^3 - x^2*y + y^3"), witness)
+    out = top_reduction_signed(r, state)
+    assert out.kind == "reduced" and state.stats.reduction_steps == 1
+    assert out.element.witness == ModuleVector(ring, {1: ring.one})
+    corrupt = LabeledPoly(r.sig, r.poly, witness + ModuleVector(ring, {1: ring.parse("x")}))
+    with pytest.raises(EngineError, match="working witness diverged"):
+        top_reduction_signed(corrupt, state)
+
+
+# -- differential: packed signed top reduction against the rescaling loop ---------------
+#
+# The reference is the loop the packed one replaced: every step is one
+# sub_mul on the working polynomial, then a rescale of it and its witness to
+# a monic head.  signed_case draws a case from a random.Random, or through
+# hypothesis (_Draws); the seeded sweep below asserts that every outcome is
+# reached in both fields, with and without certification.  The working
+# polynomial is a random combination of basis elements, so its witness is
+# right and the certified per-step check passes; reductors keep the head
+# coefficients they are drawn with, and no term of a generated polynomial
+# has a larger total degree than its head, so lex reductions stay short.
+
+SIGNED_FIELDS = (PrimeField(7), QQ)
+
+
+def ref_monicize(lp):
+    if lp.poly.is_zero:
+        return lp
+    f = lp.poly.ring.field
+    c = lp.poly.hc
+    if c == f.one:
+        return lp
+    inv = f.inv(c)
+    w = lp.witness.scale(inv) if lp.witness is not None else None
+    return LabeledPoly(lp.sig, lp.poly.scale(inv), w)
+
+
+def ref_top_reduction_signed(r, state):
+    ring, opts = state.ring, state.opts
+    if r.poly.is_zero:
+        return TRResult("zero", r)
+    while True:
+        found = _find_reductor(r.poly.ht, r.sig, state)
+        if found is None:
+            return TRResult("reduced", ref_monicize(r))
+        u, pos, elt, cm = found
+        if cm is Cmp.LT:
+            c = ring.field.div(r.poly.hc, elt.poly.hc)
+            poly = r.poly.sub_mul(c, u, elt.poly)
+            witness = r.witness
+            if witness is not None:
+                witness = witness - ModuleVector.unit(pos, ring).mul_term(u, c)
+            state.stats.reduction_steps += 1
+            r = ref_monicize(LabeledPoly(r.sig, poly, witness))
+            if opts.certify and opts.validate_witnesses and not r.poly.is_zero:
+                if evaluate(r.witness, state) != r.poly:
+                    raise EngineError("working witness diverged during reduction")
+            if r.poly.is_zero:
+                return TRResult("zero", r)
+        else:
+            new_sig = sig_mul(u, elt.sig)
+            new_poly = elt.poly.mul_term(u, r.poly.hc).sub_mul(
+                elt.poly.hc, ring.zero_exp, r.poly)
+            new_witness = None
+            if r.witness is not None:
+                new_witness = ModuleVector.unit(pos, ring).mul_term(
+                    u, r.poly.hc) - r.witness.mul_term(ring.zero_exp, elt.poly.hc)
+            state.stats.splits += 1
+            return TRResult(
+                "split", r, ref_monicize(LabeledPoly(new_sig, new_poly, new_witness)))
+
+
+def _random_poly(rng, ring, max_terms):
+    """A nonzero polynomial in x, y, z: exponents up to 2, coefficients
+    +-1..3, no term of a larger total degree than the head."""
+    p = ring.build({
+        tuple(rng.randint(0, 2) for _ in range(3)): ring.field.of(rng.choice((1, -1, 2, -2, 3, -3)))
+        for _ in range(rng.randint(1, max_terms))
+    })
+    deg = sum(p.ht)
+    return Polynomial(ring, tuple(t for t in p.terms if sum(t[0]) <= deg))
+
+
+def signed_case(rng):
+    """A basis state (inputs, then derived elements with their rules) and a
+    working labeled polynomial for top_reduction_signed, as a function that
+    builds a fresh copy each call."""
+    ring = PolyRing(("x", "y", "z"), rng.choice(SIGNED_FIELDS),
+                    MonomialOrder(rng.choice(("degrevlex", "lex"))))
+    certify = rng.choice((False, True))
+    opts = EngineOptions(certify=certify, validate_witnesses=certify and rng.choice((False, True)))
+    m = rng.randint(1, 3)
+    gamma = lambda: tuple(rng.randint(0, 2) for _ in range(3))
+    inputs = [_random_poly(rng, ring, 4) for _ in range(m)]
+    derived = [(Signature(gamma(), rng.randint(1, m)), _random_poly(rng, ring, 4))
+               for _ in range(rng.randint(0, 2))]
+    current_index = rng.randint(1, m)
+    n = m + len(derived)
+    entries = {rng.randint(1, n): _random_poly(rng, ring, 2) for _ in range(rng.randint(1, 2))}
+    witness = ModuleVector(ring, entries)
+    sig = Signature(gamma(), rng.randint(1, m))
+
+    def build():
+        state = BasisState(ring, m, opts)
+        for i, f in enumerate(inputs, 1):
+            state.append_input(LabeledPoly(Signature(ring.zero_exp, i), f))
+        for dsig, f in derived:
+            state.add_element(LabeledPoly(dsig, f), state.add_rule(dsig.gamma, dsig.index))
+        state.current_index = current_index
+        r = LabeledPoly(sig, evaluate(witness, state), witness if certify else None)
+        return state, r
+
+    return build
+
+
+def _check_signed_against_reference(build):
+    state, r = build()
+    ref_state, ref_r = build()
+    out = top_reduction_signed(r, state)
+    ref = ref_top_reduction_signed(ref_r, ref_state)
+    assert out.kind == ref.kind
+    assert out.element == ref.element
+    assert out.new_element == ref.new_element
+    assert state.stats.reduction_steps == ref_state.stats.reduction_steps
+    assert state.stats.splits == ref_state.stats.splits
+    return r, out, state.stats.reduction_steps
+
+
+class _Draws:
+    """The two random.Random methods signed_case uses, drawn through
+    hypothesis so that a failing case shrinks."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def randint(self, a, b):
+        return self.data.draw(st.integers(a, b))
+
+    def choice(self, seq):
+        return self.data.draw(st.sampled_from(seq))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_signed_top_reduction_matches_rescaling_loop(data):
+    _check_signed_against_reference(signed_case(_Draws(data)))
+
+
+def test_signed_top_reduction_sweep_reaches_every_outcome():
+    seen = set()
+    for seed in range(400):
+        r, out, steps = _check_signed_against_reference(signed_case(random.Random(seed)))
+        field = r.poly.ring.field
+        monic = not r.poly.is_zero and r.poly.hc == field.one
+        seen.add((field.is_prime, r.witness is not None, monic, out.kind, min(steps, 2)))
+    for prime in (True, False):
+        for certified in (True, False):
+            # a split after a step returns the rescaled working element; a
+            # zero after two steps rescales its witness, after one it does not
+            for kind, steps in (("reduced", 0), ("reduced", 2), ("split", 0), ("split", 1),
+                                ("zero", 1), ("zero", 2)):
+                assert (prime, certified, False, kind, steps) in seen
 
 
 # -- interreduce -----------------------------------------------------------------------

@@ -28,6 +28,9 @@ def systems():
     yield "katsura-5", katsura(5), False
     for k, d, n, seed in corpus_shapes(30):
         yield f"random(k={k},d={d},n={n},seed={seed})", random_ideal(k, d, n, seed), False
+    # the benchmark's two GF(32003) systems; katsura-6 makes 21 splits
+    yield "cyclic-5", cyclic(5), False
+    yield "katsura-6", katsura(6), False
 
 
 def output_lines(gens, certify):

@@ -510,6 +510,20 @@ def test_sub_mul_matches_dict_and_sort(case, e, c):
         assert p.sub_mul(c, e, g) == ref_sub_mul(p, c, e, g)
 
 
+@given(diff_case(), exps3, st.integers(-9, 9))
+@settings(max_examples=300)
+def test_scale_and_mul_term_match_field_mul(case, e, c):
+    ring, p, _ = case
+    f = ring.field
+    c = f.of(c)
+    if f.is_zero(c):
+        assert p.scale(c).is_zero and p.mul_term(e, c).is_zero
+        return
+    assert p.scale(c).terms == tuple((te, f.mul(tc, c)) for te, tc in p.terms)
+    assert p.mul_term(e, c).terms == tuple(
+        (exp_mul(te, e), f.mul(tc, c)) for te, tc in p.terms)
+
+
 @given(diff_case())
 @settings(max_examples=300)
 def test_sub_mul_cancels_to_zero(case):
