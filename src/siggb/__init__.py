@@ -30,8 +30,6 @@ from .syzygy import (
     Certificate,
     CertificateError,
     ModuleVector,
-    TRepresentation,
-    check_t_representation,
     certify_rejection,
     evaluate,
     mht,

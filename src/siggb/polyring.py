@@ -12,8 +12,11 @@ Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
 working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
 share one subtract step, ``_sub_tail``; they pack their inputs and unpack
-only their results.  A packed field holds at most 2^31 - 1, so an exponent
-(under degrevlex, a total degree) beyond that raises DomainError.
+only their results.  So does the one product kernel, ``sum_of_products``
+(behind ``*`` and the evaluation of module vectors), which sums products in
+one packed accumulator, over ℚ as integer numerators over one common
+denominator.  A packed field holds at most 2^31 - 1, so an exponent (under
+degrevlex, a total degree) beyond that raises DomainError.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -598,16 +602,7 @@ class Polynomial:
         return Polynomial(self.ring, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        f = self.ring.field
-        acc: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = exp_mul(e1, e2)
-                prev = acc.get(e)
-                v = f.mul(c1, c2)
-                acc[e] = f.add(prev, v) if prev is not None else v
-        return self.ring.build(acc)
+        return sum_of_products(self.ring, ((self, other),))
 
     def scale(self, c) -> "Polynomial":
         f = self.ring.field
@@ -772,15 +767,74 @@ def _sub_tail(acc: dict, heap: list, q, u: int, tail: tuple, overflow: int) -> N
             acc[m] = prev - tc * q
 
 
-def _settle(ring: PolyRing, done: list, acc: dict, prime: int) -> Polynomial:
+def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int = 0) -> Polynomial:
     """The polynomial of the packed terms ``done``, then of acc's nonzero
-    terms, descending, taken mod p over GF(p) (``prime`` is 0 over ℚ)."""
+    terms, descending, taken mod p over GF(p) (``prime`` is 0 over ℚ).
+    A nonzero ``den`` makes each of acc's values, an integer numerator,
+    Fraction(value, den)."""
     for k in sorted(acc, reverse=True):
         v = acc[k] % prime if prime else acc[k]
         if v:
-            done.append((k, v))
+            done.append((k, Fraction(v, den) if den else v))
     unpack = ring.unpack
     return Polynomial(ring, tuple((unpack(k), v) for k, v in done))
+
+
+def _numerators(p: Polynomial) -> tuple[int, list]:
+    """d, the lcm of p's coefficient denominators, and p's terms as
+    (packed monomial, c·d) pairs, integers; over GF(p) d is 1."""
+    d = lcm(*[c.denominator for _, c in p.terms])
+    ring = p.ring
+    packed, pack = ring._packcache.get, ring.pack
+    return d, [(packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms]
+
+
+def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
+    """The sum of a·b over the (a, b) polynomial pairs of ``products``: the
+    one product kernel, behind ``Polynomial.__mul__`` and
+    ``syzygy.evaluate``.
+
+    Every product goes into one ``{packed: numerator}`` accumulator, sorted
+    and unpacked once at the end.  Coefficients multiply as integers over
+    one common denominator D, the lcm over the products of d_a·d_b, with d_a
+    the lcm of a's coefficient denominators: a term pair adds
+    (c_a·d_a)·(c_b·d_b)·D/(d_a·d_b).  A surviving sum n becomes
+    Fraction(n, D) over ℚ and n mod p over GF(p), where every coefficient is
+    an int of denominator 1, so D = 1.
+
+    Under degrevlex every field of a product term is at most the degree of
+    the heads' product, so one test per product finds an exponent that
+    overflows its packed field; under lex every product term is tested.
+    Either raises DomainError.
+    """
+    f = ring.field
+    prime = f.p if f.is_prime else 0
+    guard = ring._guard
+    overflow = guard if ring.order.kind == "lex" else 0
+    factors = []
+    den = 1
+    for a, b in products:
+        for p in (a, b):
+            if p.ring is not ring and p.ring != ring:
+                raise StructureError("polynomials from different rings")
+        if a.terms and b.terms:
+            (da, ta), (db, tb) = _numerators(a), _numerators(b)
+            factors.append((da * db, ta, tb))
+            den = lcm(den, da * db)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for dab, ta, tb in factors:
+        if (ta[0][0] + tb[0][0]) & guard:
+            raise DomainError("exponent overflow in a packed monomial")
+        s = den // dab
+        for ka, na in ta:
+            na *= s
+            for kb, nb in tb:
+                m = ka + kb
+                if overflow and m & overflow:
+                    raise DomainError("exponent overflow in a packed monomial")
+                acc[m] = get(m, 0) + na * nb
+    return _settle(ring, [], acc, prime, 0 if prime else den)
 
 
 def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomial:

@@ -10,16 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .polyring import (
-    Cmp,
-    DomainError,
-    Polynomial,
-    StructureError,
-    compare,
-    exp_div,
-    exp_mul,
-)
-from .signature import Signature, sig_compare, sig_mul
+from .polyring import DomainError, Polynomial, StructureError, exp_div, exp_mul, sum_of_products
+from .signature import Signature, sig_mul
 
 if TYPE_CHECKING:  # pragma: no cover
     from .f5engine import BasisState, CriticalPair, PairRejected
@@ -113,69 +105,51 @@ class ModuleVector:
 
 
 def evaluate(v: ModuleVector, state) -> Polynomial:
-    """Apply the evaluation map: sum of entry * stored basis polynomial."""
-    acc = v.ring.zero
+    """Apply the evaluation map: the sum of entry * stored basis polynomial.
+
+    One call of the product kernel ``polyring.sum_of_products``, with one
+    (entry, basis polynomial) product per position: all of them go into one
+    packed accumulator, over ℚ as integer numerators over one common
+    denominator, and the sum is sorted once.
+    """
+    products = []
     for pos, coeff in v.entries.items():
         if not 1 <= pos <= state.size:
             raise StructureError(f"unknown basis position {pos}")
-        acc = acc + coeff * state.poly(pos)
-    return acc
+        products.append((coeff, state.poly(pos)))
+    return sum_of_products(v.ring, products)
+
+
+def _head_key(pos: int, coeff: Polynomial, state) -> tuple[int, int]:
+    """The order key of HT(coeff) * Sig(pos), the largest module term of
+    coeff * e_pos: the negated index, then the packed product of the head and
+    the signature's gamma.  Keys compare as the module term order does.
+
+    Only the head counts: terms descend and the order is multiplicative, so
+    no later term of coeff gives a larger module term.
+    """
+    sig = state.sig(pos)
+    pack = coeff.ring.pack
+    return -sig.index, pack(coeff.terms[0][0]) + pack(sig.gamma)
+
+
+def _sig_key(sig: Signature, ring) -> tuple[int, int]:
+    """The order key of a signature, comparable with ``_head_key``."""
+    return -sig.index, ring.pack(sig.gamma)
 
 
 def mht(v: ModuleVector, state) -> Signature:
     """Largest module term of v after expanding positions through signatures."""
     if v.is_zero:
         raise DomainError("zero module vector has no head term")
-    order = v.ring.order
-    best: Signature | None = None
-    for pos, coeff in v.entries.items():
-        base = state.sig(pos)
-        for e, _ in coeff.terms:
-            cand = sig_mul(e, base)
-            if best is None or sig_compare(cand, best, order) is Cmp.GT:
-                best = cand
-    return best
+    pos, coeff = max(v.entries.items(), key=lambda pc: _head_key(pc[0], pc[1], state))
+    return sig_mul(coeff.ht, state.sig(pos))
 
 
 def principal_syzygy(a: int, b: int, state) -> ModuleVector:
     """p_a * e_b - p_b * e_a; evaluates to zero by construction."""
     pa, pb = state.poly(a), state.poly(b)
     return ModuleVector(pa.ring, {b: pa}) - ModuleVector(pa.ring, {a: pb})
-
-
-# ---------------------------------------------------------------------------
-# admissible labeled t-representations
-
-@dataclass
-class TRepresentation:
-    target: object  # LabeledPoly
-    t: tuple[int, ...]
-    combination: ModuleVector
-
-
-@dataclass
-class RepCheck:
-    valid: bool
-    reason: str | None = None
-    position: int | None = None
-
-
-def check_t_representation(rep: TRepresentation, state, order=None) -> RepCheck:
-    """Check evaluation equality, the head-term bound, and the signature bound."""
-    ring = rep.combination.ring
-    order = order or ring.order
-    if evaluate(rep.combination, state) != rep.target.poly:
-        return RepCheck(False, "evaluation")
-    for pos in rep.combination.positions():
-        lam = rep.combination.entries[pos]
-        prod = lam * state.poly(pos)
-        if not prod.is_zero:
-            if compare(prod.ht, rep.t, order) is not Cmp.LT:
-                return RepCheck(False, "head-term", pos)
-        bound = sig_mul(lam.ht, state.sig(pos))
-        if sig_compare(bound, rep.target.sig, order) is Cmp.GT:
-            return RepCheck(False, "signature", pos)
-    return RepCheck(True)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +222,14 @@ def _creation_syzygy(pos: int, state) -> ModuleVector:
 
 
 def _offenders(v: ModuleVector, state, bound: Signature, skip: set[int]):
-    """Entries whose expanded module term reaches the bound, keyed by position."""
-    order = v.ring.order
-    out: dict[int, tuple[tuple[int, ...], object]] = {}
-    for pos, coeff in v.entries.items():
-        if pos in skip:
-            continue
-        base = state.sig(pos)
-        for e, c in coeff.terms:
-            if sig_compare(sig_mul(e, base), bound, order) is not Cmp.LT:
-                out[pos] = (e, c)
-                break
-    return out
+    """Entries whose head module term reaches the bound, keyed by position:
+    (head term, head coefficient) of each."""
+    bkey = _sig_key(bound, v.ring)
+    return {
+        pos: coeff.terms[0]
+        for pos, coeff in v.entries.items()
+        if pos not in skip and _head_key(pos, coeff, state) >= bkey
+    }
 
 
 def _expand_at(v: ModuleVector, pos: int, term: tuple[int, ...], coeff, state) -> ModuleVector:
@@ -279,7 +249,6 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     multiplied signature.
     """
     ring = state.ring
-    order = ring.order
     field_ = ring.field
     comp = verdict.component
     if comp == "i":
@@ -288,6 +257,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         u_k, pos_k = pair.u_j, pair.j
     sig_k = state.sig(pos_k)
     bound = sig_mul(u_k, sig_k)
+    bkey = _sig_key(bound, ring)
     k0 = sig_k.index
 
     a_vec = _creation_syzygy(pos_k, state).mul_term(u_k)
@@ -306,9 +276,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         else:
             crit_pos = None
             s_rew = state.syzygy_trails[rule.label]
-        rewrite_equality = (
-            sig_compare(sig_mul(lam, mht(s_rew, state)), bound, order) is Cmp.EQ
-        )
+        rewrite_equality = sig_mul(lam, mht(s_rew, state)) == bound
         b_vec = s_rew.mul_term(lam)
 
     skip_a = {pos_k}
@@ -323,9 +291,9 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     # cancel.  The scalar accounts for monic normalization along the chains.
     def offender_coeffs(v, skip):
         return {
-            pos: c
-            for pos, (e, c) in _offenders(v, state, bound, skip).items()
-            if sig_compare(sig_mul(e, state.sig(pos)), bound, order) is Cmp.EQ
+            pos: coeff.hc
+            for pos, coeff in v.entries.items()
+            if pos not in skip and _head_key(pos, coeff, state) == bkey
         }
 
     budget = 4 * state.size + 8
@@ -348,11 +316,9 @@ def certify_rejection(pair, verdict, state) -> Certificate:
             )
         p = max(expandable)
         if p in ca:
-            off = _offenders(a_vec, state, bound, skip_a)[p]
-            a_vec = _expand_at(a_vec, p, off[0], off[1], state)
+            a_vec = _expand_at(a_vec, p, *a_vec.entries[p].terms[0], state)
         if p in cb:
-            off = _offenders(b_vec, state, bound, skip_b)[p]
-            b_vec = _expand_at(b_vec, p, off[0], off[1], state)
+            b_vec = _expand_at(b_vec, p, *b_vec.entries[p].terms[0], state)
     else:  # pragma: no cover
         raise CertificateError("syzygy head alignment did not terminate")
 
@@ -382,14 +348,13 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     for pos in vec.positions():
         coeff = vec.entries[pos]
         term = coeff.ht
-        t_sig = sig_mul(term, state.sig(pos))
-        rel = sig_compare(t_sig, bound, order)
+        key = _head_key(pos, coeff, state)
         if pos == pos_k:
-            bounds.append(BoundCheck(pos, term, "flagged", rel is not Cmp.GT))
+            bounds.append(BoundCheck(pos, term, "flagged", key <= bkey))
         elif crit_pos is not None and pos == crit_pos:
-            bounds.append(BoundCheck(pos, term, "crit", rel is not Cmp.GT))
+            bounds.append(BoundCheck(pos, term, "crit", key <= bkey))
         else:
-            bounds.append(BoundCheck(pos, term, "strict", rel is Cmp.LT))
+            bounds.append(BoundCheck(pos, term, "strict", key < bkey))
 
     cert = Certificate(
         pair=pair,

@@ -31,6 +31,10 @@ def systems():
     # the benchmark's two GF(32003) systems; katsura-6 makes 21 splits
     yield "cyclic-5", cyclic(5), False
     yield "katsura-6", katsura(6), False
+    # certified over ℚ; katsura-5 gives the product kernel large common
+    # denominators (533 certificates)
+    yield "cyclic-4/QQ", cyclic(4, p=None), True
+    yield "katsura-5/QQ", katsura(5, p=None), True
 
 
 def output_lines(gens, certify):

@@ -24,6 +24,7 @@ from siggb.polyring import (
     reduce_full,
     reduced_basis,
     spol,
+    sum_of_products,
     top_reduce,
 )
 
@@ -550,3 +551,90 @@ def test_reduced_basis_matches_dict_and_sort(case):
     _, p, basis = case
     assert reduced_basis(basis + [p]) == ref_reduced_basis(basis + [p])
     assert reduced_basis([]) == []
+
+
+# -- the product kernel ----------------------------------------------------------
+#
+# ``Polynomial.__mul__`` (and ``syzygy.evaluate``) run on one packed
+# accumulator with integer numerators over a common denominator; the
+# reference below multiplies term by term with the field's own operations and
+# sorts a dict once.  Over ℚ the coefficients carry denominators up to 12, so
+# the common denominator is not 1.
+
+def ref_mul(p, q):
+    f = p.ring.field
+    acc = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            m = exp_mul(e1, e2)
+            v = f.mul(c1, c2)
+            acc[m] = f.add(acc[m], v) if m in acc else v
+    live = [(m, v) for m, v in acc.items() if not f.is_zero(v)]
+    live.sort(key=lambda t: p.ring.key(t[0]), reverse=True)
+    return Polynomial(p.ring, tuple(live))
+
+
+def coefficient_types(p):
+    return [type(c) for _, c in p.terms]
+
+
+def field_coeffs(field):
+    """Coefficients of the field: fractions with denominators over ℚ."""
+    if field.is_prime:
+        return st.integers(-9, 9).map(field.of)
+    return st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+
+
+@st.composite
+def product_case(draw, count=2):
+    """A ring over ℚ or GF(7) under one of ``DIFF_ORDERS`` and ``count`` of
+    its polynomials, each possibly zero."""
+    ring = PolyRing(("x", "y", "z"), draw(st.sampled_from(DIFF_FIELDS)),
+                    draw(st.sampled_from(DIFF_ORDERS)))
+    poly = st.dictionaries(exps3, field_coeffs(ring.field), max_size=5).map(ring.build)
+    return ring, [draw(poly) for _ in range(count)]
+
+
+@given(product_case())
+@settings(max_examples=300)
+def test_mul_matches_dict_and_sort(case):
+    ring, (p, q) = case
+    ctype = int if ring.field.is_prime else Fraction
+    for a, b in ((p, q), (q, p), (p, p), (p, ring.zero), (ring.zero, q)):
+        got, want = a * b, ref_mul(a, b)
+        assert got.terms == want.terms
+        assert coefficient_types(got) == coefficient_types(want)
+        assert all(t is ctype for t in coefficient_types(got))
+    # (p + q)(p - q): the cross terms cancel inside the accumulator, and
+    # p*(-p) + p*p, through a sum of two products, cancels to zero
+    got = (p + q) * (p - q)
+    assert got.terms == (ref_mul(p, p) - ref_mul(q, q)).terms
+    assert all(t is ctype for t in coefficient_types(got))
+    assert sum_of_products(ring, ((p, -p), (p, p))).is_zero
+
+
+def test_mul_known_values_over_rationals():
+    ring = PolyRing(("x", "y"))
+    p = ring.parse("1/2*x + 1/3*y")
+    q = ring.parse("3/4*x - 1/2*y")
+    got = p * q
+    assert got == ring.parse("3/8*x^2 - 1/6*y^2")
+    assert coefficient_types(got) == [Fraction, Fraction]
+    assert got.terms[1][1] == Fraction(-1, 6)
+    # a product whose denominators all cancel still has Fraction coefficients
+    got = ring.parse("2/3*x") * ring.parse("3/2*y")
+    assert got.terms == (((1, 1), Fraction(1)),) and coefficient_types(got) == [Fraction]
+
+
+def test_product_overflow_raises_domain_error():
+    k = 2**30
+    lex = PolyRing(("x", "y"), QQ, LEX)
+    # the head product x*y^k fits its fields; the tail product y^(2k) does not
+    with pytest.raises(DomainError):
+        lex.parse(f"x + y^{k}") * lex.parse(f"y^{k}")
+    assert (lex.parse(f"x + y^{k - 1}") * lex.parse(f"y^{k}")).terms[1][0] == (0, 2 * k - 1)
+    drl = PolyRing(("x", "y"))
+    with pytest.raises(DomainError):  # the degree field overflows
+        drl.parse(f"x^{k}") * drl.parse(f"1 + y^{k}")
+    with pytest.raises(StructureError):
+        drl.parse("x") * lex.parse("x")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siggb.f5engine import EngineOptions, certify_all, incremental_basis, rejection_events
-from siggb.polyring import DomainError, PolyRing, StructureError, compare, Cmp, top_reduce
-from siggb.signature import LabeledPoly, Signature
-from siggb.syzygy import (
-    ModuleVector,
-    TRepresentation,
-    check_t_representation,
-    evaluate,
-    mht,
-    principal_syzygy,
+from siggb.polyring import (
+    QQ,
+    Cmp,
+    DomainError,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    StructureError,
+    compare,
+    exp_mul,
+    top_reduce,
 )
+from siggb.signature import LabeledPoly, Signature, sig_compare, sig_mul
+from siggb.syzygy import ModuleVector, _offenders, evaluate, mht, principal_syzygy
 
 
 def mv(ring, entries):
@@ -45,6 +51,95 @@ def test_evaluate_unknown_position(golden_state, golden_ring):
     v = ModuleVector.unit(99, golden_ring)
     with pytest.raises(StructureError):
         evaluate(v, golden_state)
+    for pos in (0, golden_state.size + 1):
+        v = ModuleVector(golden_ring, {1: golden_ring.one, pos: golden_ring.one})
+        with pytest.raises(StructureError):
+            evaluate(v, golden_state)
+
+
+# One product kernel behind ``evaluate``: the reference multiplies every
+# entry term by every basis term with the field's own operations and sorts a
+# dict once.  ``Basis`` is the part of a basis state that ``evaluate`` reads,
+# so the basis can live in any ring.
+
+class Basis:
+    def __init__(self, polys):
+        self.polys = polys
+
+    @property
+    def size(self):
+        return len(self.polys)
+
+    def poly(self, pos):
+        return self.polys[pos - 1]
+
+
+def ref_evaluate(v, basis):
+    ring = v.ring
+    f = ring.field
+    acc = {}
+    for pos, coeff in v.entries.items():
+        for e1, c1 in coeff.terms:
+            for e2, c2 in basis.poly(pos).terms:
+                m = exp_mul(e1, e2)
+                c = f.mul(c1, c2)
+                acc[m] = f.add(acc[m], c) if m in acc else c
+    live = [(m, c) for m, c in acc.items() if not f.is_zero(c)]
+    live.sort(key=lambda t: ring.key(t[0]), reverse=True)
+    return Polynomial(ring, tuple(live))
+
+
+EVAL_ORDERS = (
+    MonomialOrder("degrevlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("degrevlex", precedence=(2, 0, 1)),
+)
+
+
+@st.composite
+def evaluate_case(draw):
+    """A ring over ℚ (coefficient denominators up to 12) or GF(7), a basis
+    of 1-4 polynomials and a module vector over it, possibly empty."""
+    ring = PolyRing(("x", "y", "z"), draw(st.sampled_from((QQ, PrimeField(7)))),
+                    draw(st.sampled_from(EVAL_ORDERS)))
+    if ring.field.is_prime:
+        coeffs = st.integers(-9, 9).map(ring.field.of)
+    else:
+        coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+    exps = st.tuples(*([st.integers(0, 2)] * 3))
+    poly = st.dictionaries(exps, coeffs, max_size=4).map(ring.build)
+    basis = Basis(draw(st.lists(poly, min_size=1, max_size=4)))
+    entries = draw(st.dictionaries(st.integers(1, basis.size), poly, max_size=4))
+    return ring, basis, ModuleVector(ring, entries)
+
+
+@given(evaluate_case())
+@settings(max_examples=300)
+def test_evaluate_matches_dict_and_sort(case):
+    ring, basis, v = case
+    ctype = int if ring.field.is_prime else Fraction
+    got, want = evaluate(v, basis), ref_evaluate(v, basis)
+    assert got.terms == want.terms
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+    assert all(type(c) is ctype for _, c in got.terms)
+    assert evaluate(ModuleVector(ring), basis) == ring.zero
+    # h*e_1 - h*e_last over a basis whose last element repeats the first,
+    # and the principal syzygy of the first two, cancel to zero
+    twin = Basis(basis.polys + [basis.poly(1)])
+    for h in v.entries.values():
+        assert evaluate(ModuleVector(ring, {1: h, twin.size: -h}), twin).is_zero
+    if basis.size > 1:
+        principal = ModuleVector(ring, {1: basis.poly(2), 2: -basis.poly(1)})
+        assert evaluate(principal, basis).is_zero
+
+
+def test_evaluate_known_value_over_rationals():
+    ring = PolyRing(("x", "y"))
+    basis = Basis([ring.parse("2/3*x + 1/5"), ring.parse("3/7*y")])
+    v = ModuleVector(ring, {1: ring.parse("3/4*y"), 2: ring.parse("-7/6*x + 1/9")})
+    got = evaluate(v, basis)
+    assert got == ring.parse("3/20*y + 1/21*y")
+    assert [type(c) for _, c in got.terms] == [Fraction]
 
 
 def test_evaluate_linear(golden_state, golden_ring):
@@ -81,6 +176,55 @@ def test_mht_zero_vector(golden_state, golden_ring):
         mht(ModuleVector(golden_ring), golden_state)
 
 
+# ``mht`` and ``_offenders`` read only each entry's head and compare packed
+# keys, index first; the references scan every term through ``sig_compare``.
+
+def ref_mht(v, state):
+    order = v.ring.order
+    best = None
+    for pos, coeff in v.entries.items():
+        base = state.sig(pos)
+        for e, _ in coeff.terms:
+            cand = sig_mul(e, base)
+            if best is None or sig_compare(cand, best, order) is Cmp.GT:
+                best = cand
+    return best
+
+
+def ref_offenders(v, state, bound, skip):
+    order = v.ring.order
+    out = {}
+    for pos, coeff in v.entries.items():
+        if pos in skip:
+            continue
+        base = state.sig(pos)
+        for e, c in coeff.terms:
+            if sig_compare(sig_mul(e, base), bound, order) is not Cmp.LT:
+                out[pos] = (e, c)
+                break
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_mht_and_offenders_match_all_terms_scan(golden_state, golden_ring, data):
+    state = golden_state
+    exps = st.tuples(*([st.integers(0, 3)] * 4))
+    coeffs = st.integers(-3, 3).map(Fraction)
+    poly = st.dictionaries(exps, coeffs, max_size=4).map(golden_ring.build)
+    v = ModuleVector(golden_ring, data.draw(
+        st.dictionaries(st.integers(1, state.size), poly, max_size=5)))
+    if v.is_zero:
+        return
+    assert mht(v, state) == ref_mht(v, state)
+    # bounds on every index, and every module term of v itself, so that
+    # the scan meets equal terms and terms of other indices
+    terms = [sig_mul(e, state.sig(pos)) for pos, c in v.entries.items() for e, _ in c.terms]
+    bound = data.draw(st.sampled_from(terms) | st.builds(Signature, exps, st.integers(1, 3)))
+    skip = data.draw(st.sets(st.integers(1, state.size), max_size=3))
+    assert _offenders(v, state, bound, skip) == ref_offenders(v, state, bound, skip)
+
+
 # -- principal syzygies ------------------------------------------------------------
 
 def test_principal_syzygy_known_value(golden_state, golden_ring):
@@ -99,6 +243,43 @@ def test_principal_syzygies_evaluate_to_zero(golden_state):
 
 
 # -- t-representations ---------------------------------------------------------------
+#
+# An admissible labeled t-representation of a target: a module vector that
+# evaluates to the target, each of whose products stays below t and whose
+# module terms stay within the target's signature.  The engine never builds
+# one, so the check lives here, with the tests that pin its three verdicts.
+
+@dataclass
+class TRepresentation:
+    target: LabeledPoly
+    t: tuple[int, ...]
+    combination: ModuleVector
+
+
+@dataclass
+class RepCheck:
+    valid: bool
+    reason: str | None = None
+    position: int | None = None
+
+
+def check_t_representation(rep: TRepresentation, state, order=None) -> RepCheck:
+    """Check evaluation equality, the head-term bound, and the signature bound."""
+    ring = rep.combination.ring
+    order = order or ring.order
+    if evaluate(rep.combination, state) != rep.target.poly:
+        return RepCheck(False, "evaluation")
+    for pos in rep.combination.positions():
+        lam = rep.combination.entries[pos]
+        prod = lam * state.poly(pos)
+        if not prod.is_zero:
+            if compare(prod.ht, rep.t, order) is not Cmp.LT:
+                return RepCheck(False, "head-term", pos)
+        bound = sig_mul(lam.ht, state.sig(pos))
+        if sig_compare(bound, rep.target.sig, order) is Cmp.GT:
+            return RepCheck(False, "signature", pos)
+    return RepCheck(True)
+
 
 def test_t_representation_valid(golden_state, golden_ring):
     # Spol(p1, p3) = x*p6 - z*p4 is admissible below t = x^2yz^3
