@@ -24,7 +24,6 @@ from .polyring import (
     exp_div,
     exp_divides,
     exp_mask,
-    exp_mul,
     lcm_term,
     _pack_reducer,
     _packed,
@@ -84,7 +83,7 @@ class Stats:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """What the basis looked like when a pair was created."""
 
@@ -108,25 +107,33 @@ class RewriteRule:
         return str(self.label)
 
 
-@dataclass
+@dataclass(slots=True)
 class CriticalPair:
-    """S-pair bookkeeping; component i carries the larger multiplied signature."""
+    """S-pair bookkeeping; component i carries the larger multiplied signature.
+
+    ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
+    u_j * Sig(r_j); the criteria read a component's index and term from them.
+    """
 
     i: int
     j: int
     u_i: tuple[int, ...]
     u_j: tuple[int, ...]
-    lcm: tuple[int, ...]
     degree: int
     sig: Signature
+    sig_j: Signature
     seq: int
     snapshot: Snapshot
 
     def component(self, comp: str) -> tuple[tuple[int, ...], int]:
         return (self.u_i, self.i) if comp == "i" else (self.u_j, self.j)
 
+    def msig(self, comp: str) -> Signature:
+        """The component's multiplied signature u * Sig(r_pos)."""
+        return self.sig if comp == "i" else self.sig_j
 
-@dataclass
+
+@dataclass(slots=True)
 class NormalizedVerdict:
     """F5 verdict on a pair: the first witness found, (component, witness).
 
@@ -150,12 +157,12 @@ class NormalizedVerdict:
             (comp, prev)
             for comp in ("i", "j")
             for prev in component_f5_witnesses(
-                *self.pair.component(comp), self.state, self.snapshot
+                self.pair.msig(comp), self.state, self.snapshot
             )
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RewritableVerdict:
     rewritable: bool
     component: str | None = None
@@ -165,7 +172,7 @@ class RewritableVerdict:
 # ---------------------------------------------------------------------------
 # events
 
-@dataclass
+@dataclass(slots=True)
 class IterationBegin:
     index: int
 
@@ -173,7 +180,7 @@ class IterationBegin:
         return f"# iteration index={self.index}"
 
 
-@dataclass
+@dataclass(slots=True)
 class PairCreated:
     pair: CriticalPair
 
@@ -182,7 +189,7 @@ class PairCreated:
         return f"PAIR d={p.degree} sig={p.sig.render(state.ring)} ({p.i},{p.j})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PairRejected:
     pair: CriticalPair
     kind: str  # "f5crit" | "rewrite"
@@ -223,7 +230,7 @@ class PairRejected:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class SignatureCollision:
     a: int
     b: int
@@ -233,7 +240,7 @@ class SignatureCollision:
         return f"REJECT collision pair=({self.a},{self.b}) sig={self.sig.render(state.ring)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class PairAdmitted:
     pair: CriticalPair
 
@@ -242,7 +249,7 @@ class PairAdmitted:
         return f"REDUCE pair=({p.i},{p.j}) sig={p.sig.render(state.ring)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReducedToZero:
     sig: Signature
     trail_label: str
@@ -251,7 +258,7 @@ class ReducedToZero:
         return f"ZERO sig={self.sig.render(state.ring)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementAdded:
     pos: int
     sig: Signature
@@ -262,7 +269,7 @@ class ElementAdded:
         return f"NEW pos={self.pos} sig={self.sig.render(ring)} ht={ring.render_exp(self.ht)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class RuleOutOfOrder:
     index: int
     gamma: tuple[int, ...]
@@ -286,6 +293,8 @@ class BasisState:
         self.opts = opts or EngineOptions()
         self.elements: list[LabeledPoly] = []
         self.ht_masks: list[int] = []  # divisor masks of the head terms
+        self.index_positions: dict[int, list[int]] = {}  # ascending, by signature index
+        self.f5_tables: dict[int, F5Table] = {}  # by component index k0
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
         self.stats = Stats()
@@ -296,6 +305,7 @@ class BasisState:
         self._pair_seq = 0
         self._trail_seq = 0
         self._heap: list | None = None
+        self._snapshot: Snapshot | None = None
 
     # accessors (1-based positions) -----------------------------------------
 
@@ -323,7 +333,13 @@ class BasisState:
         return chain(range(min_index, min(m, max_pos) + 1), range(m + 1, max_pos + 1))
 
     def snapshot(self) -> Snapshot:
-        return Snapshot(self.size, self.current_index, self._rule_seq)
+        """The basis as it stands; pairs created in one batch share it."""
+        snap = self._snapshot
+        if snap is None or (snap.max_pos, snap.min_index, snap.rule_seq) != (
+            self.size, self.current_index, self._rule_seq
+        ):
+            snap = self._snapshot = Snapshot(self.size, self.current_index, self._rule_seq)
+        return snap
 
     def polys(self) -> list[Polynomial]:
         return [e.poly for e in self.elements]
@@ -334,15 +350,25 @@ class BasisState:
         self._rule_seq += 1
         rule = RewriteRule(gamma, index, self._rule_seq, label)
         lst = self.rules.setdefault(index, [])
-        if lst and compare(lst[-1].gamma, gamma, self.ring.order) is Cmp.GT:
+        if lst and compare(lst[-1].gamma, gamma, self.ring) is Cmp.GT:
             self.events.append(RuleOutOfOrder(index, gamma))
         lst.append(rule)
         return rule
 
-    def append_input(self, lp: LabeledPoly) -> int:
+    def _append(self, lp: LabeledPoly) -> int:
+        """Store lp and drop the F5 tables it could change: those of every
+        index below lp's, for which it is a new candidate."""
         self.elements.append(lp)
         self.ht_masks.append(exp_mask(lp.poly.ht))
         pos = self.size
+        j = lp.sig.index
+        self.index_positions.setdefault(j, []).append(pos)
+        for k0 in [k0 for k0 in self.f5_tables if k0 < j]:
+            del self.f5_tables[k0]
+        return pos
+
+    def append_input(self, lp: LabeledPoly) -> int:
+        pos = self._append(lp)
         rule = self.add_rule(self.ring.zero_exp, pos, label=pos)
         self.element_rule.append(rule)
         return pos
@@ -350,9 +376,7 @@ class BasisState:
     def add_element(self, lp: LabeledPoly, rule: RewriteRule) -> int:
         if self.size >= self.opts.max_elements:
             raise EngineError(f"basis exceeded {self.opts.max_elements} elements")
-        self.elements.append(lp)
-        self.ht_masks.append(exp_mask(lp.poly.ht))
-        pos = self.size
+        pos = self._append(lp)
         self.element_rule.append(rule)
         rule.label = pos
         self.stats.elements_added += 1
@@ -383,46 +407,95 @@ class BasisState:
 # ---------------------------------------------------------------------------
 # the two criteria
 
-def component_f5_witnesses(
-    u: tuple[int, ...], pos: int, state: BasisState,
-    snapshot: Snapshot | None = None, first_only: bool = False,
-) -> list[int]:
-    """Basis elements of larger index whose head divides u * Gamma(Sig(r_pos)).
+@dataclass(slots=True)
+class F5Table:
+    """The F5 criterion for components of one index k0: its candidates, every
+    element of larger index as (position, head mask, head) in position order,
+    and the first witness by term t = u * Gamma(r), 0 for none, memoised."""
 
-    A head whose divisor mask names a variable that t lacks is skipped
-    without the exponent-wise test.
+    cands: list
+    first: dict = dfield(default_factory=dict)
+
+
+def _f5_table(state: BasisState, k0: int) -> F5Table:
+    table = state.f5_tables.get(k0)
+    if table is None:
+        masks = state.ht_masks
+        table = state.f5_tables[k0] = F5Table([
+            (pos, masks[pos - 1], elt.poly.ht)
+            for pos, elt in enumerate(state.elements, 1)
+            if elt.sig.index > k0
+        ])
+    return table
+
+
+def component_f5_witnesses(
+    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
+) -> list[int]:
+    """Basis elements of larger index than msig's whose head divides msig's
+    term, for a component with multiplied signature msig = u * Sig(r_pos).
+
+    The candidates, every element of index > k0 = msig.index, do not depend
+    on when the question is asked.  The engine works index by index from m-1
+    down to 1 and makes every element of index j in iteration j, so each
+    candidate exists before any component of index k0 meets a pair: no
+    snapshot cuts one off, and later elements (index <= k0) never join.
+    That is why ``first_f5_witness`` memoises its answer on (k0, term)
+    alone; this full list, read when a rejection lists its witnesses, is
+    scanned afresh.  States built by hand may append out of that order;
+    appending an element of index j drops the tables of every k0 < j
+    (``BasisState._append``).  A head whose divisor mask names a variable
+    that the term lacks is skipped without the exponent-wise test.
     """
-    elt = state.element(pos)
-    k0 = elt.sig.index
-    t = exp_mul(u, elt.sig.gamma)
+    t = msig.gamma
     miss = ~exp_mask(t)
-    elements, masks = state.elements, state.ht_masks
-    out = []
-    for prev in state.active_positions(snapshot):
-        if masks[prev - 1] & miss:
-            continue
-        pe = elements[prev - 1]
-        if pe.sig.index > k0 and exp_divides(pe.poly.ht, t):
-            out.append(prev)
-            if first_only:
+    max_pos = snapshot.max_pos if snapshot else state.size
+    return [
+        pos for pos, mask, ht in _f5_table(state, msig.index).cands
+        if pos <= max_pos and not mask & miss and exp_divides(ht, t)
+    ]
+
+
+def first_f5_witness(
+    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
+) -> int:
+    """Position of the first F5 witness of the component with multiplied
+    signature msig, or 0 when it has none: the one F5-criterion query.
+
+    The answer is memoised on (msig.index, msig.gamma), which the
+    invariant in ``component_f5_witnesses`` makes sound.  Candidates come in
+    position order, so a first witness past the snapshot means none in it.
+    """
+    table = _f5_table(state, msig.index)
+    t = msig.gamma
+    first = table.first.get(t)
+    if first is None:
+        first = 0
+        miss = ~exp_mask(t)
+        for pos, mask, ht in table.cands:
+            if not mask & miss and exp_divides(ht, t):
+                first = pos
                 break
-    return out
+        table.first[t] = first
+    if snapshot is not None and first > snapshot.max_pos:
+        return 0
+    return first
 
 
 def component_rewriter(
-    u: tuple[int, ...], pos: int, state: BasisState, snapshot: Snapshot | None = None
+    msig: Signature, pos: int, state: BasisState, snapshot: Snapshot | None = None
 ) -> RewriteRule | None:
-    """Newest rule of the component's index dividing u * Gamma(Sig(r_pos)).
+    """Newest rule of msig's index dividing msig's term, for the component
+    u * r_pos with multiplied signature msig = u * Sig(r_pos).
 
     The newest divisor decides: the component's own creation rule means "not
     rewritable", any other rule rewrites the component.
     """
-    elt = state.element(pos)
     own = state.element_rule[pos - 1]
-    t = exp_mul(u, elt.sig.gamma)
+    t = msig.gamma
     miss = ~exp_mask(t)
     max_seq = snapshot.rule_seq if snapshot else None
-    for rule in reversed(state.rules.get(elt.sig.index, [])):
+    for rule in reversed(state.rules.get(msig.index, [])):
         if max_seq is not None and rule.seq > max_seq:
             continue
         if not rule.mask & miss and exp_divides(rule.gamma, t):
@@ -433,18 +506,17 @@ def component_rewriter(
 def is_normalized(
     pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
 ) -> NormalizedVerdict:
-    """F5 criterion: component i, then j, scanned up to the first witness.
+    """F5 criterion: component i, then j, each asked for its first witness.
 
     One witness decides the verdict and builds the certificate; the verdict
     rebuilds the full list only when it is read.  Without a snapshot the pair
     is judged against the current basis, which the verdict then records.
     """
     for comp in ("i", "j"):
-        u, pos = pair.component(comp)
-        hit = component_f5_witnesses(u, pos, state, snapshot, first_only=True)
+        hit = first_f5_witness(pair.msig(comp), state, snapshot)
         if hit:
             snap = snapshot or state.snapshot()
-            return NormalizedVerdict(False, comp, hit[0], pair, state, snap)
+            return NormalizedVerdict(False, comp, hit, pair, state, snap)
     return NormalizedVerdict(True)
 
 
@@ -453,8 +525,8 @@ def is_rewritable(
 ) -> RewritableVerdict:
     """Rewritten criterion on both components, larger-signature side first."""
     for comp in ("i", "j"):
-        u, pos = pair.component(comp)
-        rule = component_rewriter(u, pos, state, snapshot)
+        _, pos = pair.component(comp)
+        rule = component_rewriter(pair.msig(comp), pos, state, snapshot)
         if rule is not None:
             return RewritableVerdict(True, comp, rule)
     return RewritableVerdict(False)
@@ -490,7 +562,7 @@ def _find_reductor(ht: tuple[int, ...], sig: Signature, state: BasisState):
     components).  A head whose divisor mask names a variable that ht lacks
     is skipped without the exponent-wise test.
     """
-    order = state.ring.order
+    ring = state.ring
     miss = ~exp_mask(ht)
     masks = state.ht_masks
     for pos in state.active_positions():
@@ -501,12 +573,12 @@ def _find_reductor(ht: tuple[int, ...], sig: Signature, state: BasisState):
         if u is None:
             continue
         msig = sig_mul(u, elt.sig)
-        cm = sig_compare(msig, sig, order)
+        cm = sig_compare(msig, sig, ring)
         if cm is Cmp.EQ:
             continue
-        if component_f5_witnesses(u, pos, state, first_only=True):
+        if first_f5_witness(msig, state):
             continue
-        if component_rewriter(u, pos, state) is not None:
+        if component_rewriter(msig, pos, state) is not None:
             continue
         return u, pos, elt, cm
     return None
@@ -592,12 +664,13 @@ def top_reduction_signed(
 def _make_pair(state: BasisState, a: int, b: int) -> None:
     """Create the critical pair of positions a and b, run creation-time checks,
     and enqueue it if it survives."""
-    order = state.ring.order
-    pa, pb = state.poly(a), state.poly(b)
-    l = lcm_term(pa.ht, pb.ht)
-    ua, ub = exp_div(l, pa.ht), exp_div(l, pb.ht)
-    sa, sb = sig_mul(ua, state.sig(a)), sig_mul(ub, state.sig(b))
-    cmpab = sig_compare(sa, sb, order)
+    ring = state.ring
+    ea, eb = state.elements[a - 1], state.elements[b - 1]
+    hta, htb = ea.poly.ht, eb.poly.ht
+    l = lcm_term(hta, htb)
+    ua, ub = exp_div(l, hta), exp_div(l, htb)
+    sa, sb = sig_mul(ua, ea.sig), sig_mul(ub, eb.sig)
+    cmpab = sig_compare(sa, sb, ring)
     state.stats.pairs_created += 1
     if cmpab is Cmp.EQ:
         state.stats.signature_collisions += 1
@@ -607,14 +680,14 @@ def _make_pair(state: BasisState, a: int, b: int) -> None:
         a, b, ua, ub, sa, sb = b, a, ub, ua, sb, sa
     state._pair_seq += 1
     pair = CriticalPair(
-        i=a, j=b, u_i=ua, u_j=ub, lcm=l, degree=exp_degree(l), sig=sa,
+        i=a, j=b, u_i=ua, u_j=ub, degree=exp_degree(l), sig=sa, sig_j=sb,
         seq=state._pair_seq, snapshot=state.snapshot(),
     )
     state.events.append(PairCreated(pair))
     if state.opts.check_on_creation and _rejected(state, pair, "creation", f5=True):
         return
     heapq.heappush(
-        state._heap, (pair.degree, sig_key(pair.sig, order), pair.seq, pair)
+        state._heap, (pair.degree, sig_key(pair.sig, ring), pair.seq, pair)
     )
 
 
@@ -647,11 +720,11 @@ def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
 
 
 def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -> None:
-    order = state.ring.order
+    ring = state.ring
     start = _spol_of_pair(state, pair)
     pending: list = []
     seq = 0
-    heapq.heappush(pending, (sig_key(start.sig, order), seq, start, rule))
+    heapq.heappush(pending, (sig_key(start.sig, ring), seq, start, rule))
     while pending:
         _, _, lp, lp_rule = heapq.heappop(pending)
         res = top_reduction_signed(lp, state)
@@ -673,12 +746,12 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
             new_rule = state.add_rule(res.new_element.sig.gamma, res.new_element.sig.index)
             seq += 1
             heapq.heappush(
-                pending, (sig_key(res.element.sig, order), seq, res.element, lp_rule)
+                pending, (sig_key(res.element.sig, ring), seq, res.element, lp_rule)
             )
             seq += 1
             heapq.heappush(
                 pending,
-                (sig_key(res.new_element.sig, order), seq, res.new_element, new_rule),
+                (sig_key(res.new_element.sig, ring), seq, res.new_element, new_rule),
             )
 
 

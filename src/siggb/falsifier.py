@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polyring import Cmp, compare, exp_div, exp_mul
+from .polyring import Cmp, compare, exp_divides, exp_mul
 from .f5engine import (
     BasisState,
     CriticalPair,
@@ -19,6 +19,7 @@ from .f5engine import (
     Snapshot,
     is_normalized,
 )
+from .signature import Signature
 
 
 @dataclass
@@ -82,23 +83,29 @@ class ImprovedCheckReport:
 
 
 def _component_part_b(
-    u: tuple[int, ...], pos: int, state: BasisState, snapshot: Snapshot | None = None
+    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
 ):
     """Clause (b): an equal-index element whose head divides the signature term
-    and whose own signature satisfies HT(f_k0) * Gamma(Sig(prev)) < HT(p_prev)."""
-    elt = state.element(pos)
-    k0 = elt.sig.index
-    t = exp_mul(u, elt.sig.gamma)
+    and whose own signature satisfies HT(f_k0) * Gamma(Sig(prev)) < HT(p_prev),
+    for the component with multiplied signature msig.
+
+    Only the elements of index k0 = msig.index are walked, up to the
+    snapshot's last position.  The input of index k0 is among them whether
+    or not the snapshot's active range holds it; it never fires, since its
+    gamma is 1.
+    """
+    k0, t = msig.index, msig.gamma
     ht_f = state.poly(k0).ht
-    order = state.ring.order
-    for prev in state.active_positions(snapshot):
+    ring = state.ring
+    max_pos = snapshot.max_pos if snapshot else state.size
+    for prev in state.index_positions.get(k0, ()):
+        if prev > max_pos:
+            break
         pe = state.elements[prev - 1]
-        if pe.sig.index != k0:
-            continue
-        if exp_div(t, pe.poly.ht) is None:
+        if not exp_divides(pe.poly.ht, t):
             continue
         lhs = exp_mul(ht_f, pe.sig.gamma)
-        if compare(lhs, pe.poly.ht, order) is Cmp.LT:
+        if compare(lhs, pe.poly.ht, ring) is Cmp.LT:
             return prev
     return None
 
@@ -111,8 +118,7 @@ def completely_normalized(
     if not nv.normalized:
         return CNResult(False, "a", nv.component, nv.witness)
     for comp in ("i", "j"):
-        u, pos = pair.component(comp)
-        prev = _component_part_b(u, pos, state, snapshot)
+        prev = _component_part_b(pair.msig(comp), state, snapshot)
         if prev is not None:
             return CNResult(False, "b", comp, prev)
     return CNResult(True)
@@ -126,12 +132,12 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
     (against the basis as it stood at creation) must never disagree.
     """
     report = ImprovedCheckReport()
-    order = state.ring.order
+    ring = state.ring
     for pos in range(1, state.size + 1):
         elt = state.element(pos)
         k0 = elt.sig.index
         lhs = exp_mul(state.poly(k0).ht, elt.sig.gamma)
-        rel = compare(lhs, elt.poly.ht, order)
+        rel = compare(lhs, elt.poly.ht, ring)
         expected = Cmp.EQ if pos <= state.m else Cmp.GT
         report.rows.append(ElementRow(pos, k0, elt.sig.gamma, rel, expected))
     for ev in state.events:

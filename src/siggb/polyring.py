@@ -137,7 +137,11 @@ class MonomialOrder:
 
 
 def compare(a: tuple[int, ...], b: tuple[int, ...], order: MonomialOrder) -> Cmp:
-    """Total order on exponent vectors of equal length."""
+    """Total order on exponent vectors of equal length.
+
+    ``order`` is a ``MonomialOrder`` or a ``PolyRing``: only its ``key`` is
+    read, and the ring's caches it.
+    """
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
     ka, kb = order.key(a), order.key(b)

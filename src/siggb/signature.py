@@ -26,7 +26,7 @@ class SignatureCollisionError(DomainError):
     """Both components of an S-pair carry the same module term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     gamma: tuple[int, ...]
     index: int
@@ -39,7 +39,11 @@ class Signature:
 
 
 def sig_compare(a: Signature, b: Signature, order: MonomialOrder) -> Cmp:
-    """Index-first module term order: larger index is smaller."""
+    """Index-first module term order: larger index is smaller.
+
+    ``order`` may also be a ``PolyRing``, whose ``key`` caches the order key
+    of every monomial it has seen; the engine passes its ring.
+    """
     if a.index != b.index:
         return Cmp.LT if a.index > b.index else Cmp.GT
     return compare(a.gamma, b.gamma, order)
@@ -50,11 +54,12 @@ def sig_mul(u: tuple[int, ...], s: Signature) -> Signature:
 
 
 def sig_key(s: Signature, order: MonomialOrder):
-    """Sort key ascending in the module term order."""
+    """Sort key ascending in the module term order; ``order`` as in
+    ``sig_compare``."""
     return (-s.index, order.key(s.gamma))
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledPoly:
     """A signature together with a polynomial, optionally with a full
     module-vector witness (certificate mode)."""

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from siggb.f5engine import (
     Snapshot,
     TRResult,
     _find_reductor,
+    component_f5_witnesses,
+    first_f5_witness,
     incremental_basis,
     interreduce,
     is_normalized,
@@ -25,6 +28,7 @@ from siggb.f5engine import (
     rejection_events,
     top_reduction_signed,
 )
+import siggb.f5engine as f5engine
 import siggb.polyring
 from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
 from siggb.polyring import (
@@ -45,6 +49,7 @@ from siggb.polyring import (
     spol,
 )
 from siggb.signature import LabeledPoly, Signature, sig_mul
+from siggb.falsifier import scan_run
 from siggb.syzygy import ModuleVector, evaluate
 
 
@@ -54,8 +59,8 @@ def _pair(state, i, j, ui, uj):
     from siggb.signature import sig_mul
 
     return CriticalPair(
-        i=i, j=j, u_i=ui, u_j=uj, lcm=l, degree=exp_degree(l),
-        sig=sig_mul(ui, state.sig(i)), seq=0,
+        i=i, j=j, u_i=ui, u_j=uj, degree=exp_degree(l),
+        sig=sig_mul(ui, state.sig(i)), sig_j=sig_mul(uj, state.sig(j)), seq=0,
         snapshot=Snapshot(state.size, state.current_index, 10**9),
     )
 
@@ -181,12 +186,45 @@ def _pop_snapshots(state):
             yield ev.pair, Snapshot(size, k, 10**9)
 
 
-def test_first_witness_matches_eager_scan(golden_gens):
-    for gens in (golden_gens, cyclic(4), katsura(4)):
-        state, events = incremental_basis(gens)
+def _eager_first(msig, state, snapshot):
+    """First F5 witness of msig in the basis a snapshot saw, by a full scan
+    without masks; 0 when there is none."""
+    for prev in state.active_positions(snapshot):
+        if state.sig(prev).index > msig.index and exp_divides(state.poly(prev).ht, msig.gamma):
+            return prev
+    return 0
+
+
+def _spy_first_witness(monkeypatch):
+    """Record every F5-criterion query as (caller, msig, basis seen, answer)."""
+    calls = []
+    real = f5engine.first_f5_witness
+
+    def spy(msig, state, snapshot=None):
+        hit = real(msig, state, snapshot)
+        seen = snapshot or state.snapshot()
+        calls.append((sys._getframe(1).f_code.co_name, msig, seen, hit))
+        return hit
+
+    monkeypatch.setattr(f5engine, "first_f5_witness", spy)
+    return calls
+
+
+def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
+    calls = _spy_first_witness(monkeypatch)
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    runs = [(golden_gens, None), (cyclic(4), None), (katsura(4), None), (cyclic(5), None),
+            (katsura(4, p=None), certified)]
+    for gens, opts in runs:
+        calls.clear()
+        state, events = incremental_basis(gens, opts=opts)
+        engine_calls = len(calls)
         pairs = [ev.pair for ev in events if isinstance(ev, PairCreated)]
         assert pairs
         for pair in pairs:
+            for comp in ("i", "j"):
+                u, pos = pair.component(comp)
+                assert pair.msig(comp) == sig_mul(u, state.sig(pos))
             eager = _eager_witnesses(pair, state, pair.snapshot)
             v = is_normalized(pair, state, pair.snapshot)
             assert v.normalized == (not eager)
@@ -198,12 +236,54 @@ def test_first_witness_matches_eager_scan(golden_gens):
                 eager = _eager_witnesses(ev.pair, state, ev.pair.snapshot)
                 assert ev.witnesses == tuple(eager)
                 assert (ev.component, ev.witness) == eager[0]
+        memo_size = sum(len(table.first) for table in state.f5_tables.values())
+        scan_run(state)
+        # the scan asks only what pair creation asked, so it adds no entry
+        assert sum(len(table.first) for table in state.f5_tables.values()) == memo_size
+        # every answer, memo hits included, from pair creation, the reductor
+        # search and the post-run scan
+        callers = {c for c, *_ in calls[:engine_calls]}
+        assert callers == {"is_normalized", "_find_reductor"}
+        assert len(calls) > engine_calls
+        keys = {(msig, seen.max_pos, seen.min_index, hit) for _, msig, seen, hit in calls}
+        assert len({msig for msig, *_ in keys}) < len(calls)
+        for msig, max_pos, min_index, hit in keys:
+            assert hit == _eager_first(msig, state, Snapshot(max_pos, min_index, 0))
+        for k0, table in state.f5_tables.items():
+            for t, hit in table.first.items():
+                assert hit == _eager_first(Signature(t, k0), state, None)
         # what lets the engine skip the F5 recheck at pop: no popped pair
         # has a witness in the basis as it stood when it was popped
         popped = list(_pop_snapshots(state))
         assert popped
         for pair, snap in popped:
             assert not _eager_witnesses(pair, state, snap)
+
+
+def test_first_witness_memo_sees_a_later_larger_index_element():
+    # the engine never appends an element of larger index than a component
+    # it has judged, but a state built by hand may
+    ring = PolyRing(("x", "y"))
+    state = BasisState(ring, 2)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
+    state.current_index = 1
+    msig = Signature((1, 1), 1)
+    assert first_f5_witness(msig, state) == 0
+    assert first_f5_witness(Signature((0, 3), 1), state) == 2
+    assert first_f5_witness(Signature((1, 1), 2), state) == 0
+    pos = state.add_element(LabeledPoly(Signature((1, 0), 2), ring.parse("x*y")),
+                            state.add_rule((1, 0), 2))
+    assert first_f5_witness(msig, state) == pos
+    assert component_f5_witnesses(msig, state) == [pos]
+    # the basis a pair saw before the append still has no witness
+    assert first_f5_witness(msig, state, Snapshot(2, 1, 0)) == 0
+    # tables of the element's own index and above stay
+    assert 2 in state.f5_tables
+    # through a pair whose component i is x*y * r_1, with term x*y
+    pair = _pair(state, 1, 2, (1, 1), (2, 0))
+    v = is_normalized(pair, state)
+    assert not v.normalized and (v.component, v.witness) == ("i", pos)
 
 
 def test_f5_criterion_runs_at_pop_without_creation_checks(golden_gens):
