@@ -9,6 +9,7 @@ are recorded as structured events that render to a line-oriented trace.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field as dfield
 from itertools import chain
 from typing import Iterable, Sequence
@@ -113,6 +114,9 @@ class CriticalPair:
 
     ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
     u_j * Sig(r_j); the criteria read a component's index and term from them.
+    In the engine's pairs, components with equal (u, position) share one u
+    and one multiplied signature (``BasisState.multiplied``).  A created pair
+    is its own event: ``PairCreated`` names this class.
     """
 
     i: int
@@ -122,7 +126,6 @@ class CriticalPair:
     degree: int
     sig: Signature
     sig_j: Signature
-    seq: int
     snapshot: Snapshot
 
     def component(self, comp: str) -> tuple[tuple[int, ...], int]:
@@ -132,13 +135,29 @@ class CriticalPair:
         """The component's multiplied signature u * Sig(r_pos)."""
         return self.sig if comp == "i" else self.sig_j
 
+    def render(self, state) -> str:
+        return f"PAIR d={self.degree} sig={self.sig.render(state.ring)} ({self.i},{self.j})"
+
+
+PairCreated = CriticalPair
+
+
+def _all_f5_witnesses(pair: CriticalPair, state: BasisState, snapshot) -> tuple:
+    """((comp, prev_pos), ...), component i first, in basis order."""
+    return tuple(
+        (comp, prev)
+        for comp in ("i", "j")
+        for prev in component_f5_witnesses(pair.msig(comp), state, snapshot)
+    )
+
 
 @dataclass(slots=True)
 class NormalizedVerdict:
     """F5 verdict on a pair: the first witness found, (component, witness).
 
     ``witnesses`` lists every witness of both components on access, from the
-    basis as it stood at the snapshot the verdict was judged against.
+    basis as it stood at the snapshot the verdict was judged against.  The
+    engine keeps no verdict, so this reference to the state forms no cycle.
     """
 
     normalized: bool
@@ -153,13 +172,7 @@ class NormalizedVerdict:
         """((comp, prev_pos), ...), component i first, in basis order."""
         if self.normalized:
             return ()
-        return tuple(
-            (comp, prev)
-            for comp in ("i", "j")
-            for prev in component_f5_witnesses(
-                self.pair.msig(comp), self.state, self.snapshot
-            )
-        )
+        return _all_f5_witnesses(self.pair, self.state, self.snapshot)
 
 
 @dataclass(slots=True)
@@ -181,39 +194,37 @@ class IterationBegin:
 
 
 @dataclass(slots=True)
-class PairCreated:
-    pair: CriticalPair
-
-    def render(self, state) -> str:
-        p = self.pair
-        return f"PAIR d={p.degree} sig={p.sig.render(state.ring)} ({p.i},{p.j})"
-
-
-@dataclass(slots=True)
 class PairRejected:
+    """A discarded pair.  An F5 rejection keeps its component and first
+    witness, the one the certificate uses, and lists every witness on demand
+    through the state's weak reference, from the basis the pair was created
+    against: the witnesses of a component are frozen within an iteration,
+    so a pop-stage verdict sees the same ones."""
+
     pair: CriticalPair
     kind: str  # "f5crit" | "rewrite"
     stage: str  # "creation" | "pop"
     component: str
-    verdict: NormalizedVerdict | None = None  # f5crit
-    rule: RewriteRule | None = None
-
-    @property
-    def witness(self) -> int | None:
-        """f5crit: the first witness, the one the certificate uses."""
-        return self.verdict.witness if self.verdict else None
+    witness: int | None = None  # f5crit
+    rule: RewriteRule | None = None  # rewrite
+    state_ref: weakref.ref | None = dfield(default=None, repr=False, compare=False)
 
     @property
     def witnesses(self) -> tuple:
         """f5crit: every witness, ((comp, prev_pos), ...)."""
-        return self.verdict.witnesses if self.verdict else ()
+        if self.kind != "f5crit":
+            return ()
+        state = self.state_ref() if self.state_ref is not None else None
+        if state is None:
+            raise StructureError("the basis state this rejection was made in is gone")
+        return _all_f5_witnesses(self.pair, state, self.pair.snapshot)
 
     def render(self, state) -> str:
         ring = state.ring
         p = self.pair
         lines = []
         if self.kind == "f5crit":
-            for comp, prev in self.witnesses:
+            for comp, prev in _all_f5_witnesses(p, state, p.snapshot):
                 u, pos = p.component(comp)
                 lines.append(
                     f"REJECT f5crit pair=({p.i},{p.j}) comp={comp} "
@@ -295,6 +306,7 @@ class BasisState:
         self.ht_masks: list[int] = []  # divisor masks of the head terms
         self.index_positions: dict[int, list[int]] = {}  # ascending, by signature index
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
+        self.msigs: list[dict] = []  # by position: u -> (u, u * Sig(r_pos))
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
         self.stats = Stats()
@@ -306,6 +318,7 @@ class BasisState:
         self._trail_seq = 0
         self._heap: list | None = None
         self._snapshot: Snapshot | None = None
+        self.ref = weakref.ref(self)  # shared by the F5 rejections, to list witnesses
 
     # accessors (1-based positions) -----------------------------------------
 
@@ -344,6 +357,15 @@ class BasisState:
     def polys(self) -> list[Polynomial]:
         return [e.poly for e in self.elements]
 
+    def multiplied(self, pos: int, u: tuple[int, ...]) -> tuple[tuple[int, ...], Signature]:
+        """(u, u * Sig(r_pos)), memoised per position on u, so that the
+        components with equal (u, pos) share one u and one signature."""
+        memo = self.msigs[pos - 1]
+        hit = memo.get(u)
+        if hit is None:
+            hit = memo[u] = (u, sig_mul(u, self.elements[pos - 1].sig))
+        return hit
+
     # mutation ---------------------------------------------------------------
 
     def add_rule(self, gamma: tuple[int, ...], index: int, label=None) -> RewriteRule:
@@ -360,6 +382,7 @@ class BasisState:
         index below lp's, for which it is a new candidate."""
         self.elements.append(lp)
         self.ht_masks.append(exp_mask(lp.poly.ht))
+        self.msigs.append({})
         pos = self.size
         j = lp.sig.index
         self.index_positions.setdefault(j, []).append(pos)
@@ -665,11 +688,10 @@ def _make_pair(state: BasisState, a: int, b: int) -> None:
     """Create the critical pair of positions a and b, run creation-time checks,
     and enqueue it if it survives."""
     ring = state.ring
-    ea, eb = state.elements[a - 1], state.elements[b - 1]
-    hta, htb = ea.poly.ht, eb.poly.ht
+    hta, htb = state.elements[a - 1].poly.ht, state.elements[b - 1].poly.ht
     l = lcm_term(hta, htb)
-    ua, ub = exp_div(l, hta), exp_div(l, htb)
-    sa, sb = sig_mul(ua, ea.sig), sig_mul(ub, eb.sig)
+    ua, sa = state.multiplied(a, exp_div(l, hta))
+    ub, sb = state.multiplied(b, exp_div(l, htb))
     cmpab = sig_compare(sa, sb, ring)
     state.stats.pairs_created += 1
     if cmpab is Cmp.EQ:
@@ -678,28 +700,29 @@ def _make_pair(state: BasisState, a: int, b: int) -> None:
         return
     if cmpab is Cmp.LT:
         a, b, ua, ub, sa, sb = b, a, ub, ua, sb, sa
+    pair = CriticalPair(a, b, ua, ub, exp_degree(l), sa, sb, state.snapshot())
+    state.events.append(pair)
     state._pair_seq += 1
-    pair = CriticalPair(
-        i=a, j=b, u_i=ua, u_j=ub, degree=exp_degree(l), sig=sa, sig_j=sb,
-        seq=state._pair_seq, snapshot=state.snapshot(),
-    )
-    state.events.append(PairCreated(pair))
     if state.opts.check_on_creation and _rejected(state, pair, "creation", f5=True):
         return
     heapq.heappush(
-        state._heap, (pair.degree, sig_key(pair.sig, ring), pair.seq, pair)
+        state._heap, (pair.degree, sig_key(pair.sig, ring), state._pair_seq, pair)
     )
 
 
 def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bool:
     """Run the F5 criterion (when f5 is set), then the Rewritten criterion;
-    record and count the rejection when one of them discards the pair."""
+    record and count the rejection when one of them discards the pair.  An
+    F5 rejection keeps the verdict's component and first witness, not the
+    verdict."""
     if f5:
         snapshot = pair.snapshot if stage == "creation" else None
         nv = is_normalized(pair, state, snapshot)
         if not nv.normalized:
             state.stats.rejected_not_normalized += 1
-            state.events.append(PairRejected(pair, "f5crit", stage, nv.component, nv))
+            state.events.append(PairRejected(
+                pair, "f5crit", stage, nv.component, nv.witness, state_ref=state.ref
+            ))
             return True
     rw = is_rewritable(pair, state)
     if rw.rewritable:

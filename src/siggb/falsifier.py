@@ -22,7 +22,7 @@ from .f5engine import (
 from .signature import Signature
 
 
-@dataclass
+@dataclass(slots=True)
 class CNResult:
     completely_normalized: bool
     via: str | None = None  # "a" | "b"
@@ -30,7 +30,7 @@ class CNResult:
     witness: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementRow:
     pos: int
     index: int
@@ -43,7 +43,7 @@ class ElementRow:
         return self.relation is self.expected
 
 
-@dataclass
+@dataclass(slots=True)
 class PairScan:
     pair: CriticalPair
     normalized: bool
@@ -140,12 +140,10 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
         rel = compare(lhs, elt.poly.ht, ring)
         expected = Cmp.EQ if pos <= state.m else Cmp.GT
         report.rows.append(ElementRow(pos, k0, elt.sig.gamma, rel, expected))
-    for ev in state.events:
-        if not isinstance(ev, PairCreated):
+    for pair in state.events:
+        if not isinstance(pair, PairCreated):
             continue
-        pair = ev.pair
-        snap = pair.snapshot
-        cn = completely_normalized(pair, state, snap)
+        cn = completely_normalized(pair, state, pair.snapshot)
         part_b = cn.via == "b"
         if part_b:
             report.part_b_firings += 1

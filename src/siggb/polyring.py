@@ -303,6 +303,7 @@ class PolyRing:
         self._keycache: dict[tuple[int, ...], tuple] = {}
         self._packcache: dict[tuple[int, ...], int] = {}
         self._unpackcache: dict[int, tuple[int, ...]] = {}
+        self._rendercache: dict[tuple[int, ...], str] = {}
         nfields = self.nvars * (2 if self.order.kind == "degrevlex" else 1)
         self._guard = sum(_GUARD << (_FIELD_BITS * i) for i in range(nfields))
         self._token_re = self._build_token_re()
@@ -414,15 +415,17 @@ class PolyRing:
         return self.build({tuple(e): c})
 
     def render_exp(self, e: tuple[int, ...]) -> str:
-        if all(x == 0 for x in e):
-            return "1"
-        parts = []
-        for name, k in zip(self.names, e):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        return "*".join(parts)
+        """``x^2*y``, or ``1`` for the unit; memoised per monomial."""
+        text = self._rendercache.get(e)
+        if text is None:
+            parts = []
+            for name, k in zip(self.names, e):
+                if k == 1:
+                    parts.append(name)
+                elif k > 1:
+                    parts.append(f"{name}^{k}")
+            text = self._rendercache[e] = "*".join(parts) or "1"
+        return text
 
     # parsing ---------------------------------------------------------------
 

@@ -129,13 +129,12 @@ def test_lemma_scan(golden_state, corpus_runs):
         report = scan_run(state)
         firings += report.part_b_firings
         ok = ok and report.lemma_holds
-        for ev in state.events:
-            if not isinstance(ev, PairCreated):
+        for pair in state.events:
+            if not isinstance(pair, PairCreated):
                 continue
             pairs += 1
-            snap = ev.pair.snapshot
-            nv = is_normalized(ev.pair, state, snap)
-            cn = completely_normalized(ev.pair, state, snap)
+            nv = is_normalized(pair, state, pair.snapshot)
+            cn = completely_normalized(pair, state, pair.snapshot)
             if nv.normalized != cn.completely_normalized:
                 ok = False
     ok = ok and firings == 0

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from siggb.polyring import (
     PolyRing,
     Polynomial,
     PrimeField,
+    StructureError,
     exp_degree,
     exp_divides,
     exp_mul,
@@ -60,7 +63,7 @@ def _pair(state, i, j, ui, uj):
 
     return CriticalPair(
         i=i, j=j, u_i=ui, u_j=uj, degree=exp_degree(l),
-        sig=sig_mul(ui, state.sig(i)), sig_j=sig_mul(uj, state.sig(j)), seq=0,
+        sig=sig_mul(ui, state.sig(i)), sig_j=sig_mul(uj, state.sig(j)),
         snapshot=Snapshot(state.size, state.current_index, 10**9),
     )
 
@@ -219,7 +222,7 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         calls.clear()
         state, events = incremental_basis(gens, opts=opts)
         engine_calls = len(calls)
-        pairs = [ev.pair for ev in events if isinstance(ev, PairCreated)]
+        pairs = [ev for ev in events if isinstance(ev, PairCreated)]
         assert pairs
         for pair in pairs:
             for comp in ("i", "j"):
@@ -328,6 +331,53 @@ def test_rejection_soundness_golden(golden_state):
     for ev in rejection_events(golden_state):
         _, _, s = spol(golden_state.poly(ev.pair.i), golden_state.poly(ev.pair.j))
         assert top_reduce(s, basis).is_zero
+
+
+# -- what a run keeps ------------------------------------------------------------------
+
+def test_state_is_freed_by_refcount(golden_gens):
+    # no record of a run refers back to its state, so dropping the state and
+    # its events frees it without the cyclic collector
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    for gens in (golden_gens, cyclic(4)):
+        for opts in (None, certified):
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                state, events = incremental_basis(gens, opts=opts)
+                rejected = next(ev for ev in events
+                                if isinstance(ev, PairRejected) and ev.kind == "f5crit")
+                assert rejected.witnesses
+                ref = weakref.ref(state)
+                del state, events
+                assert ref() is None
+            finally:
+                if enabled:
+                    gc.enable()
+            # a rejection lists its witnesses only while its state lives
+            with pytest.raises(StructureError):
+                rejected.witnesses
+
+
+def test_cyclic5_pair_records_stay_lean():
+    gens = cyclic(5)
+    gc.collect()
+    before = len(gc.get_objects())
+    state, events = incremental_basis(gens)
+    gc.collect()
+    per_pair = (len(gc.get_objects()) - before) / state.stats.pairs_created
+    assert per_pair <= 4, f"{per_pair:.2f} tracked objects retained per created pair"
+    # components with equal (u, position) share one u and one signature
+    seen = {}
+    components = 0
+    for pair in events:
+        if isinstance(pair, PairCreated):
+            for comp in ("i", "j"):
+                u, pos = pair.component(comp)
+                first = seen.setdefault((u, pos), (u, pair.msig(comp)))
+                assert first[0] is u and first[1] is pair.msig(comp)
+                components += 1
+    assert len(seen) < components / 2
 
 
 # -- signature-safe reduction ----------------------------------------------------------

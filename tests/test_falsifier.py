@@ -20,12 +20,11 @@ def test_golden_scan(golden_state):
 
 
 def test_equivalence_on_every_pair(golden_state):
-    for ev in golden_state.events:
-        if not isinstance(ev, PairCreated):
+    for pair in golden_state.events:
+        if not isinstance(pair, PairCreated):
             continue
-        snap = ev.pair.snapshot
-        nv = is_normalized(ev.pair, golden_state, snap)
-        cn = completely_normalized(ev.pair, golden_state, snap)
+        nv = is_normalized(pair, golden_state, pair.snapshot)
+        cn = completely_normalized(pair, golden_state, pair.snapshot)
         assert nv.normalized == cn.completely_normalized
         if not cn.completely_normalized:
             assert cn.via == "a"
@@ -33,12 +32,12 @@ def test_equivalence_on_every_pair(golden_state):
 
 def test_not_normalized_pair_reports_clause_a(golden_state):
     rejected = next(
-        ev
-        for ev in golden_state.events
-        if isinstance(ev, PairCreated)
-        and not is_normalized(ev.pair, golden_state, ev.pair.snapshot).normalized
+        pair
+        for pair in golden_state.events
+        if isinstance(pair, PairCreated)
+        and not is_normalized(pair, golden_state, pair.snapshot).normalized
     )
-    cn = completely_normalized(rejected.pair, golden_state, rejected.pair.snapshot)
+    cn = completely_normalized(rejected, golden_state, rejected.snapshot)
     assert not cn.completely_normalized and cn.via == "a"
 
 
@@ -122,7 +121,7 @@ def test_part_b_equal_index_walk_matches_active_walk(small_runs, monkeypatch, fi
         monkeypatch.setattr("siggb.falsifier.compare", cmp)
     found = 0
     for state in small_runs:
-        pairs = [ev.pair for ev in state.events if isinstance(ev, PairCreated)]
+        pairs = [ev for ev in state.events if isinstance(ev, PairCreated)]
         assert pairs
         for pair in pairs:
             for comp in ("i", "j"):
