@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Write the bench trajectory file ``BENCH_<pr>.json`` from fixed inputs.
+
+    python3 scripts/bench.py --pr 9
+
+Run from the root of a checkout; it takes about ten minutes.  The file holds:
+
+- every ``perfbench/run.py`` result, for both workloads of ``BENCHMARK.json``
+  at each seed of ``SEEDS`` with ``--trace 0``, and one ``--trace 1`` run
+  at the first seed, each run as long as ``BENCHMARK.json`` sets;
+- f5 (``incremental_basis`` then ``interreduce``) and gm
+  (``buchberger_basis``) wall times on katsura-5 and on the 100-ideal corpus
+  of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
+- the wall time and the summary line of the tier-1 tests;
+- the git sha, whether the tree had uncommitted changes, the Python version
+  and the processor count.
+
+It only calls the benchmark: nothing under ``perfbench/`` changes, and
+``BENCHMARK.json`` is only read.  Exits 1 when a benchmark run fails or is
+not correct, or when the tier-1 tests fail; the file is written either way.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (0, 1, 2)
+REPEATS = 11
+CORPUS_COUNT = 100
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run: its JSON result line, or its error."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    run = {"workload": workload, "seed": seed, "trace": trace, "exit": proc.returncode}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and lines:
+        run.update(json.loads(lines[-1]))
+    else:
+        run["error"] = proc.stderr.strip().splitlines()[-1:] or ["no output"]
+    return run
+
+
+def engine_times(repeats: int) -> dict:
+    """Median wall seconds of f5 and gm on katsura-5 and on the corpus."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from siggb.baseline import buchberger_basis
+    from siggb.corpus import corpus_shapes, katsura, random_ideal
+    from siggb.f5engine import incremental_basis, interreduce
+
+    # built afresh for every run, so each run starts with cold ring caches
+    inputs = {
+        "katsura5": lambda: [katsura(5)],
+        f"corpus{CORPUS_COUNT}": lambda: [random_ideal(k, d, n, s) for k, d, n, s
+                                          in corpus_shapes(CORPUS_COUNT, 0)],
+    }
+    engines = {
+        "f5": lambda gens: interreduce(incremental_basis(gens)[0]),
+        "gm": buchberger_basis,
+    }
+    out = {}
+    for name, make in inputs.items():
+        for engine, run in engines.items():
+            samples = []
+            for _ in range(repeats):
+                systems = make()
+                t0 = time.perf_counter()
+                for gens in systems:
+                    run(gens)
+                samples.append(time.perf_counter() - t0)
+            out[f"{engine}.{name}_s"] = {"median": statistics.median(samples),
+                                         "samples": samples}
+    return out
+
+
+def tier1() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description="Write BENCH_<pr>.json.")
+    ap.add_argument("--pr", type=int, required=True, help="number in the file name")
+    args = ap.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    record = {
+        "pr": args.pr,
+        "git_sha": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "run_seconds": spec["run_seconds"],
+        "seeds": list(SEEDS),
+        "perfbench": [],
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        for seed in SEEDS:
+            record["perfbench"].append(perfbench(workload, seed, spec["run_seconds"], 0))
+        record["perfbench"].append(perfbench(workload, SEEDS[0], spec["run_seconds"], 1))
+    record["engines"] = engine_times(REPEATS)
+    record["tier1"] = tier1()
+
+    path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    bad = [r for r in record["perfbench"]
+           if r["exit"] or not r.get("correct") or r.get("failed")]
+    for r in bad:
+        print(f"FAIL perfbench {r['workload']} seed {r['seed']} trace {r['trace']}",
+              file=sys.stderr)
+    if record["tier1"]["exit"]:
+        print(f"FAIL tier-1: {record['tier1']['summary']}", file=sys.stderr)
+    print(path)
+    return 1 if bad or record["tier1"]["exit"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field as dfield
-from itertools import chain
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -21,11 +21,9 @@ from .polyring import (
     Polynomial,
     StructureError,
     compare,
-    exp_degree,
     exp_div,
     exp_divides,
     exp_mask,
-    lcm_term,
     _pack_reducer,
     _packed,
     _settle,
@@ -115,8 +113,9 @@ class CriticalPair:
     ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
     u_j * Sig(r_j); the criteria read a component's index and term from them.
     In the engine's pairs, components with equal (u, position) share one u
-    and one multiplied signature (``BasisState.multiplied``).  A created pair
-    is its own event: ``PairCreated`` names this class.
+    and one multiplied signature (the per-position memo ``BasisState.msigs``),
+    and the positions are the state's shared ints.  A created pair is its own
+    event: ``PairCreated`` names this class.
     """
 
     i: int
@@ -303,6 +302,7 @@ class BasisState:
         self.m = m
         self.opts = opts or EngineOptions()
         self.elements: list[LabeledPoly] = []
+        self.positions: list[int] = [0]  # positions[p] is p: one int per position, shared
         self.ht_masks: list[int] = []  # divisor masks of the head terms
         self.index_positions: dict[int, list[int]] = {}  # ascending, by signature index
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
@@ -339,11 +339,12 @@ class BasisState:
 
     def active_positions(self, snapshot: Snapshot | None = None):
         """Ascending positions of the elements a pair or reductor may use:
-        inputs from the current index on, then every derived element."""
+        inputs from the current index on, then every derived element.  They
+        are the state's own position ints, so the pairs share them."""
         max_pos = snapshot.max_pos if snapshot else self.size
         min_index = snapshot.min_index if snapshot else self.current_index
-        m = self.m
-        return chain(range(min_index, min(m, max_pos) + 1), range(m + 1, max_pos + 1))
+        m, ps = self.m, self.positions
+        return ps[min_index:min(m, max_pos) + 1] + ps[m + 1:max_pos + 1]
 
     def snapshot(self) -> Snapshot:
         """The basis as it stands; pairs created in one batch share it."""
@@ -356,15 +357,6 @@ class BasisState:
 
     def polys(self) -> list[Polynomial]:
         return [e.poly for e in self.elements]
-
-    def multiplied(self, pos: int, u: tuple[int, ...]) -> tuple[tuple[int, ...], Signature]:
-        """(u, u * Sig(r_pos)), memoised per position on u, so that the
-        components with equal (u, pos) share one u and one signature."""
-        memo = self.msigs[pos - 1]
-        hit = memo.get(u)
-        if hit is None:
-            hit = memo[u] = (u, sig_mul(u, self.elements[pos - 1].sig))
-        return hit
 
     # mutation ---------------------------------------------------------------
 
@@ -384,6 +376,7 @@ class BasisState:
         self.ht_masks.append(exp_mask(lp.poly.ht))
         self.msigs.append({})
         pos = self.size
+        self.positions.append(pos)
         j = lp.sig.index
         self.index_positions.setdefault(j, []).append(pos)
         for k0 in [k0 for k0 in self.f5_tables if k0 < j]:
@@ -489,7 +482,7 @@ def first_f5_witness(
     invariant in ``component_f5_witnesses`` makes sound.  Candidates come in
     position order, so a first witness past the snapshot means none in it.
     """
-    table = _f5_table(state, msig.index)
+    table = state.f5_tables.get(msig.index) or _f5_table(state, msig.index)
     t = msig.gamma
     first = table.first.get(t)
     if first is None:
@@ -535,8 +528,8 @@ def is_normalized(
     rebuilds the full list only when it is read.  Without a snapshot the pair
     is judged against the current basis, which the verdict then records.
     """
-    for comp in ("i", "j"):
-        hit = first_f5_witness(pair.msig(comp), state, snapshot)
+    for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
+        hit = first_f5_witness(msig, state, snapshot)
         if hit:
             snap = snapshot or state.snapshot()
             return NormalizedVerdict(False, comp, hit, pair, state, snap)
@@ -547,9 +540,8 @@ def is_rewritable(
     pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
 ) -> RewritableVerdict:
     """Rewritten criterion on both components, larger-signature side first."""
-    for comp in ("i", "j"):
-        _, pos = pair.component(comp)
-        rule = component_rewriter(pair.msig(comp), pos, state, snapshot)
+    for comp, msig, pos in (("i", pair.sig, pair.i), ("j", pair.sig_j, pair.j)):
+        rule = component_rewriter(msig, pos, state, snapshot)
         if rule is not None:
             return RewritableVerdict(True, comp, rule)
     return RewritableVerdict(False)
@@ -684,30 +676,69 @@ def top_reduction_signed(
 # ---------------------------------------------------------------------------
 # the incremental engine
 
-def _make_pair(state: BasisState, a: int, b: int) -> None:
-    """Create the critical pair of positions a and b, run creation-time checks,
-    and enqueue it if it survives."""
-    ring = state.ring
-    hta, htb = state.elements[a - 1].poly.ht, state.elements[b - 1].poly.ht
-    l = lcm_term(hta, htb)
-    ua, sa = state.multiplied(a, exp_div(l, hta))
-    ub, sb = state.multiplied(b, exp_div(l, htb))
-    cmpab = sig_compare(sa, sb, ring)
-    state.stats.pairs_created += 1
-    if cmpab is Cmp.EQ:
-        state.stats.signature_collisions += 1
-        state.events.append(SignatureCollision(a, b, sa))
-        return
-    if cmpab is Cmp.LT:
-        a, b, ua, ub, sa, sb = b, a, ub, ua, sb, sa
-    pair = CriticalPair(a, b, ua, ub, exp_degree(l), sa, sb, state.snapshot())
-    state.events.append(pair)
-    state._pair_seq += 1
-    if state.opts.check_on_creation and _rejected(state, pair, "creation", f5=True):
-        return
-    heapq.heappush(
-        state._heap, (pair.degree, sig_key(pair.sig, ring), state._pair_seq, pair)
-    )
+def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
+    """Create the critical pairs of position a with every other position in
+    others, run the creation-time checks, and enqueue the survivors.
+
+    No element or rule is added while a batch is made, so its pairs share
+    one snapshot, and a's head, signature and memo are read once.  Each
+    component's (u, u * Sig(r_pos)) comes from its position's memo in
+    ``BasisState.msigs``, so components with equal (u, pos) share one u and
+    one multiplied signature.
+    """
+    keys, key = state.ring._keycache, state.ring.key
+    elements, msigs = state.elements, state.msigs
+    stats, events, heap = state.stats, state.events, state._heap
+    check = state.opts.check_on_creation
+    snap = state.snapshot()
+    a = state.positions[a]
+    hta, siga, memo_a = elements[a - 1].poly.ht, elements[a - 1].sig, msigs[a - 1]
+    ga, ia = siga.gamma, siga.index
+    seq = state._pair_seq
+    for b in others:
+        if b == a:
+            continue
+        eb = elements[b - 1]
+        htb = eb.poly.ht
+        l = tuple(map(max, hta, htb))
+        ua = tuple(map(sub, l, hta))
+        hit = memo_a.get(ua)
+        if hit is None:
+            hit = memo_a[ua] = (ua, Signature(tuple(map(add, ua, ga)), ia))
+        ua, sa = hit
+        ub = tuple(map(sub, l, htb))
+        memo_b = msigs[b - 1]
+        hit = memo_b.get(ub)
+        if hit is None:
+            sigb = eb.sig
+            hit = memo_b[ub] = (ub, Signature(tuple(map(add, ub, sigb.gamma)), sigb.index))
+        ub, sb = hit
+        stats.pairs_created += 1
+        # component i carries the larger signature: the smaller index, then
+        # the larger term
+        ib = sb.index
+        if ia == ib:
+            ka = keys.get(sa.gamma) or key(sa.gamma)
+            kb = keys.get(sb.gamma) or key(sb.gamma)
+            if ka == kb:
+                stats.signature_collisions += 1
+                events.append(SignatureCollision(a, b, sa))
+                continue
+            swap = ka < kb
+        else:
+            swap = ia > ib
+        if swap:
+            pair = CriticalPair(b, a, ub, ua, sum(l), sb, sa, snap)
+        else:
+            pair = CriticalPair(a, b, ua, ub, sum(l), sa, sb, snap)
+        events.append(pair)
+        seq += 1
+        if check and _rejected(state, pair, "creation", f5=True):
+            continue
+        s = pair.sig
+        sk = (-s.index, keys.get(s.gamma) or key(s.gamma))  # sig_key(s, ring)
+        heapq.heappush(heap, (pair.degree, sk, seq, pair))
+    state._pair_seq = seq
 
 
 def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bool:
@@ -762,9 +793,7 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
             pos = state.add_element(res.element, lp_rule)
             if state.opts.certify and state.opts.validate_witnesses:
                 state.validate_witness(pos)
-            for other in list(state.active_positions()):
-                if other != pos:
-                    _make_pair(state, pos, other)
+            _make_pairs(state, pos, state.active_positions())
         else:  # split
             new_rule = state.add_rule(res.new_element.sig.gamma, res.new_element.sig.index)
             seq += 1
@@ -807,9 +836,7 @@ def incremental_basis(
         state.current_index = k
         state.events.append(IterationBegin(k))
         state._heap = []
-        for pos in list(state.active_positions()):
-            if pos != k:
-                _make_pair(state, k, pos)
+        _make_pairs(state, k, state.active_positions())
         while state._heap:
             _, _, _, pair = heapq.heappop(state._heap)
             # An F5 witness has a larger index than the component it flags,

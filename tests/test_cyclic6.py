@@ -2,7 +2,7 @@
 
 The run is the largest the engine is asked to make (about 1.2 M pairs and
 1,557 elements).  Rendering its 2.4 M events takes most of the time the
-test needs, 142 s with a peak resident size of 526 MB on a shared 2-core
+test needs, 142 s with a peak resident size of 500 MB on a shared 2-core
 machine, so it is marked ``slow`` and left out of the default run:
 
     PYTHONPATH=src python -m pytest -m slow tests/test_cyclic6.py

@@ -380,6 +380,48 @@ def test_cyclic5_pair_records_stay_lean():
     assert len(seen) < components / 2
 
 
+def test_pairs_of_one_batch_share_its_snapshot(golden_gens):
+    # a batch is the pairs made at an iteration's start or for one new
+    # element; each shares one snapshot of the basis as the batch saw it
+    for gens in (golden_gens, cyclic(4), katsura(4)):
+        state, events = incremental_basis(gens)
+        size, k, batches = state.m, state.m, []
+        for ev in events:
+            if isinstance(ev, (IterationBegin, ElementAdded)):
+                size += isinstance(ev, ElementAdded)
+                k = ev.index if isinstance(ev, IterationBegin) else k
+                batches.append(((size, k), []))
+            elif isinstance(ev, PairCreated):
+                batches[-1][1].append(ev.snapshot)
+        for (max_pos, min_index), snaps in batches:
+            if snaps:
+                assert all(snap is snaps[0] for snap in snaps)
+                assert (snaps[0].max_pos, snaps[0].min_index) == (max_pos, min_index)
+        firsts = [snaps[0] for _, snaps in batches if snaps]
+        assert len({id(snap) for snap in firsts}) == len(firsts) > 1
+
+
+def test_pairs_share_the_state_position_ints():
+    # past 256 positions Python makes a fresh int for each position it
+    # computes; the pairs must hold the state's own
+    from siggb.f5engine import _make_pairs
+
+    ring = PolyRing(("x", "y"), PrimeField(32003))
+    n = 300
+    state = BasisState(ring, 1, EngineOptions(check_on_creation=False))
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse(f"y^{n}")))
+    state.current_index = 1
+    for i in range(1, n):
+        rule = state.add_rule((i, 0), 1)
+        state.add_element(LabeledPoly(Signature((i, 0), 1), ring.parse(f"x^{i}*y^{n - i}")), rule)
+    state._heap = []
+    _make_pairs(state, n, state.active_positions())
+    pairs = [ev for ev in state.events if isinstance(ev, PairCreated)]
+    assert len(pairs) == n - 1
+    for pair in pairs:
+        assert pair.i is state.positions[pair.i] and pair.j is state.positions[pair.j]
+
+
 # -- signature-safe reduction ----------------------------------------------------------
 
 def test_top_reduction_reduced(golden_gens, golden_ring):
@@ -703,7 +745,7 @@ def test_duplicate_generators_reduce_to_zero():
 
 def test_signature_collision_logged():
     # y * (x e1) = x * (y e1): the pair is dropped and logged, never reduced
-    from siggb.f5engine import SignatureCollision, _make_pair
+    from siggb.f5engine import SignatureCollision, _make_pairs
 
     ring = PolyRing(("x", "y"))
     state = BasisState(ring, 1)
@@ -713,7 +755,7 @@ def test_signature_collision_logged():
         rule = state.add_rule(gamma, 1)
         state.add_element(LabeledPoly(Signature(gamma, 1), ring.parse(poly)), rule)
     state._heap = []
-    _make_pair(state, 2, 3)
+    _make_pairs(state, 2, [3])
     assert state.stats.signature_collisions == 1
     assert not state._heap
     assert any(isinstance(ev, SignatureCollision) for ev in state.events)
