@@ -3,16 +3,23 @@
 Used as the correctness oracle for the signature engine.  Shares only the
 plain polynomial arithmetic; no signature machinery is involved, so a bug in
 the signature logic cannot mask itself here.
+
+The basis only grows, so the S-polynomials reduce against one
+``polyring.Reducers`` appended alongside it, whose memo of each monomial's
+first reducer carries over from one reduction to the next; ``spol`` and
+``reduce_full`` are still called by name for every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .polyring import (
     DomainError,
     Polynomial,
+    Reducers,
     StructureError,
     exp_degree,
     exp_div,
@@ -28,10 +35,30 @@ from .polyring import (
 
 @dataclass
 class PairQueue:
-    """Pending S-pairs plus a log of pairs removed by a criterion."""
+    """Pending S-pairs plus a log of pairs removed by a criterion.
+
+    ``heap`` holds one entry (degree, order key, (i, j)) per pair ever
+    added, and ``pop`` returns the pending pair of the smallest entry: the
+    one that taking the minimum over every pending pair would select.  A
+    discarded pair leaves only ``pending``; its heap entry is skipped when
+    it comes up.
+    """
 
     pending: dict = field(default_factory=dict)  # (i, j) -> lcm
     removed: list = field(default_factory=list)  # ((i, j), criterion)
+    heap: list = field(default_factory=list, repr=False)
+
+    def add(self, key, lcm, ring):
+        self.pending[key] = lcm
+        heappush(self.heap, (exp_degree(lcm), ring.key(lcm), key))
+
+    def pop(self):
+        """The next pending pair (i, j), removed from the queue."""
+        while True:
+            key = heappop(self.heap)[2]
+            if key in self.pending:
+                del self.pending[key]
+                return key
 
     def discard(self, key, criterion: str):
         if key in self.pending:
@@ -69,7 +96,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
 
     if strategy == "none":
         for i in range(t):
-            queue.pending[(i, t)] = new_lcms[i]
+            queue.add((i, t), new_lcms[i], ring)
         G.append(f)
         return
 
@@ -105,7 +132,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
             stats.rejected_chain += len(members) - 1
             continue
         keep = min(members)
-        queue.pending[(keep, t)] = l
+        queue.add((keep, t), l, ring)
         for i in members:
             if i != keep:
                 stats.rejected_chain += 1
@@ -121,8 +148,12 @@ def buchberger_basis(
 ) -> list[Polynomial]:
     """Reduced monic Groebner basis of <F> via Buchberger's algorithm.
 
-    Pairs are selected by (degree, order key) of the lcm; elimination is
-    Gebauer-Moeller by default, or "none" for the differential test.
+    Pairs are selected by (degree, order key) of the lcm, then by (i, j),
+    from ``PairQueue``'s heap; elimination is Gebauer-Moeller by default, or
+    "none" for the differential test.  Each S-polynomial is reduced against
+    one ``Reducers`` kept beside G, so a monomial met in an earlier
+    reduction finds its first reducer in the memo, and only the elements
+    added since are scanned.
     """
     F = list(F)
     if not F:
@@ -138,22 +169,20 @@ def buchberger_basis(
     stats = stats if stats is not None else BaselineStats()
     queue = queue if queue is not None else PairQueue()
     G: list[Polynomial] = []
+    reducers = Reducers(ring)  # G's reducers, appended alongside
     for f in F:
         _update(G, queue, f.monic(), stats, strategy)
+        reducers.append(G[-1])
         stats.elements_added += 1
     while queue.pending:
-        key = min(
-            queue.pending,
-            key=lambda k: (exp_degree(queue.pending[k]), ring.key(queue.pending[k]), k),
-        )
-        i, j = key
-        del queue.pending[key]
+        i, j = queue.pop()
         _, _, s = spol(G[i], G[j])
-        r = reduce_full(s, G)
+        r = reduce_full(s, reducers)
         if r.is_zero:
             stats.reductions_to_zero += 1
         else:
             _update(G, queue, r.monic(), stats, strategy)
+            reducers.append(G[-1])
             stats.elements_added += 1
     return reduced_basis(minimal_basis(G))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field as dfield
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -427,10 +428,12 @@ class BasisState:
 class F5Table:
     """The F5 criterion for components of one index k0: its candidates, every
     element of larger index as (position, head mask, head) in position order,
-    and the first witness by term t = u * Gamma(r), 0 for none, memoised."""
+    and, memoised by term t = u * Gamma(r), the first witness (0 for none)
+    and the tuple of every witness, in position order."""
 
     cands: list
     first: dict = dfield(default_factory=dict)
+    every: dict = dfield(default_factory=dict)
 
 
 def _f5_table(state: BasisState, k0: int) -> F5Table:
@@ -457,19 +460,25 @@ def component_f5_witnesses(
     candidate exists before any component of index k0 meets a pair: no
     snapshot cuts one off, and later elements (index <= k0) never join.
     That is why ``first_f5_witness`` memoises its answer on (k0, term)
-    alone; this full list, read when a rejection lists its witnesses, is
-    scanned afresh.  States built by hand may append out of that order;
-    appending an element of index j drops the tables of every k0 < j
-    (``BasisState._append``).  A head whose divisor mask names a variable
-    that the term lacks is skipped without the exponent-wise test.
+    alone, and this full list, read when a rejection lists its witnesses,
+    is memoised the same way in ``F5Table.every``.  The witnesses come in
+    position order, so the basis a snapshot saw holds a prefix of them.
+    States built by hand may append out of that order; appending an element
+    of index j drops the tables of every k0 < j (``BasisState._append``).
+    A head whose divisor mask names a variable that the term lacks is
+    skipped without the exponent-wise test.
     """
+    table = _f5_table(state, msig.index)
     t = msig.gamma
-    miss = ~exp_mask(t)
+    every = table.every.get(t)
+    if every is None:
+        miss = ~exp_mask(t)
+        every = table.every[t] = tuple(
+            pos for pos, mask, ht in table.cands
+            if not mask & miss and exp_divides(ht, t)
+        )
     max_pos = snapshot.max_pos if snapshot else state.size
-    return [
-        pos for pos, mask, ht in _f5_table(state, msig.index).cands
-        if pos <= max_pos and not mask & miss and exp_divides(ht, t)
-    ]
+    return list(every[:bisect_right(every, max_pos)])
 
 
 def first_f5_witness(
@@ -525,8 +534,9 @@ def is_normalized(
     """F5 criterion: component i, then j, each asked for its first witness.
 
     One witness decides the verdict and builds the certificate; the verdict
-    rebuilds the full list only when it is read.  Without a snapshot the pair
-    is judged against the current basis, which the verdict then records.
+    reads the full list, memoised in ``F5Table.every``, only when it is
+    read.  Without a snapshot the pair is judged against the current basis,
+    which the verdict then records.
     """
     for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
         hit = first_f5_witness(msig, state, snapshot)
@@ -743,18 +753,20 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
 
 def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bool:
     """Run the F5 criterion (when f5 is set), then the Rewritten criterion;
-    record and count the rejection when one of them discards the pair.  An
-    F5 rejection keeps the verdict's component and first witness, not the
-    verdict."""
+    record and count the rejection when one of them discards the pair.  The
+    F5 criterion asks ``first_f5_witness`` for component i, then j, as
+    ``is_normalized`` does; a rejection keeps the component and its first
+    witness."""
     if f5:
         snapshot = pair.snapshot if stage == "creation" else None
-        nv = is_normalized(pair, state, snapshot)
-        if not nv.normalized:
-            state.stats.rejected_not_normalized += 1
-            state.events.append(PairRejected(
-                pair, "f5crit", stage, nv.component, nv.witness, state_ref=state.ref
-            ))
-            return True
+        for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
+            hit = first_f5_witness(msig, state, snapshot)
+            if hit:
+                state.stats.rejected_not_normalized += 1
+                state.events.append(PairRejected(
+                    pair, "f5crit", stage, comp, hit, state_ref=state.ref
+                ))
+                return True
     rw = is_rewritable(pair, state)
     if rw.rewritable:
         state.stats.rejected_rewritable += 1

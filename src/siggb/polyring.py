@@ -17,6 +17,11 @@ only their results.  So does the one product kernel, ``sum_of_products``
 one packed accumulator, over ℚ as integer numerators over one common
 denominator.  A packed field holds at most 2^31 - 1, so an exponent (under
 degrevlex, a total degree) beyond that raises DomainError.
+
+``_reduce`` reduces against a ``Reducers``, an append-only list of packed
+reducers whose memo remembers, across reductions, each monomial's first
+dividing reducer, or that none of the first k divides it: in a list that
+only grows, a first divisor stays first.
 """
 
 from __future__ import annotations
@@ -844,7 +849,55 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     return _settle(ring, [], acc, prime, 0 if prime else den)
 
 
-def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomial:
+class Reducers:
+    """An append-only list of reducers, in insertion order, that remembers
+    each monomial's first reducer across reductions.
+
+    ``packed`` holds each reducer as its packed head, the inverse of its head
+    coefficient (None when it is one) and its packed tail; ``heads`` holds
+    the packed heads alone.  The memo ``first`` maps a packed monomial to the
+    index of the first reducer whose head divides it, or to ~k when none of
+    the first k does, so that a later lookup resumes at k.  Reducers are only
+    appended, so a first divisor, once found, stays the first, and no entry
+    is ever invalidated.  ``append`` skips the zero polynomial.
+    """
+
+    __slots__ = ("ring", "heads", "packed", "first")
+
+    def __init__(self, ring: PolyRing, polys: Iterable[Polynomial] = ()):
+        self.ring = ring
+        self.heads: list[int] = []
+        self.packed: list[tuple] = []
+        self.first: dict[int, int] = {}
+        for g in polys:
+            self.append(g)
+
+    def append(self, g: Polynomial) -> None:
+        if not g.terms:
+            return
+        if g.ring is not self.ring and g.ring != self.ring:
+            raise StructureError("polynomials from different rings")
+        r = g._reducer or _pack_reducer(g)
+        self.heads.append(r[0])
+        self.packed.append(r)
+
+    def find(self, e: int) -> int:
+        """The index of the first reducer whose head divides the packed
+        monomial e (the guard-bit test), or -1; memoised in ``first``."""
+        first = self.first
+        k = first.get(e, -1)
+        if k >= 0:
+            return k
+        heads, guard = self.heads, self.ring._guard
+        for i in range(~k, len(heads)):
+            if not (e - heads[i]) & guard:
+                first[e] = i
+                return i
+        first[e] = ~len(heads)
+        return -1
+
+
+def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -> Polynomial:
     """The reduction loop behind ``reduce_full`` and ``top_reduce``.
 
     It runs on packed monomials (``PolyRing.pack``): the working polynomial
@@ -852,24 +905,29 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomia
     so heapq pops the largest monomial first; a popped term that is zero
     (mod p) has cancelled and is skipped.  Each nonzero popped term is
     reduced by the first basis element, in insertion order, whose head
-    divides it (the guard-bit test), exactly as a term-by-term ``sub_mul``
-    would, so every intermediate polynomial is the same.  Only the result is
-    unpacked.  ``full=False`` stops at the first irreducible term.
+    divides it, exactly as a term-by-term ``sub_mul`` would, so every
+    intermediate polynomial is the same.  Only the result is unpacked.
+    ``full=False`` stops at the first irreducible term.
+
+    basis is a ``Reducers``, whose memo answers a monomial that an earlier
+    reduction against it already met, and scans only the reducers appended
+    since; any other sequence becomes a throwaway one.
 
     Under degrevlex no product outgrows the term it replaces; under lex a
     product can, and one whose exponent overflows its field raises
     DomainError.
     """
     ring = p.ring
-    reducers = []
-    for g in basis:
-        if g.terms:
-            p._check(g)
-            reducers.append(g._reducer or _pack_reducer(g))
+    if not isinstance(basis, Reducers):
+        basis = Reducers(ring, basis)
+    elif basis.ring is not ring and basis.ring != ring:
+        raise StructureError("polynomials from different rings")
+    packed, find = basis.packed, basis.find
+    get = basis.first.get
+    n = len(packed)
     f = ring.field
     prime = f.p if f.is_prime else 0
-    guard = ring._guard
-    overflow = guard if ring.order.kind == "lex" else 0
+    overflow = ring._guard if ring.order.kind == "lex" else 0
     acc, heap = _packed(p)
     done = []
     while heap:
@@ -879,23 +937,23 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial], full: bool) -> Polynomia
             c %= prime
         if not c:
             continue
-        for hk, inv, tail in reducers:
-            u = e - hk
-            if u & guard:
-                continue
-            q = c
-            if inv is not None:
-                q = c * inv % prime if prime else c * inv
-            _sub_tail(acc, heap, q, u, tail, overflow)
-            break
-        else:
+        i = get(e, -1)
+        if i < 0 and ~i < n:
+            i = find(e)
+        if i < 0:
             done.append((e, c))
             if not full:
                 break
+            continue
+        hk, inv, tail = packed[i]
+        q = c
+        if inv is not None:
+            q = c * inv % prime if prime else c * inv
+        _sub_tail(acc, heap, q, e - hk, tail, overflow)
     return _settle(ring, done, acc, prime)
 
 
-def top_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+def top_reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:
     """Head-reduce p by the first eligible reducer in insertion order.
 
     Only head terms are rewritten; the result is monic (or zero) and its head
@@ -904,7 +962,7 @@ def top_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _reduce(p, basis, full=False).monic()
 
 
-def reduce_full(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+def reduce_full(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:
     """Full normal form: every term of the result is irreducible."""
     return _reduce(p, basis, full=True)
 
@@ -939,22 +997,39 @@ def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     that changes no surviving head is the last: each of its results was
     reduced against every head that survives it, so no term of one is
     divisible by another's head, and a further round would change nothing.
+
+    Within a round, element i is reduced against the results before it and
+    the elements after it, ``reduced + current[i + 1:]``.  Those after it
+    have heads no smaller than its own, so the only one of them that can
+    reduce a term is the next element with the same head, and only at the
+    head, when no result's head divides it; that step is taken first, and
+    the rest of the reduction runs on one ``Reducers`` over the results,
+    whose memo every reduction of the round shares.
     """
     current = [p.monic() for p in polys if not p.is_zero]
     if not current:
         return []
     ring = current[0].ring
+    one = ring.field.one
     for _ in range(100):
         current.sort(key=lambda p: ring.key(p.ht))
         reduced: list[Polynomial] = []
+        reducers = Reducers(ring)
         heads_kept = True
         for i, f in enumerate(current):
-            r = reduce_full(f, reduced + current[i + 1:])
+            head = f.terms[0][0]
+            nxt = current[i + 1] if i + 1 < len(current) else None
+            if (nxt is not None and nxt.terms[0][0] == head
+                    and reducers.find(ring.pack(head)) < 0):
+                f = f.sub_mul(one, ring.zero_exp, nxt)  # both monic: the heads cancel
+            r = reduce_full(f, reducers)
             if r.is_zero:
                 continue
-            if r.terms[0][0] != f.terms[0][0]:
+            if r.terms[0][0] != head:
                 heads_kept = False
-            reduced.append(r.monic())
+            r = r.monic()
+            reduced.append(r)
+            reducers.append(r)
         if heads_kept:
             return reduced
         current = reduced

@@ -1,8 +1,8 @@
 import pytest
 
 from siggb.baseline import BaselineStats, PairQueue, buchberger_basis, ideal_equal
-from siggb.corpus import random_ideal
-from siggb.polyring import DomainError, PolyRing, top_reduce, spol
+from siggb.corpus import cyclic, katsura, random_ideal
+from siggb.polyring import DomainError, PolyRing, exp_degree, top_reduce, spol
 
 
 def test_golden_basis(golden_gens, golden_expected):
@@ -64,3 +64,41 @@ def test_stats_block(golden_gens):
     lines = stats.lines()
     assert any(line.startswith("pairs created:") for line in lines)
     assert any(line.startswith("reductions to zero:") for line in lines)
+
+
+class MinCheckedQueue(PairQueue):
+    """A PairQueue whose every pop is checked against the minimum over the
+    pending pairs by (degree, order key, (i, j)) of the lcm."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+        self.popped = []
+
+    def pop(self):
+        pending, key = self.pending, self.ring.key
+        want = min(pending, key=lambda k: (exp_degree(pending[k]), key(pending[k]), k))
+        got = super().pop()
+        assert got == want
+        self.popped.append(got)
+        return got
+
+
+def test_pair_queue_pops_in_min_order(golden_gens):
+    systems = [golden_gens, cyclic(4), katsura(4), random_ideal(3, 3, 3, 11)]
+    discarded = 0
+    for gens in systems:
+        for strategy in ("none", "gebauermoeller"):
+            queue = MinCheckedQueue(gens[0].ring)
+            buchberger_basis(gens, strategy=strategy, queue=queue)
+            assert queue.popped and not queue.pending
+            # every pair ever queued was popped once or discarded once
+            removed = [key for key, _ in queue.removed]
+            assert len(set(queue.popped)) == len(queue.popped)
+            assert not set(removed) & set(queue.popped)
+            if strategy == "none":
+                assert not removed
+            discarded += len(removed)
+    # the chain criterion discards a queued pair (on katsura-4), whose heap
+    # entry is then skipped
+    assert discarded

@@ -246,7 +246,7 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         # every answer, memo hits included, from pair creation, the reductor
         # search and the post-run scan
         callers = {c for c, *_ in calls[:engine_calls]}
-        assert callers == {"is_normalized", "_find_reductor"}
+        assert callers == {"_rejected", "_find_reductor"}
         assert len(calls) > engine_calls
         keys = {(msig, seen.max_pos, seen.min_index, hit) for _, msig, seen, hit in calls}
         assert len({msig for msig, *_ in keys}) < len(calls)
@@ -255,6 +255,13 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         for k0, table in state.f5_tables.items():
             for t, hit in table.first.items():
                 assert hit == _eager_first(Signature(t, k0), state, None)
+            # the witness lists the rejections above read, memoised uncut
+            for t, every in table.every.items():
+                assert list(every) == [
+                    pos for pos in range(1, state.size + 1)
+                    if state.sig(pos).index > k0 and exp_divides(state.poly(pos).ht, t)
+                ]
+        assert any(table.every for table in state.f5_tables.values())
         # what lets the engine skip the F5 recheck at pop: no popped pair
         # has a witness in the basis as it stood when it was popped
         popped = list(_pop_snapshots(state))
@@ -281,6 +288,7 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     assert component_f5_witnesses(msig, state) == [pos]
     # the basis a pair saw before the append still has no witness
     assert first_f5_witness(msig, state, Snapshot(2, 1, 0)) == 0
+    assert component_f5_witnesses(msig, state, Snapshot(2, 1, 0)) == []
     # tables of the element's own index and above stay
     assert 2 in state.f5_tables
     # through a pair whose component i is x*y * r_1, with term x*y

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siggb.polyring
+
 from siggb.polyring import (
     Cmp,
     DomainError,
@@ -13,6 +15,7 @@ from siggb.polyring import (
     Polynomial,
     PrimeField,
     QQ,
+    Reducers,
     StructureError,
     compare,
     exp_div,
@@ -551,6 +554,142 @@ def test_reduced_basis_matches_dict_and_sort(case):
     _, p, basis = case
     assert reduced_basis(basis + [p]) == ref_reduced_basis(basis + [p])
     assert reduced_basis([]) == []
+
+
+@st.composite
+def duplicated_heads_case(draw):
+    """Homogeneous input whose every element has a second copy with the
+    same head and another tail, one scaled copy in the case's ring."""
+    ring, p, basis = draw(diff_case(max_basis=4, homogeneous=True))
+    f = ring.field
+    polys = [q for q in basis + [p] if not q.is_zero]
+    copies = [q.scale(f.of(2)) + q.lot.scale(f.of(3)) for q in polys]
+    return polys + copies + [polys[0]] if polys else []
+
+
+def ref_round_results(polys):
+    """Every result, round by round, of ``reduced_basis``'s reductions as
+    the list ``reduced + current[i + 1:]`` gives them, by the dict-and-sort
+    reference, with the same last round."""
+    current = [p.monic() for p in polys if not p.is_zero]
+    results = []
+    while current:
+        ring = current[0].ring
+        current.sort(key=lambda p: ring.key(p.ht))
+        reduced, heads_kept = [], True
+        for i, f in enumerate(current):
+            r = ref_reduce_full(f, reduced + current[i + 1:])
+            results.append(r)
+            if not r.is_zero:
+                heads_kept = heads_kept and r.ht == f.ht
+                reduced.append(r.monic())
+        if heads_kept:
+            break
+        current = reduced
+    return results
+
+
+@given(duplicated_heads_case())
+@settings(max_examples=150)
+def test_reduced_basis_of_duplicated_heads_matches_dict_and_sort(polys):
+    results = []
+    reduce_full = siggb.polyring.reduce_full
+
+    def recorded(p, basis):
+        results.append(reduce_full(p, basis))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(siggb.polyring, "reduce_full", recorded)
+        out = reduced_basis(polys)
+    assert out == ref_reduced_basis(polys)
+    # one reduction per element and round, each with the old list's result
+    assert results == ref_round_results(polys)
+
+
+def test_reduced_basis_on_equal_heads():
+    ring = PolyRing(("x", "y", "z"))
+    P = ring.parse
+    # x^2 + y is reduced by the next element, of the same head: its head
+    # divisible by no earlier result's head
+    polys = [P("x^2 + y"), P("x^2 + z"), P("x^2 + y")]
+    assert reduced_basis(polys) == ref_reduced_basis(polys) == [P("y - z"), P("x^2 + z")]
+    assert ref_round_results(polys)[:2] == [P("y - z"), ring.zero]
+    # an earlier result's head, y, divides x*y, so it reduces x*y + x
+    # before the next element of the same head could
+    polys = [P("x*y + z^2"), P("x*y + x"), P("y")]
+    assert reduced_basis(polys) == ref_reduced_basis(polys) == [P("y"), P("x"), P("z^2")]
+    assert ref_round_results(polys)[:3] == [P("y"), P("z^2"), P("x")]
+
+
+# -- Reducers: the append-only list and its first-reducer memo -------------------
+#
+# Every append is followed by reductions against both the Reducers and the
+# plain list of the elements so far, and against the dict-and-sort
+# reference: the memo carries answers from reduction to reduction and from
+# one append to the next, and must agree with a fresh scan each time.
+
+@given(diff_case(max_basis=5))
+@settings(max_examples=300)
+def test_reducers_match_the_list_so_far(case):
+    ring, p, basis = case
+    queries = [p, p.mul_term((1, 0, 1)), p.mul_term((0, 2, 0))] + basis
+    reducers = Reducers(ring)
+    so_far = []
+    for g in [None] + basis:
+        if g is not None:
+            reducers.append(g)
+            so_far.append(g)
+        assert len(reducers.packed) == sum(1 for q in so_far if q)
+        for q in queries:
+            got = reduce_full(q, reducers)
+            assert got == reduce_full(q, so_far) == ref_reduce_full(q, so_far)
+            assert top_reduce(q, reducers) == top_reduce(q, so_far) == ref_top_reduce(q, so_far)
+    for e, k in reducers.first.items():
+        want = next((i for i, h in enumerate(reducers.heads) if not (e - h) & ring._guard), None)
+        if k >= 0:
+            assert k == want
+        else:
+            # no divisor among the first ~k; one may have come after
+            assert want is None or want >= ~k
+
+
+def test_reducers_memo_resumes_after_an_append():
+    ring = PolyRing(("x", "y"), PrimeField(7))
+    P = ring.parse
+    xy = ring.pack((1, 1))
+    reducers = Reducers(ring, [ring.zero])
+    assert not reducers.packed
+    # with no reducer, nothing divides, and the memo says so for none
+    assert reducers.find(xy) == -1 and reducers.first[xy] == ~0
+    assert reduce_full(P("x*y + 1"), reducers) == P("x*y + 1")
+    reducers.append(P("y^2"))
+    assert reduce_full(P("x*y + 1"), reducers) == P("x*y + 1")
+    assert reducers.first[xy] == ~1  # the lookup resumed at 0 and saw y^2
+    reducers.append(P("x + 3"))
+    # x*y, irreducible so far, is divisible by the newest reducer
+    assert reduce_full(P("x*y + 1"), reducers) == P("-3*y + 1")
+    assert reducers.first[xy] == 1
+    reducers.append(P("x"))  # a later divisor never displaces the first
+    assert reduce_full(P("x*y"), reducers) == reduce_full(P("x*y"), [P("y^2"), P("x + 3")])
+    assert reducers.find(xy) == 1
+    with pytest.raises(StructureError):
+        reducers.append(PolyRing(("x", "y")).parse("x"))
+    with pytest.raises(StructureError):
+        reduce_full(PolyRing(("x", "y")).parse("x"), reducers)
+
+
+def test_reducers_overflow_under_lex():
+    # x^2 -> x*y^K -> y^(2K): the second step overflows its packed field
+    k = 2**30
+    lex = PolyRing(("x", "y"), QQ, LEX)
+    reducers = Reducers(lex, [lex.parse(f"x - y^{k}")])
+    with pytest.raises(DomainError):
+        reduce_full(lex.parse("x^2"), reducers)
+    with pytest.raises(DomainError):
+        top_reduce(lex.parse("x^2"), reducers)
+    # the memo the failed reductions left behind still answers right
+    assert reduce_full(lex.parse("x*y + x"), reducers) == lex.parse(f"y^{k + 1} + y^{k}")
 
 
 # -- the product kernel ----------------------------------------------------------
