@@ -558,8 +558,9 @@ def test_reduced_basis_matches_dict_and_sort(case):
 
 @st.composite
 def duplicated_heads_case(draw):
-    """Homogeneous input whose every element has a second copy with the
-    same head and another tail, one scaled copy in the case's ring."""
+    """Homogeneous input in which every element has a second element of the
+    same head, a scaled copy with another tail, and the first one comes
+    twice."""
     ring, p, basis = draw(diff_case(max_basis=4, homogeneous=True))
     f = ring.field
     polys = [q for q in basis + [p] if not q.is_zero]
@@ -660,7 +661,7 @@ def test_reducers_memo_resumes_after_an_append():
     xy = ring.pack((1, 1))
     reducers = Reducers(ring, [ring.zero])
     assert not reducers.packed
-    # with no reducer, nothing divides, and the memo says so for none
+    # with no reducer nothing divides: the memo records none among the first 0
     assert reducers.find(xy) == -1 and reducers.first[xy] == ~0
     assert reduce_full(P("x*y + 1"), reducers) == P("x*y + 1")
     reducers.append(P("y^2"))
