@@ -92,7 +92,7 @@ def test_pair_queue_pops_in_min_order(golden_gens):
             queue = MinCheckedQueue(gens[0].ring)
             buchberger_basis(gens, strategy=strategy, queue=queue)
             assert queue.popped and not queue.pending
-            # every pair ever queued was popped once or discarded once
+            # no pair is popped twice, or both popped and discarded
             removed = [key for key, _ in queue.removed]
             assert len(set(queue.popped)) == len(queue.popped)
             assert not set(removed) & set(queue.popped)
