@@ -1,9 +1,10 @@
 """Incremental signature-based Groebner basis engine.
 
-Generators are processed from the last index up to the first; critical pairs
-are filtered by the F5 criterion (not normalized) and the Rewritten criterion,
-and survivors go through signature-safe top reduction.  All discard decisions
-are recorded as structured events that render to a line-oriented trace.
+Generators are processed from the last index up to the first.  A critical
+pair meets the F5 criterion (not normalized) once, when it is created, and the
+Rewritten criterion then and again when it is popped; survivors go through
+signature-safe top reduction.  All discard decisions are recorded as
+structured events that render to a line-oriented trace.
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Knobs for the choices the algorithm's description leaves open."""
+    """What a run records and checks besides the basis."""
 
     certify: bool = False              # carry module-vector witnesses
     validate_witnesses: bool = False   # check admissibility after every step
-    check_on_creation: bool = True     # run both criteria at pair creation
-    recheck_on_pop: bool = True        # Rewritten again when the pair is popped;
-                                       # F5 too, unless checked on creation
     max_elements: int = 4000           # safety valve for runaway runs
 
 
@@ -83,20 +81,10 @@ class Stats:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class Snapshot:
-    """What the basis looked like when a pair was created."""
-
-    max_pos: int
-    min_index: int
-    rule_seq: int
-
-
 @dataclass
 class RewriteRule:
     gamma: tuple[int, ...]
     index: int
-    seq: int
     label: object = None  # basis position, or "syzygy:<n>" for zero reductions
     mask: int = dfield(init=False, repr=False)  # divisor mask of gamma
 
@@ -113,10 +101,13 @@ class CriticalPair:
 
     ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
     u_j * Sig(r_j); the criteria read a component's index and term from them.
-    In the engine's pairs, components with equal (u, position) share one u
-    and one multiplied signature (the per-position memo ``BasisState.msigs``),
-    and the positions are the state's shared ints.  A created pair is its own
-    event: ``PairCreated`` names this class.
+    ``snapshot`` is the basis size when the pair was made, the last position
+    an F5 witness of the pair may have.  In the engine's pairs, components
+    with equal (u, position) share one u and one multiplied signature (the
+    per-position memo ``BasisState.msigs``), and the positions and snapshot
+    are the state's shared ints, so the pairs of one batch share one
+    snapshot.  A created pair is its own event: ``PairCreated`` names this
+    class.
     """
 
     i: int
@@ -126,7 +117,7 @@ class CriticalPair:
     degree: int
     sig: Signature
     sig_j: Signature
-    snapshot: Snapshot
+    snapshot: int
 
     def component(self, comp: str) -> tuple[tuple[int, ...], int]:
         return (self.u_i, self.i) if comp == "i" else (self.u_j, self.j)
@@ -142,7 +133,7 @@ class CriticalPair:
 PairCreated = CriticalPair
 
 
-def _all_f5_witnesses(pair: CriticalPair, state: BasisState, snapshot) -> tuple:
+def _all_f5_witnesses(pair: CriticalPair, state: BasisState, snapshot: int) -> tuple:
     """((comp, prev_pos), ...), component i first, in basis order."""
     return tuple(
         (comp, prev)
@@ -153,26 +144,11 @@ def _all_f5_witnesses(pair: CriticalPair, state: BasisState, snapshot) -> tuple:
 
 @dataclass(slots=True)
 class NormalizedVerdict:
-    """F5 verdict on a pair: the first witness found, (component, witness).
-
-    ``witnesses`` lists every witness of both components on access, from the
-    basis as it stood at the snapshot the verdict was judged against.  The
-    engine keeps no verdict, so this reference to the state forms no cycle.
-    """
+    """F5 verdict on a pair: the first witness found, (component, witness)."""
 
     normalized: bool
     component: str | None = None
     witness: int | None = None
-    pair: CriticalPair | None = dfield(default=None, repr=False)
-    state: BasisState | None = dfield(default=None, repr=False, compare=False)
-    snapshot: Snapshot | None = dfield(default=None, repr=False)
-
-    @property
-    def witnesses(self) -> tuple:
-        """((comp, prev_pos), ...), component i first, in basis order."""
-        if self.normalized:
-            return ()
-        return _all_f5_witnesses(self.pair, self.state, self.snapshot)
 
 
 @dataclass(slots=True)
@@ -314,11 +290,9 @@ class BasisState:
         self.events: list = []
         self.syzygy_trails: dict[str, ModuleVector] = {}
         self.current_index = m
-        self._rule_seq = 0
         self._pair_seq = 0
         self._trail_seq = 0
         self._heap: list | None = None
-        self._snapshot: Snapshot | None = None
         self.ref = weakref.ref(self)  # shared by the F5 rejections, to list witnesses
 
     # accessors (1-based positions) -----------------------------------------
@@ -338,23 +312,12 @@ class BasisState:
     def sig(self, pos: int) -> Signature:
         return self.element(pos).sig
 
-    def active_positions(self, snapshot: Snapshot | None = None):
+    def active_positions(self):
         """Ascending positions of the elements a pair or reductor may use:
         inputs from the current index on, then every derived element.  They
         are the state's own position ints, so the pairs share them."""
-        max_pos = snapshot.max_pos if snapshot else self.size
-        min_index = snapshot.min_index if snapshot else self.current_index
         m, ps = self.m, self.positions
-        return ps[min_index:min(m, max_pos) + 1] + ps[m + 1:max_pos + 1]
-
-    def snapshot(self) -> Snapshot:
-        """The basis as it stands; pairs created in one batch share it."""
-        snap = self._snapshot
-        if snap is None or (snap.max_pos, snap.min_index, snap.rule_seq) != (
-            self.size, self.current_index, self._rule_seq
-        ):
-            snap = self._snapshot = Snapshot(self.size, self.current_index, self._rule_seq)
-        return snap
+        return ps[self.current_index:min(m, self.size) + 1] + ps[m + 1:]
 
     def polys(self) -> list[Polynomial]:
         return [e.poly for e in self.elements]
@@ -362,8 +325,7 @@ class BasisState:
     # mutation ---------------------------------------------------------------
 
     def add_rule(self, gamma: tuple[int, ...], index: int, label=None) -> RewriteRule:
-        self._rule_seq += 1
-        rule = RewriteRule(gamma, index, self._rule_seq, label)
+        rule = RewriteRule(gamma, index, label)
         lst = self.rules.setdefault(index, [])
         if lst and compare(lst[-1].gamma, gamma, self.ring) is Cmp.GT:
             self.events.append(RuleOutOfOrder(index, gamma))
@@ -449,7 +411,7 @@ def _f5_table(state: BasisState, k0: int) -> F5Table:
 
 
 def component_f5_witnesses(
-    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
+    msig: Signature, state: BasisState, snapshot: int | None = None
 ) -> list[int]:
     """Basis elements of larger index than msig's whose head divides msig's
     term, for a component with multiplied signature msig = u * Sig(r_pos).
@@ -462,7 +424,7 @@ def component_f5_witnesses(
     That is why ``first_f5_witness`` memoises its answer on (k0, term)
     alone, and this full list, read when a rejection lists its witnesses,
     is memoised the same way in ``F5Table.every``.  The witnesses come in
-    position order, so the basis a snapshot saw holds a prefix of them.
+    position order, so the basis of a pair's snapshot holds a prefix of them.
     States built by hand may append out of that order; appending an element
     of index j drops the tables of every k0 < j (``BasisState._append``).
     A head whose divisor mask names a variable that the term lacks is
@@ -477,12 +439,12 @@ def component_f5_witnesses(
             pos for pos, mask, ht in table.cands
             if not mask & miss and exp_divides(ht, t)
         )
-    max_pos = snapshot.max_pos if snapshot else state.size
+    max_pos = state.size if snapshot is None else snapshot
     return list(every[:bisect_right(every, max_pos)])
 
 
 def first_f5_witness(
-    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
+    msig: Signature, state: BasisState, snapshot: int | None = None
 ) -> int:
     """Position of the first F5 witness of the component with multiplied
     signature msig, or 0 when it has none: the one F5-criterion query.
@@ -502,14 +464,12 @@ def first_f5_witness(
                 first = pos
                 break
         table.first[t] = first
-    if snapshot is not None and first > snapshot.max_pos:
+    if snapshot is not None and first > snapshot:
         return 0
     return first
 
 
-def component_rewriter(
-    msig: Signature, pos: int, state: BasisState, snapshot: Snapshot | None = None
-) -> RewriteRule | None:
+def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteRule | None:
     """Newest rule of msig's index dividing msig's term, for the component
     u * r_pos with multiplied signature msig = u * Sig(r_pos).
 
@@ -519,39 +479,33 @@ def component_rewriter(
     own = state.element_rule[pos - 1]
     t = msig.gamma
     miss = ~exp_mask(t)
-    max_seq = snapshot.rule_seq if snapshot else None
     for rule in reversed(state.rules.get(msig.index, [])):
-        if max_seq is not None and rule.seq > max_seq:
-            continue
         if not rule.mask & miss and exp_divides(rule.gamma, t):
             return None if rule is own else rule
     return None
 
 
 def is_normalized(
-    pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
+    pair: CriticalPair, state: BasisState, snapshot: int | None = None
 ) -> NormalizedVerdict:
-    """F5 criterion: component i, then j, each asked for its first witness.
+    """F5 criterion: component i, then j, each asked for its first witness
+    among the first ``snapshot`` positions, or the whole basis without one.
 
-    One witness decides the verdict and builds the certificate; the verdict
-    reads the full list, memoised in ``F5Table.every``, only when it is
-    read.  Without a snapshot the pair is judged against the current basis,
-    which the verdict then records.
+    One witness decides the verdict and builds the certificate;
+    ``component_f5_witnesses`` lists them all.
     """
     for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
         hit = first_f5_witness(msig, state, snapshot)
         if hit:
-            snap = snapshot or state.snapshot()
-            return NormalizedVerdict(False, comp, hit, pair, state, snap)
+            return NormalizedVerdict(False, comp, hit)
     return NormalizedVerdict(True)
 
 
-def is_rewritable(
-    pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
-) -> RewritableVerdict:
-    """Rewritten criterion on both components, larger-signature side first."""
+def is_rewritable(pair: CriticalPair, state: BasisState) -> RewritableVerdict:
+    """Rewritten criterion on both components, larger-signature side first,
+    against the rules as they stand."""
     for comp, msig, pos in (("i", pair.sig, pair.i), ("j", pair.sig_j, pair.j)):
-        rule = component_rewriter(msig, pos, state, snapshot)
+        rule = component_rewriter(msig, pos, state)
         if rule is not None:
             return RewritableVerdict(True, comp, rule)
     return RewritableVerdict(False)
@@ -691,16 +645,15 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     others, run the creation-time checks, and enqueue the survivors.
 
     No element or rule is added while a batch is made, so its pairs share
-    one snapshot, and a's head, signature and memo are read once.  Each
-    component's (u, u * Sig(r_pos)) comes from its position's memo in
-    ``BasisState.msigs``, so components with equal (u, pos) share one u and
-    one multiplied signature.
+    one snapshot, the state's int for the basis size, and a's head,
+    signature and memo are read once.  Each component's (u, u * Sig(r_pos))
+    comes from its position's memo in ``BasisState.msigs``, so components
+    with equal (u, pos) share one u and one multiplied signature.
     """
     keys, key = state.ring._keycache, state.ring.key
     elements, msigs = state.elements, state.msigs
     stats, events, heap = state.stats, state.events, state._heap
-    check = state.opts.check_on_creation
-    snap = state.snapshot()
+    snap = state.positions[-1]
     a = state.positions[a]
     hta, siga, memo_a = elements[a - 1].poly.ht, elements[a - 1].sig, msigs[a - 1]
     ga, ia = siga.gamma, siga.index
@@ -743,7 +696,7 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
             pair = CriticalPair(a, b, ua, ub, sum(l), sa, sb, snap)
         events.append(pair)
         seq += 1
-        if check and _rejected(state, pair, "creation", f5=True):
+        if _rejected(state, pair, "creation"):
             continue
         s = pair.sig
         sk = (-s.index, keys.get(s.gamma) or key(s.gamma))  # sig_key(s, ring)
@@ -751,16 +704,16 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     state._pair_seq = seq
 
 
-def _rejected(state: BasisState, pair: CriticalPair, stage: str, f5: bool) -> bool:
-    """Run the F5 criterion (when f5 is set), then the Rewritten criterion;
-    record and count the rejection when one of them discards the pair.  The
-    F5 criterion asks ``first_f5_witness`` for component i, then j, as
-    ``is_normalized`` does; a rejection keeps the component and its first
+def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
+    """Run the F5 criterion at creation, then the Rewritten criterion at
+    either stage; record and count the rejection when one of them discards
+    the pair.  The F5 criterion asks ``first_f5_witness`` for component i,
+    then j, as ``is_normalized`` does, against the basis as it stands, which
+    is the pair's snapshot; a rejection keeps the component and its first
     witness."""
-    if f5:
-        snapshot = pair.snapshot if stage == "creation" else None
+    if stage == "creation":
         for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
-            hit = first_f5_witness(msig, state, snapshot)
+            hit = first_f5_witness(msig, state)
             if hit:
                 state.stats.rejected_not_normalized += 1
                 state.events.append(PairRejected(
@@ -854,9 +807,7 @@ def incremental_basis(
             # An F5 witness has a larger index than the component it flags,
             # and every element added in this iteration has index k, so a
             # verdict taken at creation still holds; only rules can change.
-            if state.opts.recheck_on_pop and _rejected(
-                state, pair, "pop", f5=not state.opts.check_on_creation
-            ):
+            if _rejected(state, pair, "pop"):
                 continue
             rule = state.add_rule(pair.sig.gamma, pair.sig.index)
             state.events.append(PairAdmitted(pair))

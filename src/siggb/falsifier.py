@@ -16,7 +16,6 @@ from .f5engine import (
     BasisState,
     CriticalPair,
     PairCreated,
-    Snapshot,
     is_normalized,
 )
 from .signature import Signature
@@ -82,22 +81,19 @@ class ImprovedCheckReport:
         return out
 
 
-def _component_part_b(
-    msig: Signature, state: BasisState, snapshot: Snapshot | None = None
-):
+def _component_part_b(msig: Signature, state: BasisState, snapshot: int | None = None):
     """Clause (b): an equal-index element whose head divides the signature term
     and whose own signature satisfies HT(f_k0) * Gamma(Sig(prev)) < HT(p_prev),
     for the component with multiplied signature msig.
 
-    Only the elements of index k0 = msig.index are walked, up to the
-    snapshot's last position.  The input of index k0 is among them whether
-    or not the snapshot's active range holds it; it never fires, since its
-    gamma is 1.
+    Only the elements of index k0 = msig.index are walked, up to position
+    snapshot, or all of them without one.  The input of index k0 is among
+    them; it never fires, since its gamma is 1.
     """
     k0, t = msig.index, msig.gamma
     ht_f = state.poly(k0).ht
     ring = state.ring
-    max_pos = snapshot.max_pos if snapshot else state.size
+    max_pos = state.size if snapshot is None else snapshot
     for prev in state.index_positions.get(k0, ()):
         if prev > max_pos:
             break
@@ -111,7 +107,7 @@ def _component_part_b(
 
 
 def completely_normalized(
-    pair: CriticalPair, state: BasisState, snapshot: Snapshot | None = None
+    pair: CriticalPair, state: BasisState, snapshot: int | None = None
 ) -> CNResult:
     """Literal evaluation of both clauses of the relaxed check."""
     nv = is_normalized(pair, state, snapshot)

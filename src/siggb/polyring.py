@@ -450,7 +450,12 @@ class PolyRing:
                 raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
             pos = mo.end()
             kind = mo.lastgroup
-            if kind != "ws":
+            if kind == "num":
+                try:
+                    tokens.append((kind, int(mo.group()), mo.start()))
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    raise ParseError("number too long", column=mo.start() + 1) from None
+            elif kind != "ws":
                 tokens.append((kind, mo.group(), mo.start()))
         if pos != len(text):
             raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
@@ -482,16 +487,19 @@ class PolyRing:
                 kind, val, _ = tokens[i]
                 if kind == "num":
                     i += 1
-                    num = int(val)
+                    num = val
                     if i < n and tokens[i][0] == "op" and tokens[i][1] == "/":
                         i += 1
                         if i >= n or tokens[i][0] != "num":
                             err("expected denominator", tokens[i - 1])
-                        den = int(tokens[i][1])
+                        den = tokens[i][1]
                         if den == 0:
                             err("zero denominator", tokens[i])
+                        try:
+                            coeff = f.mul(coeff, f.of(Fraction(num, den)))
+                        except DomainError:  # GF(p), p divides num/den's denominator
+                            err(f"denominator is divisible by {f.p}", tokens[i])
                         i += 1
-                        coeff = f.mul(coeff, f.of(Fraction(num, den)))
                     else:
                         coeff = f.mul(coeff, f.of(num))
                     saw_factor = True
@@ -503,7 +511,7 @@ class PolyRing:
                         i += 1
                         if i >= n or tokens[i][0] != "num":
                             err("expected exponent", tokens[i - 1])
-                        k = int(tokens[i][1])
+                        k = tokens[i][1]
                         i += 1
                     exps[vi] += k
                     saw_factor = True

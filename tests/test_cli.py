@@ -1,7 +1,11 @@
 import io
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siggb.cli import (
     EXIT_CERTIFICATE,
@@ -74,6 +78,56 @@ def test_parse_ideal_errors():
     assert err is not None and err.line == 2
 
 
+# header lines, well and badly formed; "" leaves the header out
+_VARS = st.sampled_from(["vars: x, y", "vars: x y a", "VARS: x,y", "vars:", "vars: x, x",
+                         "vars: 1x, y", "vars: x^, *"])
+_ORDER = st.sampled_from(["", "order: drl", "order: lex", "order: degrevlex", "order: weird",
+                          "order:"])
+_FIELD = st.one_of(
+    st.sampled_from(["", "field: q", "field: gf 2", "field: gf 3", "field: gf 5", "field: gf 7",
+                     "field: gf 32003", "field: gf", "field: gf x", "field: gf 7 11",
+                     "field: r"]),
+    st.integers(-5, 10**6).map(lambda p: f"field: gf {p}"),
+)
+# token soup: names, digits, operators, fractions and stray characters
+_SOUP = st.lists(
+    st.sampled_from([
+        "x", "y", "z", "a", "xy", "0", "1", "7", "14", "123", "^", "*", "/", "+", "-",
+        "1/0", "3/7", "1/14", " ", "(", ")", "!", ".", ",", ":", "#", "\t", "é",
+    ]),
+    max_size=12,
+).map("".join)
+# the same pieces as well-formed terms, so that texts reach the coefficients
+_TERM = st.tuples(
+    st.sampled_from(["", "6", "0", "1/0", "1/2", "1/3", "2/5", "3/7", "7/14", "1/14"]),
+    st.sampled_from(["", "*"]),
+    st.sampled_from(["1", "x", "y^2", "x*y", "a^3", "z"]),
+).map("".join)
+_POLY = st.lists(_TERM, min_size=1, max_size=3).map(" - ".join)
+_LINE = st.one_of(_VARS, _ORDER, _FIELD, _POLY, _SOUP, st.text(max_size=8))
+_TEXT = st.one_of(
+    st.lists(_LINE, max_size=8),
+    # well-formed headers in any order, then generators
+    st.tuples(
+        st.sampled_from(["vars: x, y", "vars: x y a", "VARS: x,y"]),
+        st.sampled_from(["", "order: drl", "order: lex"]),
+        st.sampled_from(["", "field: q", "field: gf 2", "field: gf 3", "field: gf 5",
+                         "field: gf 7", "field: gf 32003"]),
+    ).flatmap(st.permutations).flatmap(
+        lambda headers: st.lists(st.one_of(_POLY, _SOUP), min_size=1, max_size=3).map(
+            lambda gens: headers + gens)),
+).map("\n".join)
+
+
+@given(_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_parse_ideal_raises_only_parse_error(text):
+    try:
+        parse_ideal(text)
+    except ParseError:
+        pass
+
+
 # -- runs -------------------------------------------------------------------------
 
 def test_run_both_engines_golden(golden_expected):
@@ -119,6 +173,23 @@ def test_run_parse_error(tmp_path):
     code, _, err = cli(str(bad))
     assert code == EXIT_PARSE
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("generator, message", [
+    ("x^2 + 1/14*y", "denominator is divisible by 7"),
+    ("x^2 + " + "9" * 5000 + "*y", "number too long"),
+])
+def test_run_coefficient_outside_the_field(generator, message):
+    # 1/14 has no image in GF(7), and a number past Python's digit limit
+    # cannot be read: each is a one-line parse error, not a traceback
+    text = f"vars: x, y\nfield: gf 7\n{generator}\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "siggb.cli", "-"], input=text,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith(f"parse error: {message} at line 3, column ")
 
 
 def test_run_missing_file():

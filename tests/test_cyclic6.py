@@ -1,10 +1,11 @@
 """Cyclic-6 over GF(32003), pinned by digest.
 
 The run is the largest the engine is asked to make (about 1.2 M pairs and
-1,557 elements).  The test takes about 52 s with a peak resident size of
-531 MB on a shared 2-core machine, a fifth of it the engine run and most
-of the rest rendering its 2.4 M events, so it is marked ``slow`` and left
-out of the default run:
+1,557 elements).  The test takes 3 to 4 minutes with a peak resident size
+of 531 MB on a shared 2-core machine under load (52 s when it was timed
+on a quieter one), a fifth of it the engine run and most of the rest
+rendering its 2.4 M events, so it is marked ``slow`` and left out of the
+default run:
 
     PYTHONPATH=src python -m pytest -m slow tests/test_cyclic6.py
 

@@ -18,8 +18,8 @@ from siggb.f5engine import (
     PairAdmitted,
     PairCreated,
     PairRejected,
-    Snapshot,
     TRResult,
+    _all_f5_witnesses,
     _find_reductor,
     component_f5_witnesses,
     first_f5_witness,
@@ -64,7 +64,7 @@ def _pair(state, i, j, ui, uj):
     return CriticalPair(
         i=i, j=j, u_i=ui, u_j=uj, degree=exp_degree(l),
         sig=sig_mul(ui, state.sig(i)), sig_j=sig_mul(uj, state.sig(j)),
-        snapshot=Snapshot(state.size, state.current_index, 10**9),
+        snapshot=state.size,
     )
 
 
@@ -145,7 +145,8 @@ def test_is_normalized_both_components(golden_state):
     pair = _pair(golden_state, 7, 6, (0, 3, 0, 0), (0, 0, 4, 0))
     v = is_normalized(pair, golden_state)
     assert not v.normalized
-    assert ("i", 3) in v.witnesses and ("j", 2) in v.witnesses
+    witnesses = _all_f5_witnesses(pair, golden_state, pair.snapshot)
+    assert ("i", 3) in witnesses and ("j", 2) in witnesses
 
 
 def test_is_normalized_top_index_trivial():
@@ -163,36 +164,35 @@ def test_is_normalized_top_index_trivial():
 
 
 def _eager_witnesses(pair, state, snapshot):
-    """Every F5 witness of both components by a full scan, without masks."""
+    """Every F5 witness of both components among the first snapshot
+    positions, by a full scan without masks."""
     out = []
     for comp in ("i", "j"):
         u, pos = pair.component(comp)
         sig = state.sig(pos)
         t = exp_mul(u, sig.gamma)
-        for prev in state.active_positions(snapshot):
+        for prev in range(1, snapshot + 1):
             if state.sig(prev).index > sig.index and exp_divides(state.poly(prev).ht, t):
                 out.append((comp, prev))
     return out
 
 
 def _pop_snapshots(state):
-    """(pair, basis at pop time) for every pair popped in a default run."""
-    size, k = state.m, state.m
+    """(pair, basis size at pop time) for every pair popped in a run."""
+    size = state.m
     for ev in state.events:
-        if isinstance(ev, IterationBegin):
-            k = ev.index
-        elif isinstance(ev, ElementAdded):
+        if isinstance(ev, ElementAdded):
             size += 1
         elif isinstance(ev, PairAdmitted) or (
             isinstance(ev, PairRejected) and ev.stage == "pop"
         ):
-            yield ev.pair, Snapshot(size, k, 10**9)
+            yield ev.pair, size
 
 
 def _eager_first(msig, state, snapshot):
-    """First F5 witness of msig in the basis a snapshot saw, by a full scan
-    without masks; 0 when there is none."""
-    for prev in state.active_positions(snapshot):
+    """First F5 witness of msig among the first snapshot positions, by a
+    full scan without masks; 0 when there is none."""
+    for prev in range(1, snapshot + 1):
         if state.sig(prev).index > msig.index and exp_divides(state.poly(prev).ht, msig.gamma):
             return prev
     return 0
@@ -205,7 +205,7 @@ def _spy_first_witness(monkeypatch):
 
     def spy(msig, state, snapshot=None):
         hit = real(msig, state, snapshot)
-        seen = snapshot or state.snapshot()
+        seen = state.size if snapshot is None else snapshot
         calls.append((sys._getframe(1).f_code.co_name, msig, seen, hit))
         return hit
 
@@ -233,7 +233,7 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
             assert v.normalized == (not eager)
             if eager:
                 assert (v.component, v.witness) == eager[0]
-                assert v.witnesses == tuple(eager)
+                assert _all_f5_witnesses(pair, state, pair.snapshot) == tuple(eager)
         for ev in rejection_events(state):
             if ev.kind == "f5crit":
                 eager = _eager_witnesses(ev.pair, state, ev.pair.snapshot)
@@ -248,13 +248,13 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         callers = {c for c, *_ in calls[:engine_calls]}
         assert callers == {"_rejected", "_find_reductor"}
         assert len(calls) > engine_calls
-        keys = {(msig, seen.max_pos, seen.min_index, hit) for _, msig, seen, hit in calls}
+        keys = {(msig, seen, hit) for _, msig, seen, hit in calls}
         assert len({msig for msig, *_ in keys}) < len(calls)
-        for msig, max_pos, min_index, hit in keys:
-            assert hit == _eager_first(msig, state, Snapshot(max_pos, min_index, 0))
+        for msig, seen, hit in keys:
+            assert hit == _eager_first(msig, state, seen)
         for k0, table in state.f5_tables.items():
             for t, hit in table.first.items():
-                assert hit == _eager_first(Signature(t, k0), state, None)
+                assert hit == _eager_first(Signature(t, k0), state, state.size)
             # the witness lists the rejections above read, memoised uncut
             for t, every in table.every.items():
                 assert list(every) == [
@@ -287,20 +287,14 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     assert first_f5_witness(msig, state) == pos
     assert component_f5_witnesses(msig, state) == [pos]
     # the basis a pair saw before the append still has no witness
-    assert first_f5_witness(msig, state, Snapshot(2, 1, 0)) == 0
-    assert component_f5_witnesses(msig, state, Snapshot(2, 1, 0)) == []
+    assert first_f5_witness(msig, state, 2) == 0
+    assert component_f5_witnesses(msig, state, 2) == []
     # tables of the element's own index and above stay
     assert 2 in state.f5_tables
     # through a pair whose component i is x*y * r_1, with term x*y
     pair = _pair(state, 1, 2, (1, 1), (2, 0))
     v = is_normalized(pair, state)
     assert not v.normalized and (v.component, v.witness) == ("i", pos)
-
-
-def test_f5_criterion_runs_at_pop_without_creation_checks(golden_gens):
-    state, _ = incremental_basis(golden_gens, opts=EngineOptions(check_on_creation=False))
-    stages = {ev.stage for ev in rejection_events(state) if ev.kind == "f5crit"}
-    assert stages == {"pop"}
 
 
 def test_no_pop_stage_f5_rejections_on_corpus(corpus_runs):
@@ -390,23 +384,21 @@ def test_cyclic5_pair_records_stay_lean():
 
 def test_pairs_of_one_batch_share_its_snapshot(golden_gens):
     # a batch is the pairs made at an iteration's start or for one new
-    # element; each shares one snapshot of the basis as the batch saw it
+    # element; each shares one int, the basis size the batch saw
     for gens in (golden_gens, cyclic(4), katsura(4)):
         state, events = incremental_basis(gens)
-        size, k, batches = state.m, state.m, []
+        size, batches = state.m, []
         for ev in events:
             if isinstance(ev, (IterationBegin, ElementAdded)):
                 size += isinstance(ev, ElementAdded)
-                k = ev.index if isinstance(ev, IterationBegin) else k
-                batches.append(((size, k), []))
+                batches.append((size, []))
             elif isinstance(ev, PairCreated):
                 batches[-1][1].append(ev.snapshot)
-        for (max_pos, min_index), snaps in batches:
+        assert sum(bool(snaps) for _, snaps in batches) > 1
+        for size, snaps in batches:
             if snaps:
                 assert all(snap is snaps[0] for snap in snaps)
-                assert (snaps[0].max_pos, snaps[0].min_index) == (max_pos, min_index)
-        firsts = [snaps[0] for _, snaps in batches if snaps]
-        assert len({id(snap) for snap in firsts}) == len(firsts) > 1
+                assert snaps[0] == size
 
 
 def test_pairs_share_the_state_position_ints():
@@ -416,7 +408,7 @@ def test_pairs_share_the_state_position_ints():
 
     ring = PolyRing(("x", "y"), PrimeField(32003))
     n = 300
-    state = BasisState(ring, 1, EngineOptions(check_on_creation=False))
+    state = BasisState(ring, 1)
     state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse(f"y^{n}")))
     state.current_index = 1
     for i in range(1, n):
@@ -428,6 +420,7 @@ def test_pairs_share_the_state_position_ints():
     assert len(pairs) == n - 1
     for pair in pairs:
         assert pair.i is state.positions[pair.i] and pair.j is state.positions[pair.j]
+        assert pair.snapshot is state.positions[n]
 
 
 # -- signature-safe reduction ----------------------------------------------------------
@@ -703,12 +696,25 @@ def test_oracle_equivalence_smoke():
         assert ideal_equal(interreduce(state), buchberger_basis(gens))
 
 
-def test_criteria_knobs_preserve_correctness(golden_gens, golden_expected):
-    # disabling either check point changes work done, never the ideal
-    for co, rp in ((False, True), (True, False), (False, False)):
-        opts = EngineOptions(check_on_creation=co, recheck_on_pop=rp)
-        state, _ = incremental_basis(golden_gens, opts=opts)
-        assert interreduce(state) == golden_expected
+def test_criteria_knobs_preserve_correctness(golden_gens, golden_expected, monkeypatch):
+    # skipping the criteria at creation, at pop, or at both changes the work
+    # done, never the interreduced basis; cyclic-4 without any criterion
+    # makes new elements without end, so there it keeps one of the stages
+    real = f5engine._rejected
+    gens4 = cyclic(4)
+    expected4 = interreduce(incremental_basis(gens4)[0])
+    cases = [(golden_gens, golden_expected, skip)
+             for skip in ({"creation"}, {"pop"}, {"creation", "pop"})]
+    cases += [(gens4, expected4, skip) for skip in ({"creation"}, {"pop"})]
+    for gens, expected, skip in cases:
+        monkeypatch.setattr(
+            f5engine, "_rejected",
+            lambda state, pair, stage, skip=skip:
+                stage not in skip and real(state, pair, stage),
+        )
+        state, _ = incremental_basis(gens)
+        assert not any(ev.stage in skip for ev in rejection_events(state))
+        assert interreduce(state) == expected
 
 
 def test_order_argument_must_match_ring(golden_gens):

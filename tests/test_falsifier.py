@@ -95,13 +95,13 @@ def test_scan_without_the_engines_memo(golden_gens):
 
 
 def _part_b_over_active_positions(u, pos, state, snapshot, cmp=compare):
-    """Clause (b) as it was first written: every active position is walked,
-    and those of another index are skipped."""
+    """Clause (b) as it was first written: every position up to the
+    snapshot is walked, and those of another index are skipped."""
     elt = state.element(pos)
     k0 = elt.sig.index
     t = exp_mul(u, elt.sig.gamma)
     ht_f = state.poly(k0).ht
-    for prev in state.active_positions(snapshot):
+    for prev in range(1, (state.size if snapshot is None else snapshot) + 1):
         pe = state.elements[prev - 1]
         if pe.sig.index != k0 or exp_div(t, pe.poly.ht) is None:
             continue
