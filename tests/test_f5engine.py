@@ -395,10 +395,10 @@ def test_pairs_of_one_batch_share_its_snapshot(golden_gens):
             elif isinstance(ev, PairCreated):
                 batches[-1][1].append(ev.snapshot)
         assert sum(bool(snaps) for _, snaps in batches) > 1
-        for size, snaps in batches:
+        for seen, snaps in batches:
             if snaps:
                 assert all(snap is snaps[0] for snap in snaps)
-                assert snaps[0] == size
+                assert snaps[0] == seen
 
 
 def test_pairs_share_the_state_position_ints():
