@@ -11,6 +11,9 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
 - f5 (``incremental_basis`` then ``interreduce``) and gm
   (``buchberger_basis``) wall times on katsura-5 and on the 100-ideal corpus
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
+- the ``certify_all`` wall time on cyclic-5 over GF(32003), certified with
+  witness validation as ``siggb --certify`` runs it, the median of
+  ``CERTIFY_REPEATS`` fresh runs;
 - the wall time and the summary line of the tier-1 tests;
 - the git sha, whether the tree had uncommitted changes, the Python version
   and the processor count.
@@ -32,6 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1, 2)
 REPEATS = 11
+CERTIFY_REPEATS = 5
 CORPUS_COUNT = 100
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -87,6 +91,23 @@ def engine_times(repeats: int) -> dict:
     return out
 
 
+def certify_times(repeats: int) -> dict:
+    """Median wall seconds of ``certify_all`` on a fresh certified cyclic-5."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from siggb.corpus import cyclic
+    from siggb.f5engine import EngineOptions, certify_all, incremental_basis
+
+    opts = EngineOptions(certify=True, validate_witnesses=True)
+    samples = []
+    for _ in range(repeats):
+        state, _ = incremental_basis(cyclic(5, 32003), opts=opts)
+        t0 = time.perf_counter()
+        certs = certify_all(state)
+        samples.append(time.perf_counter() - t0)
+    return {"certify.cyclic5_s": {"median": statistics.median(samples), "samples": samples,
+                                  "certificates": len(certs)}}
+
+
 def tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -121,6 +142,7 @@ def main() -> int:
             record["perfbench"].append(perfbench(workload, seed, spec["run_seconds"], 0))
         record["perfbench"].append(perfbench(workload, SEEDS[0], spec["run_seconds"], 1))
     record["engines"] = engine_times(REPEATS)
+    record["engines"].update(certify_times(CERTIFY_REPEATS))
     record["tier1"] = tier1()
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

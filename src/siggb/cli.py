@@ -101,7 +101,9 @@ def parse_ideal(text: str) -> IdealSpec:
                 elif len(v) == 2 and v[0] == "gf":
                     try:
                         field = PrimeField(int(v[1]))
-                    except (ValueError, DomainError):
+                    except DomainError as e:  # not prime, or too large to decide
+                        raise ParseError(f"bad prime {v[1]!r}: {e}", line=lineno) from None
+                    except ValueError:
                         raise ParseError(f"bad prime {v[1]!r}", line=lineno) from None
                 else:
                     raise ParseError(f"unknown field {value!r}", line=lineno)

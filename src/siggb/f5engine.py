@@ -289,6 +289,9 @@ class BasisState:
         self.stats = Stats()
         self.events: list = []
         self.syzygy_trails: dict[str, ModuleVector] = {}
+        self.sig_keys: list = [None]  # by position: (-index, packed gamma) of its signature
+        self.creation_syzygies: dict[int, ModuleVector] = {}  # by position, built on demand
+        self.cert_templates: dict = {}  # certificate templates by (position, kind, witness | rule)
         self.current_index = m
         self._pair_seq = 0
         self._trail_seq = 0
@@ -337,6 +340,7 @@ class BasisState:
         index below lp's, for which it is a new candidate."""
         self.elements.append(lp)
         self.ht_masks.append(exp_mask(lp.poly.ht))
+        self.sig_keys.append((-lp.sig.index, self.ring.pack(lp.sig.gamma)))
         self.msigs.append({})
         pos = self.size
         self.positions.append(pos)

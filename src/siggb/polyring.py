@@ -212,16 +212,37 @@ class RationalField:
         return str(a)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# _PRIME_BOUND, the least composite that is a strong pseudoprime to all of
+# them (about 3.3 * 10^24).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below _PRIME_BOUND;
+    DomainError at or above it, where the test would not be exact."""
+    if n >= _PRIME_BOUND:
+        raise DomainError(f"primality is only decided below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -534,12 +555,13 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; terms strictly descending in the order."""
 
-    __slots__ = ("ring", "terms", "_reducer")
+    __slots__ = ("ring", "terms", "_reducer", "_numer")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
         self._reducer = None  # filled the first time it reduces: _pack_reducer
+        self._numer = None  # filled the first time it is multiplied: _numerators
 
     # inspection -------------------------------------------------------------
 
@@ -608,13 +630,15 @@ class Polynomial:
         return Polynomial(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
 
     def mul_term(self, e: tuple[int, ...], c=None) -> "Polynomial":
+        """c * x^e * self; without c each coefficient is kept as it is."""
         f = self.ring.field
-        c = f.one if c is None else c
-        if f.is_zero(c):
+        if c is not None and f.is_zero(c):
             return self.ring.zero
         if len(e) != self.ring.nvars:
             raise StructureError("exponent length mismatch")
-        if f.is_prime:
+        if c is None:
+            terms = tuple((tuple(map(add, te, e)), tc) for te, tc in self.terms)
+        elif f.is_prime:
             p = f.p
             terms = tuple((tuple(map(add, te, e)), tc * c % p) for te, tc in self.terms)
         else:
@@ -800,13 +824,19 @@ def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int = 0) -> 
     return Polynomial(ring, tuple((unpack(k), v) for k, v in done))
 
 
-def _numerators(p: Polynomial) -> tuple[int, list]:
+def _numerators(p: Polynomial) -> tuple[int, tuple]:
     """d, the lcm of p's coefficient denominators, and p's terms as
-    (packed monomial, c·d) pairs, integers; over GF(p) d is 1."""
-    d = lcm(*[c.denominator for _, c in p.terms])
-    ring = p.ring
-    packed, pack = ring._packcache.get, ring.pack
-    return d, [(packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms]
+    (packed monomial, c·d) pairs, integers; over GF(p) d is 1.  Computed
+    once per polynomial and kept in its ``_numer`` slot, so a basis
+    polynomial that many products read is packed once."""
+    if p._numer is None:
+        d = lcm(*[c.denominator for _, c in p.terms])
+        ring = p.ring
+        packed, pack = ring._packcache.get, ring.pack
+        p._numer = d, tuple(
+            (packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms
+        )
+    return p._numer
 
 
 def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:

@@ -3,6 +3,20 @@
 A ModuleVector is a sparse element of K[x]^(n_G), indexed by 1-based basis
 positions.  Syzygies are vectors evaluating to zero; every criterion
 rejection corresponds to one, built here and checked entry by entry.
+
+The shift lemma.  A rejection flags a component u*r_k, and its syzygy
+depends only on r_k, the criterion and its witness (F5) or rule
+(Rewritten), through h, the witness's head term or the rule's gamma: the
+criterion applies when h divides u*Gamma(r_k).  Every admissible u is then
+a multiple of u_min = max(0, h - Gamma(r_k)), taken field by field.  The
+monomial order is multiplicative, so multiplying u by a monomial x^v
+multiplies every step of the construction by x^v: the two syzygies, the
+entries that reach the bound u*Sig(r_k) and the entries they expand, the
+scalar that aligns the heads, and each bound check.  So
+cert(u) = x^(u - u_min) * cert(u_min), vector for vector.
+``certify_rejection`` builds one template per (position, criterion,
+witness or rule) at u_min and shifts it; each shifted certificate is still
+evaluated and checked against its own bound.
 """
 
 from __future__ import annotations
@@ -120,17 +134,17 @@ def evaluate(v: ModuleVector, state) -> Polynomial:
     return sum_of_products(v.ring, products)
 
 
-def _head_key(pos: int, coeff: Polynomial, state) -> tuple[int, int]:
+def _head_key(pos: int, coeff: Polynomial, keys: list) -> tuple[int, int]:
     """The order key of HT(coeff) * Sig(pos), the largest module term of
     coeff * e_pos: the negated index, then the packed product of the head and
     the signature's gamma.  Keys compare as the module term order does.
+    ``keys`` is ``BasisState.sig_keys``, each position's signature key.
 
     Only the head counts: terms descend and the order is multiplicative, so
     no later term of coeff gives a larger module term.
     """
-    sig = state.sig(pos)
-    pack = coeff.ring.pack
-    return -sig.index, pack(coeff.terms[0][0]) + pack(sig.gamma)
+    index, gamma = keys[pos]
+    return index, coeff.ring.pack(coeff.terms[0][0]) + gamma
 
 
 def _sig_key(sig: Signature, ring) -> tuple[int, int]:
@@ -142,7 +156,11 @@ def mht(v: ModuleVector, state) -> Signature:
     """Largest module term of v after expanding positions through signatures."""
     if v.is_zero:
         raise DomainError("zero module vector has no head term")
-    pos, coeff = max(v.entries.items(), key=lambda pc: _head_key(pc[0], pc[1], state))
+    for pos in v.entries:
+        if not 1 <= pos <= state.size:
+            raise StructureError(f"unknown basis position {pos}")
+    keys = state.sig_keys
+    pos, coeff = max(v.entries.items(), key=lambda pc: _head_key(pc[0], pc[1], keys))
     return sig_mul(coeff.ht, state.sig(pos))
 
 
@@ -211,24 +229,31 @@ class Certificate:
 
 
 def _creation_syzygy(pos: int, state) -> ModuleVector:
-    """w_pos - e_pos for a derived element, the zero vector for an input."""
-    ring = state.ring
-    if pos <= state.m:
-        return ModuleVector(ring)
-    w = state.element(pos).witness
-    if w is None:
-        raise DomainError("certificate construction requires witness tracking")
-    return w - ModuleVector.unit(pos, ring)
+    """w_pos - e_pos for a derived element, the zero vector for an input;
+    built once per position and kept in ``state.creation_syzygies``."""
+    s = state.creation_syzygies.get(pos)
+    if s is None:
+        ring = state.ring
+        if pos <= state.m:
+            s = ModuleVector(ring)
+        else:
+            w = state.element(pos).witness
+            if w is None:
+                raise DomainError("certificate construction requires witness tracking")
+            s = w - ModuleVector.unit(pos, ring)
+        state.creation_syzygies[pos] = s
+    return s
 
 
 def _offenders(v: ModuleVector, state, bound: Signature, skip: set[int]):
     """Entries whose head module term reaches the bound, keyed by position:
     (head term, head coefficient) of each."""
     bkey = _sig_key(bound, v.ring)
+    keys = state.sig_keys
     return {
         pos: coeff.terms[0]
         for pos, coeff in v.entries.items()
-        if pos not in skip and _head_key(pos, coeff, state) >= bkey
+        if pos not in skip and _head_key(pos, coeff, keys) >= bkey
     }
 
 
@@ -238,35 +263,45 @@ def _expand_at(v: ModuleVector, pos: int, term: tuple[int, ...], coeff, state) -
     return v + s.mul_term(term, coeff)
 
 
-def certify_rejection(pair, verdict, state) -> Certificate:
-    """Materialize the syzygy behind a criterion rejection and verify it.
+@dataclass(slots=True)
+class _Template:
+    """The syzygy behind a rejection of the component u*r_k, built from
+    scratch for one u and not yet checked.  ``certify_rejection`` shifts it
+    by a monomial; ``mht_a``, ``mht_b`` and ``rewriter`` (lambda times the
+    module head term of the rule's syzygy, Rewritten only) shift with it."""
 
-    For a component u*r_k flagged by the F5 criterion the second syzygy is the
+    vector: ModuleVector
+    mht_a: Signature | None
+    mht_b: Signature | None
+    scale: object
+    crit_pos: int | None
+    rewriter: Signature | None
+
+
+def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
+    """Materialize the syzygy behind the rejection of the component u_k*r_k.
+
+    For a component flagged by the F5 criterion the second syzygy is the
     principal one of (witness element, input k); for the Rewritten criterion
     it is the creation syzygy of the rule's element (or the recorded reduction
     trail of a zero reduction).  The two are combined so their module head
-    terms cancel, then every entry is checked against the component's
-    multiplied signature.
+    terms cancel, and entries that still reach the component's multiplied
+    signature are expanded down the creation chains.
     """
     ring = state.ring
     field_ = ring.field
-    comp = verdict.component
-    if comp == "i":
-        u_k, pos_k = pair.u_i, pair.i
-    else:
-        u_k, pos_k = pair.u_j, pair.j
+    keys = state.sig_keys
     sig_k = state.sig(pos_k)
     bound = sig_mul(u_k, sig_k)
     bkey = _sig_key(bound, ring)
-    k0 = sig_k.index
+    where = f"{ring.render_exp(u_k)}*r{pos_k}"
 
     a_vec = _creation_syzygy(pos_k, state).mul_term(u_k)
-    rewrite_equality = None
+    rewriter = None
     if verdict.kind == "f5crit":
-        prev = verdict.witness
-        lam = exp_div(exp_mul(u_k, sig_k.gamma), state.poly(prev).ht)
-        b_vec = principal_syzygy(prev, k0, state).mul_term(lam)
-        crit_pos = prev
+        crit_pos = verdict.witness
+        lam = exp_div(exp_mul(u_k, sig_k.gamma), state.poly(crit_pos).ht)
+        b_vec = principal_syzygy(crit_pos, sig_k.index, state).mul_term(lam)
     else:
         rule = verdict.rule
         lam = exp_div(exp_mul(u_k, sig_k.gamma), rule.gamma)
@@ -276,7 +311,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         else:
             crit_pos = None
             s_rew = state.syzygy_trails[rule.label]
-        rewrite_equality = sig_mul(lam, mht(s_rew, state)) == bound
+        rewriter = sig_mul(lam, mht(s_rew, state))
         b_vec = s_rew.mul_term(lam)
 
     skip_a = {pos_k}
@@ -293,7 +328,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         return {
             pos: coeff.hc
             for pos, coeff in v.entries.items()
-            if pos not in skip and _head_key(pos, coeff, state) == bkey
+            if pos not in skip and _head_key(pos, coeff, keys) == bkey
         }
 
     budget = 4 * state.size + 8
@@ -311,9 +346,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
                 break
         expandable = [p for p in set(ca) | set(cb) if p > state.m]
         if not expandable:
-            raise CertificateError(
-                f"cannot align syzygy head terms for pair ({pair.i},{pair.j})"
-            )
+            raise CertificateError(f"cannot align syzygy head terms for {where}")
         p = max(expandable)
         if p in ca:
             a_vec = _expand_at(a_vec, p, *a_vec.entries[p].terms[0], state)
@@ -331,10 +364,7 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         expandable = {p: off for p, off in offs.items() if p > state.m}
         if not expandable:
             if offs:
-                raise CertificateError(
-                    f"unresolvable head term in certificate for pair "
-                    f"({pair.i},{pair.j})"
-                )
+                raise CertificateError(f"unresolvable head term in certificate for {where}")
             break
         p = max(expandable)
         e, c = expandable[p]
@@ -342,20 +372,45 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     else:  # pragma: no cover
         raise CertificateError("certificate expansion did not terminate")
 
-    value = evaluate(vec, state)
+    return _Template(vec, mht_a, mht_b, rho, crit_pos, rewriter)
+
+
+def _least_multiplier(pos_k: int, verdict, state) -> tuple[int, ...]:
+    """u_min = max(0, h - Gamma(r_k)) field by field, h the witness's head
+    term (F5) or the rule's gamma (Rewritten): the least u for which h
+    divides u * Gamma(r_k), so every u the criterion flags is a multiple."""
+    h = state.poly(verdict.witness).ht if verdict.kind == "f5crit" else verdict.rule.gamma
+    return tuple(x - g if x > g else 0 for x, g in zip(h, state.sig(pos_k).gamma))
+
+
+def _shifted(v: tuple[int, ...], sig: Signature | None) -> Signature | None:
+    return None if sig is None else sig_mul(v, sig)
+
+
+def _checked(pair, verdict, state, tpl: _Template, v: tuple[int, ...]) -> Certificate:
+    """The certificate of the rejection: x^v times the template, checked as
+    one built from scratch is, against its own bound u*Sig(r_k): its
+    evaluation, its bound per entry and the rewriter equality.  Raises
+    CertificateError when any of them fails."""
+    comp = verdict.component
+    u_k, pos_k = pair.component(comp)
+    bound = sig_mul(u_k, state.sig(pos_k))
+    bkey = _sig_key(bound, state.ring)
+    keys = state.sig_keys
+    vec = tpl.vector.mul_term(v)
 
     bounds: list[BoundCheck] = []
     for pos in vec.positions():
         coeff = vec.entries[pos]
-        term = coeff.ht
-        key = _head_key(pos, coeff, state)
+        key = _head_key(pos, coeff, keys)
         if pos == pos_k:
-            bounds.append(BoundCheck(pos, term, "flagged", key <= bkey))
-        elif crit_pos is not None and pos == crit_pos:
-            bounds.append(BoundCheck(pos, term, "crit", key <= bkey))
+            bounds.append(BoundCheck(pos, coeff.ht, "flagged", key <= bkey))
+        elif pos == tpl.crit_pos:
+            bounds.append(BoundCheck(pos, coeff.ht, "crit", key <= bkey))
         else:
-            bounds.append(BoundCheck(pos, term, "strict", key < bkey))
+            bounds.append(BoundCheck(pos, coeff.ht, "strict", key < bkey))
 
+    rewriter = _shifted(v, tpl.rewriter)
     cert = Certificate(
         pair=pair,
         kind=verdict.kind,
@@ -364,12 +419,12 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         flagged_u=u_k,
         bound_sig=bound,
         vector=vec,
-        evaluation=value,
-        mht_a=mht_a,
-        mht_b=mht_b,
-        scale=rho,
+        evaluation=evaluate(vec, state),
+        mht_a=_shifted(v, tpl.mht_a),
+        mht_b=_shifted(v, tpl.mht_b),
+        scale=tpl.scale,
         bounds=bounds,
-        rewrite_equality=rewrite_equality,
+        rewrite_equality=None if rewriter is None else rewriter == bound,
     )
     if not cert.valid:
         raise CertificateError(
@@ -377,3 +432,28 @@ def certify_rejection(pair, verdict, state) -> Certificate:
             + cert.render(state)
         )
     return cert
+
+
+def certify_rejection(pair, verdict, state) -> Certificate:
+    """Materialize the syzygy behind a criterion rejection and verify it.
+
+    The syzygy of the component u*r_k is x^(u - u_min) times the one at the
+    least multiplier u_min (module docstring), so one template per
+    (position, criterion, witness or rule) is built, at u_min, and kept in
+    ``state.cert_templates``; every rejection shifts it and checks the
+    result in full (``_checked``).
+    """
+    u_k, pos_k = pair.component(verdict.component)
+    u_min = _least_multiplier(pos_k, verdict, state)
+    v = exp_div(u_k, u_min)
+    if v is None:
+        raise CertificateError(
+            f"the {verdict.kind} verdict on pair ({pair.i},{pair.j}) does not "
+            f"apply to {state.ring.render_exp(u_k)}*r{pos_k}"
+        )
+    crit = verdict.witness if verdict.kind == "f5crit" else verdict.rule.label
+    key = (pos_k, verdict.kind, crit)
+    tpl = state.cert_templates.get(key)
+    if tpl is None:
+        tpl = state.cert_templates[key] = _template(pos_k, u_min, verdict, state)
+    return _checked(pair, verdict, state, tpl, v)

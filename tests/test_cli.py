@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,31 @@ def test_parse_ideal_errors():
     assert err is not None and err.line == 2
 
 
+def test_run_large_prime_field(tmp_path):
+    # 2^61 - 1 is decided by Miller-Rabin at once; trial division to its
+    # square root would not end
+    path = tmp_path / "large.ideal"
+    path.write_text(GOLDEN_TEXT.replace("field: q", "field: gf 2305843009213693951"))
+    t0 = time.perf_counter()
+    assert parse_ideal(path.read_text()).ring.field == PrimeField(2**61 - 1)
+    code, out, _ = cli(str(path), "--engine", "both")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK and out.startswith("basis:")
+
+
+def test_run_prime_beyond_the_decided_range():
+    # 2^89 - 1 is prime, but above 3.3 * 10^24 Miller-Rabin with fixed bases
+    # is no longer exact: one parse error line
+    text = f"vars: x\nfield: gf {2**89 - 1}\nx^2 + 1\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "siggb.cli", "-"], input=text,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith("parse error: bad prime ") and lines[0].endswith(" at line 2")
+
+
 # header lines, well and badly formed; "" leaves the header out
 _VARS = st.sampled_from(["vars: x, y", "vars: x y a", "VARS: x,y", "vars:", "vars: x, x",
                          "vars: 1x, y", "vars: x^, *"])
@@ -87,7 +113,9 @@ _FIELD = st.one_of(
     st.sampled_from(["", "field: q", "field: gf 2", "field: gf 3", "field: gf 5", "field: gf 7",
                      "field: gf 32003", "field: gf", "field: gf x", "field: gf 7 11",
                      "field: r"]),
+    # up to 10^30, past the bound below which primality is decided
     st.integers(-5, 10**6).map(lambda p: f"field: gf {p}"),
+    st.integers(10**6, 10**30).map(lambda p: f"field: gf {p}"),
 )
 # token soup: names, digits, operators, fractions and stray characters
 _SOUP = st.lists(

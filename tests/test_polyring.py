@@ -167,6 +167,37 @@ def test_oversized_exponent_raises_domain_error():
         reduce_full(lex.parse("x^2"), [lex.parse(f"x - y^{k}")])
 
 
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(siggb.polyring._is_prime(n) == trial(n) for n in range(-3, 20000))
+
+
+def test_primality_refuses_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k primes, k = 1..12
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not siggb.polyring._is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, 10**24 + 7):
+        assert siggb.polyring._is_prime(n)
+    bound = siggb.polyring._PRIME_BOUND
+    assert not siggb.polyring._is_prime(bound - 1)
+    with pytest.raises(DomainError):
+        PrimeField(bound)
+    with pytest.raises(DomainError):
+        PrimeField(2**89 - 1)
+
+
+def test_mul_term_without_coefficient_keeps_each_coefficient():
+    ring = PolyRing(("x", "y"))
+    p = ring.parse("2/3*x^2 - 5*y + 1/7")
+    q = p.mul_term((1, 2))
+    assert q == ring.parse("2/3*x^3*y^2 - 5*x*y^3 + 1/7*x*y^2")
+    assert [c for _, c in q.terms] == [c for _, c in p.terms]
+    assert all(qc is pc for (_, qc), (_, pc) in zip(q.terms, p.terms))
+
+
 def test_minimal_basis_keeps_first_of_equal_heads():
     ring = PolyRing(("x", "y"))
     polys = [ring.parse(s) for s in ("x^2 + y", "x + 1", "x + y", "y^2")]

@@ -370,3 +370,86 @@ def test_certificate_rendering(golden_state_certified):
     certs = certify_all(golden_state_certified)
     text = certs[0].render(golden_state_certified)
     assert "syzygy:" in text and "verdict: valid" in text
+
+
+# -- certificate templates -----------------------------------------------------------
+# ``certify_rejection`` builds one template per (position, criterion, witness
+# or rule) at the least multiplier and shifts it.  The reference builds every
+# certificate from scratch at its own u and checks it the same way.
+
+def _certified_state(gens):
+    state, _ = incremental_basis(gens, opts=EngineOptions(certify=True))
+    return state
+
+
+@pytest.fixture(scope="module")
+def template_states(golden_gens):
+    from siggb.corpus import cyclic, katsura
+
+    return {
+        "golden": _certified_state(golden_gens),
+        "cyclic-4": _certified_state(cyclic(4)),
+        "katsura-4 over Q": _certified_state(katsura(4, None)),
+    }
+
+
+def _from_scratch(ev, state):
+    from siggb.syzygy import _checked, _template
+
+    u, pos = ev.pair.component(ev.component)
+    return _checked(ev.pair, ev, state, _template(pos, u, ev, state), state.ring.zero_exp)
+
+
+@pytest.mark.parametrize("name", ["golden", "cyclic-4", "katsura-4 over Q"])
+def test_shifted_templates_equal_certificates_from_scratch(template_states, name):
+    state = template_states[name]
+    events = rejection_events(state)
+    derived = certify_all(state)
+    assert len(derived) == len(events)
+    # fewer templates than rejections, or nothing is shared
+    assert len(state.cert_templates) < len(events)
+    for ev, got in zip(events, derived):
+        want = _from_scratch(ev, state)
+        assert got.vector == want.vector
+        assert got.bounds == want.bounds
+        assert got.scale == want.scale
+        assert (got.mht_a, got.mht_b) == (want.mht_a, want.mht_b)
+        assert got.render(state) == want.render(state)
+
+
+def test_forged_rewrite_verdict_is_refused_after_a_genuine_one(template_states):
+    # An F5 rejection of u*r_k with witness w, certified first, memoises a
+    # template.  A forged Rewritten verdict on the same component that names
+    # a rule labelled w (the rule of a different index) must not borrow it.
+    from siggb.f5engine import PairRejected, RewriteRule
+    from siggb.syzygy import CertificateError, certify_rejection
+
+    state = template_states["cyclic-4"]
+    ev = next(e for e in rejection_events(state) if e.kind == "f5crit" and e.witness > state.m)
+    u, pos = ev.pair.component(ev.component)
+    certify_rejection(ev.pair, ev, state)
+    rule = RewriteRule(state.poly(ev.witness).ht, state.sig(pos).index, ev.witness)
+    forged = PairRejected(ev.pair, "rewrite", "pop", ev.component, rule=rule)
+    with pytest.raises(CertificateError):
+        certify_rejection(ev.pair, forged, state)
+
+
+def test_verdict_that_does_not_divide_is_refused(template_states):
+    # a witness whose head does not divide u*Gamma(r_k) leaves u below the
+    # least multiplier in some variable
+    from siggb.f5engine import PairRejected
+    from siggb.syzygy import CertificateError, certify_rejection
+
+    state = template_states["golden"]
+    for ev in rejection_events(state):
+        if ev.kind != "f5crit":
+            continue
+        msig = ev.pair.msig(ev.component)
+        for w in range(1, state.size + 1):
+            ht = state.poly(w).ht
+            if any(h > t for h, t in zip(ht, msig.gamma)):
+                forged = PairRejected(ev.pair, "f5crit", "creation", ev.component, w)
+                with pytest.raises(CertificateError):
+                    certify_rejection(ev.pair, forged, state)
+                return
+    pytest.fail("no position to forge a witness from")
