@@ -561,7 +561,7 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
         self._reducer = None  # filled the first time it reduces: _pack_reducer
-        self._numer = None  # filled the first time it is multiplied: _numerators
+        self._numer = None  # filled the first time it is a second factor: _numerators
 
     # inspection -------------------------------------------------------------
 
@@ -824,19 +824,22 @@ def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int = 0) -> 
     return Polynomial(ring, tuple((unpack(k), v) for k, v in done))
 
 
-def _numerators(p: Polynomial) -> tuple[int, tuple]:
+def _numerators(p: Polynomial, keep: bool = False) -> tuple[int, tuple]:
     """d, the lcm of p's coefficient denominators, and p's terms as
-    (packed monomial, c·d) pairs, integers; over GF(p) d is 1.  Computed
-    once per polynomial and kept in its ``_numer`` slot, so a basis
-    polynomial that many products read is packed once."""
-    if p._numer is None:
-        d = lcm(*[c.denominator for _, c in p.terms])
-        ring = p.ring
-        packed, pack = ring._packcache.get, ring.pack
-        p._numer = d, tuple(
-            (packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms
-        )
-    return p._numer
+    (packed monomial, c·d) pairs, integers; over GF(p) d is 1.  With
+    ``keep`` they are kept in p's ``_numer`` slot, so a basis polynomial
+    that many products read is packed once."""
+    if p._numer is not None:
+        return p._numer
+    d = lcm(*[c.denominator for _, c in p.terms])
+    ring = p.ring
+    packed, pack = ring._packcache.get, ring.pack
+    numer = d, tuple(
+        (packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms
+    )
+    if keep:
+        p._numer = numer
+    return numer
 
 
 def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
@@ -850,7 +853,8 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     the lcm of a's coefficient denominators: a term pair adds
     (c_a·d_a)·(c_b·d_b)·D/(d_a·d_b).  A surviving sum n becomes
     Fraction(n, D) over ℚ and n mod p over GF(p), where every coefficient is
-    an int of denominator 1, so D = 1.
+    an int of denominator 1, so D = 1.  The packed numerators of each b, in
+    ``syzygy.evaluate`` a basis polynomial, are kept on it for later calls.
 
     Under degrevlex every field of a product term is at most the degree of
     the heads' product, so one test per product finds an exponent that
@@ -868,7 +872,7 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             if p.ring is not ring and p.ring != ring:
                 raise StructureError("polynomials from different rings")
         if a.terms and b.terms:
-            (da, ta), (db, tb) = _numerators(a), _numerators(b)
+            (da, ta), (db, tb) = _numerators(a), _numerators(b, keep=True)
             factors.append((da * db, ta, tb))
             den = lcm(den, da * db)
     acc: dict[int, int] = {}
