@@ -113,8 +113,8 @@ _FIELD = st.one_of(
     st.sampled_from(["", "field: q", "field: gf 2", "field: gf 3", "field: gf 5", "field: gf 7",
                      "field: gf 32003", "field: gf", "field: gf x", "field: gf 7 11",
                      "field: r"]),
-    # up to 10^30, past the bound below which primality is decided
     st.integers(-5, 10**6).map(lambda p: f"field: gf {p}"),
+    # up to 10^30, past the bound below which primality is decided
     st.integers(10**6, 10**30).map(lambda p: f"field: gf {p}"),
 )
 # token soup: names, digits, operators, fractions and stray characters
