@@ -37,7 +37,7 @@ from .polyring import (
 class PairQueue:
     """Pending S-pairs plus a log of pairs removed by a criterion.
 
-    ``heap`` holds one entry (degree, order key, (i, j)) per pair ever
+    ``heap`` holds one entry (degree, packed lcm, (i, j)) per pair ever
     added, and ``pop`` returns the pending pair of the smallest entry: the
     one that taking the minimum over every pending pair would select.  A
     discarded pair leaves only ``pending``; its heap entry is skipped when
@@ -50,7 +50,7 @@ class PairQueue:
 
     def add(self, key, lcm, ring):
         self.pending[key] = lcm
-        heappush(self.heap, (exp_degree(lcm), ring.key(lcm), key))
+        heappush(self.heap, (exp_degree(lcm), ring.pack(lcm), key))
 
     def pop(self):
         """The next pending pair (i, j), removed from the queue."""
@@ -118,7 +118,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
     for i in range(t):
         by_lcm.setdefault(new_lcms[i], []).append(i)
     minimal: list[tuple[int, ...]] = []
-    for l in sorted(by_lcm, key=ring.key):
+    for l in sorted(by_lcm, key=ring.pack):
         if any(exp_divides(l2, l) for l2 in minimal):
             for i in by_lcm[l]:
                 stats.rejected_chain += 1
@@ -141,16 +141,16 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
 
 def buchberger_basis(
     F: Sequence[Polynomial],
-    order=None,
     stats: BaselineStats | None = None,
     strategy: str = "gebauermoeller",
     queue: PairQueue | None = None,
 ) -> list[Polynomial]:
     """Reduced monic Groebner basis of <F> via Buchberger's algorithm.
 
-    Pairs are selected by (degree, order key) of the lcm, then by (i, j),
-    from ``PairQueue``'s heap; elimination is Gebauer-Moeller by default, or
-    "none" for the differential test.  Each S-polynomial is reduced against
+    Pairs are selected by the degree and the packed monomial (the ring's
+    order key) of the lcm, then by (i, j), from ``PairQueue``'s heap;
+    elimination is Gebauer-Moeller by default, or "none" for the
+    differential test.  Each S-polynomial is reduced against
     one ``Reducers`` kept beside G, so a monomial met in an earlier
     reduction finds its first reducer in the memo, and only the elements
     added since are scanned.
@@ -164,8 +164,6 @@ def buchberger_basis(
             raise DomainError("zero generator")
         if f.ring != ring:
             raise StructureError("generators from different rings")
-    if order is not None and order != ring.order:
-        raise StructureError("order does not match the ring's order")
     stats = stats if stats is not None else BaselineStats()
     queue = queue if queue is not None else PairQueue()
     G: list[Polynomial] = []
@@ -187,7 +185,7 @@ def buchberger_basis(
     return reduced_basis(minimal_basis(G))
 
 
-def ideal_equal(A: Sequence[Polynomial], B: Sequence[Polynomial], order=None) -> bool:
+def ideal_equal(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> bool:
     """True iff the interreduced monic forms of A and B coincide as sets."""
     ra = reduced_basis(A)
     rb = reduced_basis(B)

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .polyring import (
     Cmp,
     DomainError,
-    MonomialOrder,
     Polynomial,
     StructureError,
     compare,
@@ -289,7 +288,7 @@ class BasisState:
         self.stats = Stats()
         self.events: list = []
         self.syzygy_trails: dict[str, ModuleVector] = {}
-        self.sig_keys: list = [None]  # by position: (-index, packed gamma) of its signature
+        self.sig_keys: list = [None]  # by position: the sig_key of its signature
         self.creation_syzygies: dict[int, ModuleVector] = {}  # by position, built on demand
         self.cert_templates: dict = {}  # certificate templates by (position, kind, witness | rule)
         self.current_index = m
@@ -340,7 +339,7 @@ class BasisState:
         index below lp's, for which it is a new candidate."""
         self.elements.append(lp)
         self.ht_masks.append(exp_mask(lp.poly.ht))
-        self.sig_keys.append((-lp.sig.index, self.ring.pack(lp.sig.gamma)))
+        self.sig_keys.append(sig_key(lp.sig, self.ring))
         self.msigs.append({})
         pos = self.size
         self.positions.append(pos)
@@ -567,9 +566,7 @@ def _find_reductor(ht: tuple[int, ...], sig: Signature, state: BasisState):
     return None
 
 
-def top_reduction_signed(
-    r: LabeledPoly, state: BasisState, order: MonomialOrder | None = None
-) -> TRResult:
+def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     """Reduce the head of r by eligible reductors.
 
     Smaller-signature reductors rewrite the head in place (the signature never
@@ -654,7 +651,8 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     comes from its position's memo in ``BasisState.msigs``, so components
     with equal (u, pos) share one u and one multiplied signature.
     """
-    keys, key = state.ring._keycache, state.ring.key
+    ring = state.ring
+    packs, pack = ring._packcache, ring.pack
     elements, msigs = state.elements, state.msigs
     stats, events, heap = state.stats, state.events, state._heap
     snap = state.positions[-1]
@@ -685,8 +683,8 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
         # the larger term
         ib = sb.index
         if ia == ib:
-            ka = keys.get(sa.gamma) or key(sa.gamma)
-            kb = keys.get(sb.gamma) or key(sb.gamma)
+            ka = packs.get(sa.gamma) or pack(sa.gamma)
+            kb = packs.get(sb.gamma) or pack(sb.gamma)
             if ka == kb:
                 stats.signature_collisions += 1
                 events.append(SignatureCollision(a, b, sa))
@@ -702,9 +700,7 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
         seq += 1
         if _rejected(state, pair, "creation"):
             continue
-        s = pair.sig
-        sk = (-s.index, keys.get(s.gamma) or key(s.gamma))  # sig_key(s, ring)
-        heapq.heappush(heap, (pair.degree, sk, seq, pair))
+        heapq.heappush(heap, (pair.degree, sig_key(pair.sig, ring), seq, pair))
     state._pair_seq = seq
 
 
@@ -777,9 +773,7 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
 
 
 def incremental_basis(
-    F: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    opts: EngineOptions | None = None,
+    F: Sequence[Polynomial], opts: EngineOptions | None = None
 ) -> tuple[BasisState, list]:
     """Signature-based Groebner basis of <F>, computed index by index.
 
@@ -795,8 +789,6 @@ def incremental_basis(
             raise DomainError("zero generator")
         if f.ring != ring:
             raise StructureError("generators from different rings")
-    if order is not None and order != ring.order:
-        raise StructureError("order does not match the ring's order")
     state = BasisState(ring, len(F), opts)
     for i, f in enumerate(F, 1):
         witness = ModuleVector.unit(i, ring) if state.opts.certify else None
@@ -822,7 +814,7 @@ def incremental_basis(
     return state, state.events
 
 
-def interreduce(basis, order: MonomialOrder | None = None) -> list[Polynomial]:
+def interreduce(basis) -> list[Polynomial]:
     """Unique reduced monic Groebner basis of the given basis.
 
     A ``BasisState`` holds a Groebner basis, so its redundant elements are

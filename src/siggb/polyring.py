@@ -5,9 +5,11 @@ their terms strictly descending in the ring's monomial order; the zero
 polynomial is the empty term sequence.  Coefficients are exact: arbitrary
 precision rationals or a word-sized prime field.
 
-Reduction works on packed monomials instead (``PolyRing.pack``): one int of
-fixed-width fields, whose int order is the monomial order, whose sum is the
-product, and where one subtraction and a guard-bit mask test divisibility.
+The ring carries the order as packed monomials (``PolyRing.pack``): one int
+of fixed-width fields, whose int order is the monomial order, whose sum is
+the product, and where one subtraction and a guard-bit mask test
+divisibility.  The packed monomial is the ring's only order key
+(``PolyRing.key``): ``build`` sorts by it and ``sub_mul`` merges by it.
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
 working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
@@ -134,6 +136,8 @@ class MonomialOrder:
             raise StructureError(f"unknown monomial order kind {self.kind!r}")
 
     def key(self, e: tuple[int, ...]):
+        """A tuple that sorts as e does in this order: the ring-free
+        reference that ``PolyRing.pack`` must match."""
         if self.precedence is not None:
             e = tuple(e[i] for i in self.precedence)
         if self.kind == "degrevlex":
@@ -145,7 +149,7 @@ def compare(a: tuple[int, ...], b: tuple[int, ...], order: MonomialOrder) -> Cmp
     """Total order on exponent vectors of equal length.
 
     ``order`` is a ``MonomialOrder`` or a ``PolyRing``: only its ``key`` is
-    read, and the ring's caches it.
+    read, and a ring's key is its packed monomial.
     """
     if len(a) != len(b):
         raise StructureError("exponent length mismatch")
@@ -326,7 +330,6 @@ class PolyRing:
         self.field = field
         self.order = order if order is not None else MonomialOrder()
         self.zero_exp = (0,) * self.nvars
-        self._keycache: dict[tuple[int, ...], tuple] = {}
         self._packcache: dict[tuple[int, ...], int] = {}
         self._unpackcache: dict[int, tuple[int, ...]] = {}
         self._rendercache: dict[tuple[int, ...], str] = {}
@@ -348,15 +351,9 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({','.join(self.names)}; {self.field}; {self.order.kind})"
 
-    def key(self, e: tuple[int, ...]):
-        k = self._keycache.get(e)
-        if k is None:
-            k = self.order.key(e)
-            self._keycache[e] = k
-        return k
-
     def pack(self, e: tuple[int, ...]) -> int:
-        """The packed monomial of e: one int whose order is ``compare``.
+        """The packed monomial of e: one int whose order is ``compare``, and
+        so the ring's order key (``key``).
 
         Fields of ``_FIELD_BITS`` bits, most significant first, each topped
         by a guard bit that stays clear: under degrevlex the degree, then
@@ -386,6 +383,8 @@ class PolyRing:
             self._packcache[e] = k
             self._unpackcache[k] = e
         return k
+
+    key = pack
 
     def unpack(self, k: int) -> tuple[int, ...]:
         """The exponent tuple of a packed monomial."""
@@ -418,7 +417,7 @@ class PolyRing:
             acc[e] = f.add(prev, c) if prev is not None else c
         ordered = tuple(
             (e, c)
-            for e, c in sorted(acc.items(), key=lambda t: self.key(t[0]), reverse=True)
+            for e, c in sorted(acc.items(), key=lambda t: self.pack(t[0]), reverse=True)
             if not f.is_zero(c)
         )
         return Polynomial(self, ordered)
@@ -501,6 +500,7 @@ class PolyRing:
                 i += 1
             if i >= n:
                 err("dangling sign")
+            first = tokens[i]
             coeff = f.of(sign)
             exps = [0] * self.nvars
             saw_factor = False
@@ -548,7 +548,12 @@ class PolyRing:
                     err(f"unexpected {val!r}", tokens[i])
             if not saw_factor:
                 err("empty term")
-            terms.append((tuple(exps), coeff))
+            e = tuple(exps)
+            try:
+                self.pack(e)
+            except DomainError:  # a field of the packed monomial past 2^31 - 1
+                err("exponent too large", first)
+            terms.append((e, coeff))
         return self.build(terms)
 
 
@@ -669,25 +674,25 @@ class Polynomial:
             raise StructureError("exponent length mismatch")
         f = ring.field
         prime = f.p if f.is_prime else 0
-        keys, key = ring._keycache, ring.key
+        packs, pack = ring._packcache, ring.pack
         a = self.terms
         n = len(a)
         out = []
         i = 0
-        ka = (keys.get(a[0][0]) or key(a[0][0])) if n else None
+        ka = (packs.get(a[0][0]) or pack(a[0][0])) if n else None
         for te, tc in other.terms:
             m = tuple(map(add, te, e))
-            km = keys.get(m) or key(m)
+            km = packs.get(m) or pack(m)
             while i < n and ka > km:
                 out.append(a[i])
                 i += 1
                 if i < n:
-                    ka = keys.get(a[i][0]) or key(a[i][0])
+                    ka = packs.get(a[i][0]) or pack(a[i][0])
             if i < n and ka == km:
                 v = a[i][1] - tc * c
                 i += 1
                 if i < n:
-                    ka = keys.get(a[i][0]) or key(a[i][0])
+                    ka = packs.get(a[i][0]) or pack(a[i][0])
             else:
                 v = -(tc * c)
             if prime:
@@ -1054,7 +1059,7 @@ def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     ring = current[0].ring
     one = ring.field.one
     for _ in range(100):
-        current.sort(key=lambda p: ring.key(p.ht))
+        current.sort(key=lambda p: ring.pack(p.ht))
         reduced: list[Polynomial] = []
         reducers = Reducers(ring)
         heads_kept = True

@@ -41,8 +41,8 @@ class Signature:
 def sig_compare(a: Signature, b: Signature, order: MonomialOrder) -> Cmp:
     """Index-first module term order: larger index is smaller.
 
-    ``order`` may also be a ``PolyRing``, whose ``key`` caches the order key
-    of every monomial it has seen; the engine passes its ring.
+    ``order`` is a ``MonomialOrder`` or a ``PolyRing``, whose ``key`` is the
+    packed monomial; the engine passes its ring.
     """
     if a.index != b.index:
         return Cmp.LT if a.index > b.index else Cmp.GT
@@ -54,8 +54,9 @@ def sig_mul(u: tuple[int, ...], s: Signature) -> Signature:
 
 
 def sig_key(s: Signature, order: MonomialOrder):
-    """Sort key ascending in the module term order; ``order`` as in
-    ``sig_compare``."""
+    """Sort key ascending in the module term order, ``order`` as in
+    ``sig_compare``: for a ring, (-index, packed gamma), the one signature
+    key of the engine and its certificates."""
     return (-s.index, order.key(s.gamma))
 
 
@@ -88,28 +89,20 @@ def build_labeled_spol(sig: Signature, a: Polynomial, wa, b: Polynomial, wb) -> 
     return LabeledPoly(sig, s, witness)
 
 
-def spol_labeled(
-    r1: LabeledPoly,
-    r2: LabeledPoly,
-    order: MonomialOrder | None = None,
-    pos1: int | None = None,
-    pos2: int | None = None,
-) -> LabeledPoly:
+def spol_labeled(r1: LabeledPoly, r2: LabeledPoly) -> LabeledPoly:
     """Labeled S-polynomial; the result carries the larger multiplied signature.
 
     Arguments are swapped if needed so that the second component's multiplied
     signature is the smaller one.  Equal module terms are rejected.
-    In certificate mode (both witnesses present, or positions given) the
-    result carries the combined witness.
+    When both witnesses are present the result carries the combined witness.
     """
     p1, p2 = r1.poly, r2.poly
     if p1.is_zero or p2.is_zero:
         raise DomainError("S-polynomial of a zero labeled polynomial")
-    order = order if order is not None else p1.ring.order
     l = lcm_term(p1.ht, p2.ht)
     s1 = sig_mul(exp_div(l, p1.ht), r1.sig)
     s2 = sig_mul(exp_div(l, p2.ht), r2.sig)
-    c = sig_compare(s1, s2, order)
+    c = sig_compare(s1, s2, p1.ring)
     if c is Cmp.EQ:
         # proportional polynomials cancel exactly; anything else is ambiguous
         _, _, s = spol(p1, p2)
@@ -120,11 +113,4 @@ def spol_labeled(
     if c is Cmp.LT:
         r1, r2 = r2, r1
         s1 = s2
-        pos1, pos2 = pos2, pos1
-    w1, w2 = r1.witness, r2.witness
-    if (w1 is None or w2 is None) and pos1 is not None and pos2 is not None:
-        from .syzygy import ModuleVector
-
-        ring = p1.ring
-        w1, w2 = ModuleVector.unit(pos1, ring), ModuleVector.unit(pos2, ring)
-    return build_labeled_spol(s1, r1.poly, w1, r2.poly, w2)
+    return build_labeled_spol(s1, r1.poly, r1.witness, r2.poly, r2.witness)

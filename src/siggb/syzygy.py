@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .polyring import DomainError, Polynomial, StructureError, exp_div, exp_mul, sum_of_products
-from .signature import Signature, sig_mul
+from .signature import Signature, sig_key, sig_mul
 
 if TYPE_CHECKING:  # pragma: no cover
     from .f5engine import BasisState, CriticalPair, PairRejected
@@ -130,26 +130,22 @@ def evaluate(v: ModuleVector, state) -> Polynomial:
     for pos, coeff in v.entries.items():
         if not 1 <= pos <= state.size:
             raise StructureError(f"unknown basis position {pos}")
-        products.append((coeff, state.poly(pos)))
+        products.append((coeff, state.elements[pos - 1].poly))
     return sum_of_products(v.ring, products)
 
 
 def _head_key(pos: int, coeff: Polynomial, keys: list) -> tuple[int, int]:
     """The order key of HT(coeff) * Sig(pos), the largest module term of
     coeff * e_pos: the negated index, then the packed product of the head and
-    the signature's gamma.  Keys compare as the module term order does.
-    ``keys`` is ``BasisState.sig_keys``, each position's signature key.
+    the signature's gamma.  Keys compare as the module term order does, and
+    with ``signature.sig_key``.  ``keys`` is ``BasisState.sig_keys``, each
+    position's ``sig_key``.
 
     Only the head counts: terms descend and the order is multiplicative, so
     no later term of coeff gives a larger module term.
     """
     index, gamma = keys[pos]
     return index, coeff.ring.pack(coeff.terms[0][0]) + gamma
-
-
-def _sig_key(sig: Signature, ring) -> tuple[int, int]:
-    """The order key of a signature, comparable with ``_head_key``."""
-    return -sig.index, ring.pack(sig.gamma)
 
 
 def mht(v: ModuleVector, state) -> Signature:
@@ -161,7 +157,7 @@ def mht(v: ModuleVector, state) -> Signature:
             raise StructureError(f"unknown basis position {pos}")
     keys = state.sig_keys
     pos, coeff = max(v.entries.items(), key=lambda pc: _head_key(pc[0], pc[1], keys))
-    return sig_mul(coeff.ht, state.sig(pos))
+    return sig_mul(coeff.ht, state.elements[pos - 1].sig)
 
 
 def principal_syzygy(a: int, b: int, state) -> ModuleVector:
@@ -248,7 +244,7 @@ def _creation_syzygy(pos: int, state) -> ModuleVector:
 def _offenders(v: ModuleVector, state, bound: Signature, skip: set[int]):
     """Entries whose head module term reaches the bound, keyed by position:
     (head term, head coefficient) of each."""
-    bkey = _sig_key(bound, v.ring)
+    bkey = sig_key(bound, v.ring)
     keys = state.sig_keys
     return {
         pos: coeff.terms[0]
@@ -293,7 +289,7 @@ def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
     keys = state.sig_keys
     sig_k = state.sig(pos_k)
     bound = sig_mul(u_k, sig_k)
-    bkey = _sig_key(bound, ring)
+    bkey = sig_key(bound, ring)
     where = f"{ring.render_exp(u_k)}*r{pos_k}"
 
     a_vec = _creation_syzygy(pos_k, state).mul_term(u_k)
@@ -395,7 +391,7 @@ def _checked(pair, verdict, state, tpl: _Template, v: tuple[int, ...]) -> Certif
     comp = verdict.component
     u_k, pos_k = pair.component(comp)
     bound = sig_mul(u_k, state.sig(pos_k))
-    bkey = _sig_key(bound, state.ring)
+    bkey = sig_key(bound, state.ring)
     keys = state.sig_keys
     vec = tpl.vector.mul_term(v)
 

@@ -129,7 +129,11 @@ _SOUP = st.lists(
 _TERM = st.tuples(
     st.sampled_from(["", "6", "0", "1/0", "1/2", "1/3", "2/5", "3/7", "7/14", "1/14"]),
     st.sampled_from(["", "*"]),
-    st.sampled_from(["1", "x", "y^2", "x*y", "a^3", "z"]),
+    st.one_of(
+        st.sampled_from(["1", "x", "y^2", "x*y", "a^3", "z"]),
+        # exponents on both sides of 2^31, the limit of a packed field
+        st.integers(2**31 - 2, 2**33).map(lambda k: f"x^{k}"),
+    ),
 ).map("".join)
 _POLY = st.lists(_TERM, min_size=1, max_size=3).map(" - ".join)
 _LINE = st.one_of(_VARS, _ORDER, _FIELD, _POLY, _SOUP, st.text(max_size=8))
@@ -218,6 +222,27 @@ def test_run_coefficient_outside_the_field(generator, message):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
     assert lines[0].startswith(f"parse error: {message} at line 3, column ")
+
+
+@pytest.mark.parametrize("order, generator, column", [
+    ("drl", "x^2147483648 + y", 1),
+    ("drl", "y - 3*x^2147483647*y", 5),  # its degree, 2^31, is the field
+    ("lex", "y + x^4294967296", 5),
+])
+def test_run_exponent_past_a_packed_field(order, generator, column):
+    # a packed monomial holds an exponent, under degrevlex a degree, of at
+    # most 2^31 - 1; past that the term is a one-line parse error.  The
+    # in-process check comes first, so that an engine which accepted the
+    # input is never run on it: <x^N + y, x*y - 1> derives about N elements
+    text = f"vars: x, y\norder: {order}\nfield: gf 32003\nx*y - 1\n{generator}\n"
+    with pytest.raises(ParseError) as info:
+        parse_ideal(text)
+    assert (info.value.line, info.value.column) == (5, column)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "siggb.cli", "-"], input=text,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr == f"parse error: exponent too large at line 5, column {column}\n"
 
 
 def test_run_missing_file():

@@ -5,9 +5,11 @@ from the trace, so every name the tracer lists must still resolve here."""
 import importlib
 import importlib.util
 import os
+import sys
 
 import siggb
 import siggb.cli
+import siggb.corpus
 import siggb.polyring
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,3 +59,46 @@ def test_tracer_records_the_reduction_layers(golden_gens):
     # uninstall put every original back
     assert dict(vars(siggb.polyring)) == before
     assert vars(siggb.Polynomial)["sub_mul"] is sub_mul
+
+
+def test_worker_outputs_serialise(monkeypatch):
+    """The worker's run_system and Outcome.lines, on the certified cyclic-4
+    system, read what the benchmark needs of siggb: the engine options,
+    pair and rejection events with their witnesses, polynomial terms as
+    exponent tuples, signatures and certificates.  Every record they yield
+    must be JSON."""
+    import json
+
+    bench = os.path.join(ROOT, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(bench, "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+
+    system = next(s for s in workloads.systems("cyclic5-gf", workloads.PRIMES[0])
+                  if s.certify)
+    assert system.name == "cyclic-4"
+    gens = workloads.build(system, siggb.cli, siggb.corpus)
+    outcome = worker.run_system(system, gens)
+    assert outcome.error is None, outcome.error
+    records = [json.loads(json.dumps(obj)) for obj in outcome.lines()]
+    head = records[0]
+    assert head["certificates"] == head["rejections"] > 0
+    stats = outcome.state.stats
+    # the PairCreated events: every pair made, less the signature collisions
+    assert head["scan"]["pairs"] == stats.pairs_created - stats.signature_collisions > 0
+    elements = [r["element"] for r in records if "element" in r]
+    certs = [r["cert"] for r in records if "cert" in r]
+    assert len(elements) == outcome.state.size and len(certs) == head["certificates"]
+    nvars = gens[0].ring.nvars
+    gamma, index, terms = elements[0]
+    assert len(gamma) == nvars and index == 1
+    assert all(len(e) == nvars for e, _ in terms)
+    assert {c["kind"] for c in certs} == {"f5crit", "rewrite"}
+    assert all(len(c["u"]) == nvars and c["vector"] for c in certs)

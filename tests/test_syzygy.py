@@ -65,6 +65,7 @@ def test_evaluate_unknown_position(golden_state, golden_ring):
 class Basis:
     def __init__(self, polys):
         self.polys = polys
+        self.elements = [LabeledPoly(None, p) for p in polys]
 
     @property
     def size(self):
