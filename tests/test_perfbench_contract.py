@@ -15,16 +15,17 @@ import siggb.polyring
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_tracer():
-    path = os.path.join(ROOT, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def load_bench(name):
+    """perfbench/<name>.py, loaded as it is, as module perfbench_<name>."""
+    path = os.path.join(ROOT, "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_spanned_and_counted_names_resolve():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     for names in (tracer.SPANNED, tracer.COUNTED):
         for short, attrs in names.items():
             mod = importlib.import_module("siggb." + short)
@@ -39,7 +40,7 @@ def test_spanned_and_counted_names_resolve():
 
 
 def test_tracer_records_the_reduction_layers(golden_gens):
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     before = dict(vars(siggb.polyring))
     sub_mul = vars(siggb.Polynomial)["sub_mul"]
     t = tracer.Tracer()
@@ -69,17 +70,11 @@ def test_worker_outputs_serialise(monkeypatch):
     must be JSON."""
     import json
 
-    bench = os.path.join(ROOT, "perfbench")
-    monkeypatch.syspath_prepend(bench)
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(bench, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # worker.py imports its sibling as ``workloads`` and puts src/ on sys.path
+    workloads = load_bench("workloads")
     monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(bench, "worker.py"))
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    worker = load_bench("worker")
 
     system = next(s for s in workloads.systems("cyclic5-gf", workloads.PRIMES[0])
                   if s.certify)
