@@ -189,4 +189,4 @@ def ideal_equal(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> bool:
     """True iff the interreduced monic forms of A and B coincide as sets."""
     ra = reduced_basis(A)
     rb = reduced_basis(B)
-    return {p.terms for p in ra} == {p.terms for p in rb}
+    return {p.packed for p in ra} == {p.packed for p in rb}

@@ -25,7 +25,7 @@ from .polyring import (
     exp_div,
     exp_divides,
     exp_mask,
-    _pack_reducer,
+    _as_reducer,
     _packed,
     _settle,
     _sub_tail,
@@ -614,7 +614,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             state.stats.splits += 1
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
-        hk, inv, tail = elt.poly._reducer or _pack_reducer(elt.poly)
+        hk, inv, tail = _as_reducer(elt.poly)
         q = c
         if inv is not None:
             q = c * inv % prime if prime else c * inv
@@ -707,19 +707,17 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
 def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
     """Run the F5 criterion at creation, then the Rewritten criterion at
     either stage; record and count the rejection when one of them discards
-    the pair.  The F5 criterion asks ``first_f5_witness`` for component i,
-    then j, as ``is_normalized`` does, against the basis as it stands, which
-    is the pair's snapshot; a rejection keeps the component and its first
-    witness."""
+    the pair.  The F5 criterion is ``is_normalized`` against the basis as it
+    stands, which is the pair's snapshot; a rejection keeps the component
+    and its first witness."""
     if stage == "creation":
-        for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
-            hit = first_f5_witness(msig, state)
-            if hit:
-                state.stats.rejected_not_normalized += 1
-                state.events.append(PairRejected(
-                    pair, "f5crit", stage, comp, hit, state_ref=state.ref
-                ))
-                return True
+        nv = is_normalized(pair, state)
+        if not nv.normalized:
+            state.stats.rejected_not_normalized += 1
+            state.events.append(PairRejected(
+                pair, "f5crit", stage, nv.component, nv.witness, state_ref=state.ref
+            ))
+            return True
     rw = is_rewritable(pair, state)
     if rw.rewritable:
         state.stats.rejected_rewritable += 1

@@ -1,26 +1,28 @@
 """Sparse exact multivariate polynomial arithmetic.
 
-Monomials are exponent tuples over a fixed variable list.  Polynomials keep
-their terms strictly descending in the ring's monomial order; the zero
-polynomial is the empty term sequence.  Coefficients are exact: arbitrary
-precision rationals or a word-sized prime field.
+Monomials are packed (``PolyRing.pack``): one int of fixed-width fields,
+whose int order is the ring's monomial order, whose sum is the product, and
+where one subtraction and a guard-bit mask test divisibility.  The packed
+monomial is the ring's only order key (``PolyRing.key``).  A polynomial
+stores its terms in one form, ``Polynomial.packed``: (packed monomial,
+coefficient) pairs, strictly descending; the zero polynomial is the empty
+tuple.  Exponent tuples appear only at the edges: ``parse`` and ``build``
+take them, ``terms`` and ``str`` give them back, and ``ht``, which the
+criteria read, is the head's tuple, unpacked once per polynomial.
+Coefficients are exact: arbitrary precision rationals or a word-sized prime
+field.
 
-The ring carries the order as packed monomials (``PolyRing.pack``): one int
-of fixed-width fields, whose int order is the monomial order, whose sum is
-the product, and where one subtraction and a guard-bit mask test
-divisibility.  The packed monomial is the ring's only order key
-(``PolyRing.key``): ``build`` sorts by it and ``sub_mul`` merges by it.
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
 working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
-share one subtract step, ``_sub_tail``; they pack their inputs and unpack
-only their results.  So does the one product kernel, ``sum_of_products``
-(behind ``*`` and the evaluation of module vectors), which sums products in
-one packed accumulator, over ℚ as integer numerators over one common
-denominator.  A packed field holds at most 2^31 - 1, so an exponent (under
-degrevlex, a total degree) beyond that raises DomainError.
+share one subtract step, ``_sub_tail``.  The one product kernel,
+``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
+sums products in one packed accumulator, over ℚ as integer numerators over
+one common denominator.  A packed field holds at most 2^31 - 1, so an
+exponent (under degrevlex, a total degree) beyond that raises DomainError,
+whether it is parsed or made by a product.
 
-``_reduce`` reduces against a ``Reducers``, an append-only list of packed
+``_reduce`` reduces against a ``Reducers``, an append-only list of
 reducers whose memo remembers, across reductions, each monomial's first
 dividing reducer, or that none of the first k divides it: in a list that
 only grows, a first divisor stays first.
@@ -405,22 +407,18 @@ class PolyRing:
     # construction ---------------------------------------------------------
 
     def build(self, terms: Mapping[tuple[int, ...], object] | Iterable) -> "Polynomial":
-        """Normalize a term mapping/iterable into a Polynomial."""
-        acc: dict[tuple[int, ...], object] = {}
+        """Normalize a mapping or iterable of (exponent tuple, coefficient)
+        terms into a Polynomial: equal monomials summed, zeros dropped."""
+        acc: dict[int, object] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        f = self.field
+        f, pack = self.field, self.pack
         for e, c in items:
-            e = tuple(e)
-            if len(e) != self.nvars:
-                raise StructureError("exponent length mismatch")
-            prev = acc.get(e)
-            acc[e] = f.add(prev, c) if prev is not None else c
-        ordered = tuple(
-            (e, c)
-            for e, c in sorted(acc.items(), key=lambda t: self.pack(t[0]), reverse=True)
-            if not f.is_zero(c)
-        )
-        return Polynomial(self, ordered)
+            k = pack(tuple(e))
+            prev = acc.get(k)
+            acc[k] = f.add(prev, c) if prev is not None else c
+        return Polynomial(self, tuple(
+            (k, acc[k]) for k in sorted(acc, reverse=True) if not f.is_zero(acc[k])
+        ))
 
     @property
     def zero(self) -> "Polynomial":
@@ -428,12 +426,7 @@ class PolyRing:
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, ((self.zero_exp, self.field.one),))
-
-    def var(self, i: int) -> "Polynomial":
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, ((tuple(e), self.field.one),))
+        return Polynomial(self, ((0, self.field.one),))
 
     def monomial(self, e: tuple[int, ...], c=None) -> "Polynomial":
         c = self.field.one if c is None else c
@@ -558,51 +551,66 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms strictly descending in the order."""
+    """Immutable sparse polynomial.
 
-    __slots__ = ("ring", "terms", "_reducer", "_numer")
+    ``packed`` is its one stored term form: (packed monomial, coefficient)
+    pairs, strictly descending in the ring's order.  ``terms`` unpacks them
+    to (exponent tuple, coefficient) pairs on every read, for parsing,
+    rendering and callers outside the ring; ``ht`` unpacks the head once.
+    """
 
-    def __init__(self, ring: PolyRing, terms: tuple):
+    __slots__ = ("ring", "packed", "_ht", "_numer")
+
+    def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
-        self.terms = terms
-        self._reducer = None  # filled the first time it reduces: _pack_reducer
+        self.packed = packed
+        self._ht = None  # filled the first time ht is read
         self._numer = None  # filled the first time it is a second factor: _numerators
 
     # inspection -------------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The terms as (exponent tuple, coefficient) pairs, descending."""
+        unpack = self.ring.unpack
+        return tuple((unpack(k), c) for k, c in self.packed)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.packed)
 
     @property
     def ht(self) -> tuple[int, ...]:
-        """Head term (monomial) under the ring's order."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no head term")
-        return self.terms[0][0]
+        """Head term (monomial) under the ring's order, as an exponent tuple."""
+        e = self._ht
+        if e is None:
+            if not self.packed:
+                raise DomainError("zero polynomial has no head term")
+            e = self._ht = self.ring.unpack(self.packed[0][0])
+        return e
 
     @property
     def hc(self):
-        if not self.terms:
+        if not self.packed:
             raise DomainError("zero polynomial has no head coefficient")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     @property
     def lot(self) -> "Polynomial":
         """The polynomial minus its head term."""
-        if not self.terms:
+        if not self.packed:
             raise DomainError("zero polynomial has no lower-order terms")
-        return Polynomial(self.ring, self.terms[1:])
+        return Polynomial(self.ring, self.packed[1:])
 
     @property
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.packed:
             return -1
         return max(exp_degree(e) for e, _ in self.terms)
 
@@ -614,41 +622,36 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        acc = dict(self.terms)
-        f = self.ring.field
-        for e, c in other.terms:
-            prev = acc.get(e)
-            acc[e] = f.add(prev, c) if prev is not None else c
-        return self.ring.build(acc)
+        return Polynomial(self.ring, _merge(self.packed, -1, 0, other.packed, _prime(self.ring)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        acc = dict(self.terms)
-        f = self.ring.field
-        for e, c in other.terms:
-            prev = acc.get(e)
-            acc[e] = f.sub(prev, c) if prev is not None else f.neg(c)
-        return self.ring.build(acc)
+        return Polynomial(self.ring, _merge(self.packed, 1, 0, other.packed, _prime(self.ring)))
 
     def __neg__(self) -> "Polynomial":
         f = self.ring.field
-        return Polynomial(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
+        return Polynomial(self.ring, tuple((k, f.neg(c)) for k, c in self.packed))
 
     def mul_term(self, e: tuple[int, ...], c=None) -> "Polynomial":
-        """c * x^e * self; without c each coefficient is kept as it is."""
-        f = self.ring.field
+        """c * x^e * self; without c each coefficient is kept as it is.
+
+        Multiplying by x^e adds its packed monomial to each term's, which
+        keeps their order.  DomainError when a product leaves its field.
+        """
+        ring = self.ring
+        f = ring.field
         if c is not None and f.is_zero(c):
-            return self.ring.zero
-        if len(e) != self.ring.nvars:
-            raise StructureError("exponent length mismatch")
+            return ring.zero
+        u = ring.pack(e)
+        _check_shift(ring, self.packed, u)
         if c is None:
-            terms = tuple((tuple(map(add, te, e)), tc) for te, tc in self.terms)
+            packed = tuple((k + u, tc) for k, tc in self.packed)
         elif f.is_prime:
             p = f.p
-            terms = tuple((tuple(map(add, te, e)), tc * c % p) for te, tc in self.terms)
+            packed = tuple((k + u, tc * c % p) for k, tc in self.packed)
         else:
-            terms = tuple((tuple(map(add, te, e)), f.mul(tc, c)) for te, tc in self.terms)
-        return Polynomial(self.ring, terms)
+            packed = tuple((k + u, f.mul(tc, c)) for k, tc in self.packed)
+        return Polynomial(ring, packed)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return sum_of_products(self.ring, ((self, other),))
@@ -659,51 +662,20 @@ class Polynomial:
             return self.ring.zero
         if f.is_prime:
             p = f.p
-            return Polynomial(self.ring, tuple((e, tc * c % p) for e, tc in self.terms))
-        return Polynomial(self.ring, tuple((e, f.mul(tc, c)) for e, tc in self.terms))
+            return Polynomial(self.ring, tuple((k, tc * c % p) for k, tc in self.packed))
+        return Polynomial(self.ring, tuple((k, f.mul(tc, c)) for k, tc in self.packed))
 
     def sub_mul(self, c, e: tuple[int, ...], other: "Polynomial") -> "Polynomial":
-        """self - c * x^e * other, as one merge of two descending term lists.
-
-        Multiplying by x^e keeps the order of other's terms, so the product
-        streams out already sorted and nothing is re-sorted.
-        """
+        """self - c * x^e * other, as one merge (``_merge``).  DomainError
+        when a product leaves its packed field."""
         self._check(other)
         ring = self.ring
-        if len(e) != ring.nvars:
-            raise StructureError("exponent length mismatch")
-        f = ring.field
-        prime = f.p if f.is_prime else 0
-        packs, pack = ring._packcache, ring.pack
-        a = self.terms
-        n = len(a)
-        out = []
-        i = 0
-        ka = (packs.get(a[0][0]) or pack(a[0][0])) if n else None
-        for te, tc in other.terms:
-            m = tuple(map(add, te, e))
-            km = packs.get(m) or pack(m)
-            while i < n and ka > km:
-                out.append(a[i])
-                i += 1
-                if i < n:
-                    ka = packs.get(a[i][0]) or pack(a[i][0])
-            if i < n and ka == km:
-                v = a[i][1] - tc * c
-                i += 1
-                if i < n:
-                    ka = packs.get(a[i][0]) or pack(a[i][0])
-            else:
-                v = -(tc * c)
-            if prime:
-                v %= prime
-            if v:
-                out.append((m, v))
-        out.extend(a[i:])
-        return Polynomial(ring, tuple(out))
+        u = ring.pack(e)
+        _check_shift(ring, other.packed, u)
+        return Polynomial(ring, _merge(self.packed, c, u, other.packed, _prime(ring)))
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.packed:
             return self
         c = self.hc
         if c == self.ring.field.one:
@@ -716,14 +688,14 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and other.ring == self.ring
-            and other.terms == self.terms
+            and other.packed == self.packed
         )
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(self.packed)
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         f = self.ring.field
         parts = []
@@ -768,28 +740,67 @@ def spol(p1: Polynomial, p2: Polynomial):
     return u1, u2, s
 
 
-def _pack_reducer(g: Polynomial) -> tuple:
-    """Fill g's reducer slot: its packed head, the inverse of its head
+def _prime(ring: PolyRing) -> int:
+    """p over GF(p), 0 over ℚ."""
+    f = ring.field
+    return f.p if f.is_prime else 0
+
+
+def _check_shift(ring: PolyRing, packed: tuple, u: int) -> None:
+    """DomainError when x^u times a term of ``packed`` leaves its packed
+    field, where an unchecked sum would carry into the next field.  Under
+    degrevlex every field of a term is at most its degree, so the head's
+    product bounds them all; under lex each product is tested."""
+    guard = ring._guard
+    if ring.order.kind == "lex":
+        bad = any((k + u) & guard for k, _ in packed)
+    else:
+        bad = packed and (packed[0][0] + u) & guard
+    if bad:
+        raise DomainError("exponent overflow in a packed monomial")
+
+
+def _merge(a: tuple, c, u: int, b: tuple, prime: int) -> tuple:
+    """The packed terms of a - c * x^u * b, from packed terms a and b, as
+    one merge of two descending lists: adding u keeps b's order, so the
+    product streams out already sorted and nothing is re-sorted.  Over
+    GF(p) (``prime``) each merged coefficient is taken mod p."""
+    n = len(a)
+    out = []
+    i = 0
+    ka = a[0][0] if n else -1  # packed monomials are >= 0: -1 is past the end
+    for kb, tc in b:
+        m = kb + u
+        while ka > m:
+            out.append(a[i])
+            i += 1
+            ka = a[i][0] if i < n else -1
+        if ka == m:
+            v = a[i][1] - tc * c
+            i += 1
+            ka = a[i][0] if i < n else -1
+        else:
+            v = -(tc * c)
+        if prime:
+            v %= prime
+        if v:
+            out.append((m, v))
+    out.extend(a[i:])
+    return tuple(out)
+
+
+def _as_reducer(g: Polynomial) -> tuple:
+    """g as a reducer: its packed head, the inverse of its head
     coefficient (None when it is one) and its packed tail."""
-    ring = g.ring
-    pack = ring.pack
-    (ht, hc), *tail = g.terms
-    inv = None if hc == ring.field.one else ring.field.inv(hc)
-    g._reducer = (pack(ht), inv, tuple((pack(e), c) for e, c in tail))
-    return g._reducer
+    (hk, hc), tail = g.packed[0], g.packed[1:]
+    return hk, None if hc == 1 else g.ring.field.inv(hc), tail
 
 
 def _packed(p: Polynomial) -> tuple[dict, list]:
     """p as a ``{packed: coeff}`` accumulator and a heap of its negated
-    packed monomials, so heapq pops the largest monomial first."""
-    pack = p.ring.pack
-    acc = {}
-    heap = []  # p's terms descend, so their negations ascend: a heap
-    for e, c in p.terms:
-        k = pack(e)
-        acc[k] = c
-        heap.append(-k)
-    return acc, heap
+    packed monomials, so heapq pops the largest monomial first: p's terms
+    descend, so their negations ascend, which is a heap."""
+    return dict(p.packed), [-k for k, _ in p.packed]
 
 
 def _sub_tail(acc: dict, heap: list, q, u: int, tail: tuple, overflow: int) -> None:
@@ -817,31 +828,29 @@ def _sub_tail(acc: dict, heap: list, q, u: int, tail: tuple, overflow: int) -> N
 
 
 def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int = 0) -> Polynomial:
-    """The polynomial of the packed terms ``done``, then of acc's nonzero
+    """The polynomial whose packed terms are ``done``, then acc's nonzero
     terms, descending, taken mod p over GF(p) (``prime`` is 0 over ℚ).
     A nonzero ``den`` makes each of acc's values, an integer numerator,
-    Fraction(value, den)."""
+    Fraction(value, den).  Nothing is unpacked."""
     for k in sorted(acc, reverse=True):
         v = acc[k] % prime if prime else acc[k]
         if v:
             done.append((k, Fraction(v, den) if den else v))
-    unpack = ring.unpack
-    return Polynomial(ring, tuple((unpack(k), v) for k, v in done))
+    return Polynomial(ring, tuple(done))
 
 
 def _numerators(p: Polynomial, keep: bool = False) -> tuple[int, tuple]:
-    """d, the lcm of p's coefficient denominators, and p's terms as
-    (packed monomial, c·d) pairs, integers; over GF(p) d is 1.  With
-    ``keep`` they are kept in p's ``_numer`` slot, so a basis polynomial
-    that many products read is packed once."""
+    """d, the lcm of p's coefficient denominators, and p's packed terms
+    with each coefficient c as the integer c·d.  Over GF(p), where every
+    coefficient is an int, that is 1 and ``p.packed`` itself; over ℚ,
+    ``keep`` keeps them in p's ``_numer`` slot, so a basis polynomial that
+    many products read is converted once."""
+    if p.ring.field.is_prime:
+        return 1, p.packed
     if p._numer is not None:
         return p._numer
-    d = lcm(*[c.denominator for _, c in p.terms])
-    ring = p.ring
-    packed, pack = ring._packcache.get, ring.pack
-    numer = d, tuple(
-        (packed(e) or pack(e), c.numerator * (d // c.denominator)) for e, c in p.terms
-    )
+    d = lcm(*[c.denominator for _, c in p.packed])
+    numer = d, tuple((k, c.numerator * (d // c.denominator)) for k, c in p.packed)
     if keep:
         p._numer = numer
     return numer
@@ -853,45 +862,37 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     ``syzygy.evaluate``.
 
     Every product goes into one ``{packed: numerator}`` accumulator, sorted
-    and unpacked once at the end.  Coefficients multiply as integers over
-    one common denominator D, the lcm over the products of d_a·d_b, with d_a
-    the lcm of a's coefficient denominators: a term pair adds
+    once at the end.  Coefficients multiply as integers over one common
+    denominator D, the lcm over the products of d_a·d_b, with d_a the lcm of
+    a's coefficient denominators: a term pair adds
     (c_a·d_a)·(c_b·d_b)·D/(d_a·d_b).  A surviving sum n becomes
     Fraction(n, D) over ℚ and n mod p over GF(p), where every coefficient is
-    an int of denominator 1, so D = 1.  The packed numerators of each b, in
+    an int of denominator 1, so D = 1 and the numerators are the packed
+    terms themselves.  Over ℚ the numerators of each b, in
     ``syzygy.evaluate`` a basis polynomial, are kept on it for later calls.
-
-    Under degrevlex every field of a product term is at most the degree of
-    the heads' product, so one test per product finds an exponent that
-    overflows its packed field; under lex every product term is tested.
-    Either raises DomainError.
+    A product term that leaves its packed field raises DomainError
+    (``_check_shift``, once per term of a).
     """
-    f = ring.field
-    prime = f.p if f.is_prime else 0
-    guard = ring._guard
-    overflow = guard if ring.order.kind == "lex" else 0
+    prime = _prime(ring)
     factors = []
     den = 1
     for a, b in products:
         for p in (a, b):
             if p.ring is not ring and p.ring != ring:
                 raise StructureError("polynomials from different rings")
-        if a.terms and b.terms:
+        if a.packed and b.packed:
             (da, ta), (db, tb) = _numerators(a), _numerators(b, keep=True)
             factors.append((da * db, ta, tb))
             den = lcm(den, da * db)
     acc: dict[int, int] = {}
     get = acc.get
     for dab, ta, tb in factors:
-        if (ta[0][0] + tb[0][0]) & guard:
-            raise DomainError("exponent overflow in a packed monomial")
         s = den // dab
         for ka, na in ta:
+            _check_shift(ring, tb, ka)
             na *= s
             for kb, nb in tb:
                 m = ka + kb
-                if overflow and m & overflow:
-                    raise DomainError("exponent overflow in a packed monomial")
                 acc[m] = get(m, 0) + na * nb
     return _settle(ring, [], acc, prime, 0 if prime else den)
 
@@ -920,11 +921,11 @@ class Reducers:
             self.append(g)
 
     def append(self, g: Polynomial) -> None:
-        if not g.terms:
+        if not g.packed:
             return
         if g.ring is not self.ring and g.ring != self.ring:
             raise StructureError("polynomials from different rings")
-        r = g._reducer or _pack_reducer(g)
+        r = _as_reducer(g)
         self.heads.append(r[0])
         self.packed.append(r)
 
@@ -947,13 +948,13 @@ class Reducers:
 def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -> Polynomial:
     """The reduction loop behind ``reduce_full`` and ``top_reduce``.
 
-    It runs on packed monomials (``PolyRing.pack``): the working polynomial
-    is a ``{packed: coeff}`` accumulator plus a heap of negated packed ints,
-    so heapq pops the largest monomial first; a popped term that is zero
-    (mod p) has cancelled and is skipped.  Each nonzero popped term is
-    reduced by the first basis element, in insertion order, whose head
-    divides it, exactly as a term-by-term ``sub_mul`` would, so every
-    intermediate polynomial is the same.  Only the result is unpacked.
+    The working polynomial is a ``{packed: coeff}`` accumulator, read from
+    p's packed terms, plus a heap of negated packed ints, so heapq pops the
+    largest monomial first; a popped term that is zero (mod p) has
+    cancelled and is skipped.  Each nonzero popped term is reduced by the
+    first basis element, in insertion order, whose head divides it, exactly
+    as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
+    the same.  The result's packed terms come out of the loop as they are.
     ``full=False`` stops at the first irreducible term.
 
     basis is a ``Reducers``, whose memo answers a monomial that an earlier
@@ -972,8 +973,7 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     packed, find = basis.packed, basis.find
     get = basis.first.get
     n = len(packed)
-    f = ring.field
-    prime = f.p if f.is_prime else 0
+    prime = _prime(ring)
     overflow = ring._guard if ring.order.kind == "lex" else 0
     acc, heap = _packed(p)
     done = []
@@ -1021,12 +1021,11 @@ def minimal_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     For a Groebner basis the result is a minimal Groebner basis of the same
     ideal; for other input it can lose part of the ideal.
     """
-    polys = [p for p in polys if p.terms]
+    polys = [p for p in polys if p.packed]
     if not polys:
         return []
-    ring = polys[0].ring
-    guard = ring._guard
-    heads = [ring.pack(p.terms[0][0]) for p in polys]
+    guard = polys[0].ring._guard
+    heads = [p.packed[0][0] for p in polys]
     return [
         p for i, (p, h) in enumerate(zip(polys, heads))
         if not any(
@@ -1059,20 +1058,20 @@ def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     ring = current[0].ring
     one = ring.field.one
     for _ in range(100):
-        current.sort(key=lambda p: ring.pack(p.ht))
+        current.sort(key=lambda p: p.packed[0][0])
         reduced: list[Polynomial] = []
         reducers = Reducers(ring)
         heads_kept = True
         for i, f in enumerate(current):
-            head = f.terms[0][0]
+            head = f.packed[0][0]
             nxt = current[i + 1] if i + 1 < len(current) else None
-            if (nxt is not None and nxt.terms[0][0] == head
-                    and reducers.find(ring.pack(head)) < 0):
+            if (nxt is not None and nxt.packed[0][0] == head
+                    and reducers.find(head) < 0):
                 f = f.sub_mul(one, ring.zero_exp, nxt)  # both monic: the heads cancel
             r = reduce_full(f, reducers)
             if r.is_zero:
                 continue
-            if r.terms[0][0] != head:
+            if r.packed[0][0] != head:
                 heads_kept = False
             r = r.monic()
             reduced.append(r)

@@ -98,7 +98,7 @@ class ModuleVector:
         parts = []
         for pos in self.positions():
             p = self.entries[pos]
-            if len(p.terms) == 1:
+            if len(p) == 1:
                 body = str(p)
                 if body.startswith("-"):
                     lead, body = "-", body[1:].strip()
@@ -145,7 +145,7 @@ def _head_key(pos: int, coeff: Polynomial, keys: list) -> tuple[int, int]:
     no later term of coeff gives a larger module term.
     """
     index, gamma = keys[pos]
-    return index, coeff.ring.pack(coeff.terms[0][0]) + gamma
+    return index, coeff.packed[0][0] + gamma
 
 
 def mht(v: ModuleVector, state) -> Signature:
@@ -247,7 +247,7 @@ def _offenders(v: ModuleVector, state, bound: Signature, skip: set[int]):
     bkey = sig_key(bound, v.ring)
     keys = state.sig_keys
     return {
-        pos: coeff.terms[0]
+        pos: (coeff.ht, coeff.hc)
         for pos, coeff in v.entries.items()
         if pos not in skip and _head_key(pos, coeff, keys) >= bkey
     }
@@ -345,9 +345,11 @@ def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
             raise CertificateError(f"cannot align syzygy head terms for {where}")
         p = max(expandable)
         if p in ca:
-            a_vec = _expand_at(a_vec, p, *a_vec.entries[p].terms[0], state)
+            q = a_vec.entries[p]
+            a_vec = _expand_at(a_vec, p, q.ht, q.hc, state)
         if p in cb:
-            b_vec = _expand_at(b_vec, p, *b_vec.entries[p].terms[0], state)
+            q = b_vec.entries[p]
+            b_vec = _expand_at(b_vec, p, q.ht, q.hc, state)
     else:  # pragma: no cover
         raise CertificateError("syzygy head alignment did not terminate")
 

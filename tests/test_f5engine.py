@@ -39,7 +39,6 @@ from siggb.polyring import (
     DomainError,
     MonomialOrder,
     PolyRing,
-    Polynomial,
     PrimeField,
     StructureError,
     exp_degree,
@@ -199,14 +198,19 @@ def _eager_first(msig, state, snapshot):
 
 
 def _spy_first_witness(monkeypatch):
-    """Record every F5-criterion query as (caller, msig, basis seen, answer)."""
+    """Record every F5-criterion query as (caller, msig, basis seen, answer),
+    the caller being the one that asked ``is_normalized`` when the query
+    came through it."""
     calls = []
     real = f5engine.first_f5_witness
 
     def spy(msig, state, snapshot=None):
         hit = real(msig, state, snapshot)
         seen = state.size if snapshot is None else snapshot
-        calls.append((sys._getframe(1).f_code.co_name, msig, seen, hit))
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "is_normalized":
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, msig, seen, hit))
         return hit
 
     monkeypatch.setattr(f5engine, "first_f5_witness", spy)
@@ -565,7 +569,7 @@ def _random_poly(rng, ring, max_terms):
         for _ in range(rng.randint(1, max_terms))
     })
     deg = sum(p.ht)
-    return Polynomial(ring, tuple(t for t in p.terms if sum(t[0]) <= deg))
+    return ring.build(t for t in p.terms if sum(t[0]) <= deg)
 
 
 def signed_case(rng):

@@ -12,7 +12,6 @@ from siggb.polyring import (
     MonomialOrder,
     ParseError,
     PolyRing,
-    Polynomial,
     PrimeField,
     QQ,
     Reducers,
@@ -447,7 +446,7 @@ def ref_sub_mul(p, c, e, g):
         acc[m] = f.sub(acc[m], v) if m in acc else f.neg(v)
     live = [(m, v) for m, v in acc.items() if not f.is_zero(v)]
     live.sort(key=lambda t: p.ring.key(t[0]), reverse=True)
-    return Polynomial(p.ring, tuple(live))
+    return p.ring.build(live)
 
 
 def ref_first_reducer(t, basis):
@@ -472,10 +471,10 @@ def ref_reduce_full(p, basis):
         g = ref_first_reducer(p.ht, basis)
         if g is None:
             done.append(p.terms[0])
-            p = Polynomial(p.ring, p.terms[1:])
+            p = p.ring.build(p.terms[1:])
         else:
             p = ref_sub_mul(p, p.ring.field.div(p.hc, g.hc), exp_div(p.ht, g.ht), g)
-    return Polynomial(p.ring, tuple(done))
+    return p.ring.build(done)
 
 
 def ref_reduced_basis(polys):
@@ -516,7 +515,7 @@ def degree_bounded(q, homogeneous=False):
         return q
     top = sum(q.ht)
     keep = (lambda d: d == top) if homogeneous else (lambda d: d <= top)
-    return Polynomial(q.ring, tuple(t for t in q.terms if keep(sum(t[0]))))
+    return q.ring.build(t for t in q.terms if keep(sum(t[0])))
 
 
 @st.composite
@@ -540,9 +539,14 @@ def diff_case(draw, max_basis=4, homogeneous=False):
 @settings(max_examples=300)
 def test_sub_mul_matches_dict_and_sort(case, e, c):
     ring, p, basis = case
-    c = ring.field.of(c)
+    f = ring.field
+    c = f.of(c)
     for g in basis + [p, ring.zero]:
         assert p.sub_mul(c, e, g) == ref_sub_mul(p, c, e, g)
+        # + and - are the same merge, with x^e = 1 and c = -1 or 1
+        for got, sign in ((p + g, f.of(-1)), (p - g, f.one)):
+            assert got == ref_sub_mul(p, sign, ring.zero_exp, g)
+            assert all(type(tc) is type(f.one) for _, tc in got.packed)
 
 
 @given(diff_case(), exps3, st.integers(-9, 9))
@@ -742,7 +746,7 @@ def ref_mul(p, q):
             acc[m] = f.add(acc[m], v) if m in acc else v
     live = [(m, v) for m, v in acc.items() if not f.is_zero(v)]
     live.sort(key=lambda t: p.ring.key(t[0]), reverse=True)
-    return Polynomial(p.ring, tuple(live))
+    return p.ring.build(live)
 
 
 def coefficient_types(p):
@@ -809,3 +813,38 @@ def test_product_overflow_raises_domain_error():
         drl.parse(f"x^{k}") * drl.parse(f"1 + y^{k}")
     with pytest.raises(StructureError):
         drl.parse("x") * lex.parse("x")
+
+
+def test_shift_overflow_raises_domain_error():
+    # mul_term and sub_mul add x^e's packed monomial to each term; under lex
+    # the head x*y^k fits its fields while the tail y^k*y^k does not
+    k = 2**30
+    lex = PolyRing(("x", "y"), QQ, LEX)
+    p = lex.parse(f"x + y^{k}")
+    with pytest.raises(DomainError):
+        p.mul_term((0, k))
+    with pytest.raises(DomainError):
+        lex.parse("x").sub_mul(Fraction(1), (0, k), p)
+    assert p.mul_term((0, k - 1)).terms == (((1, k - 1), 1), ((0, 2 * k - 1), 1))
+    drl = PolyRing(("x", "y"))
+    with pytest.raises(DomainError):  # the head's degree field overflows
+        drl.parse(f"x^{k} + y").mul_term((0, k))
+    with pytest.raises(DomainError):
+        drl.parse("x").sub_mul(Fraction(1), (0, k), drl.parse(f"x^{k} + y"))
+
+
+def test_products_leave_the_monomial_caches_alone():
+    # polynomials stay packed: a product, a shift, a merge and a reduction
+    # unpack none of the monomials they make
+    ring = PolyRing(("x", "y", "z"), PrimeField(7))
+    p, q = ring.parse("x + 2*y"), ring.parse("y*z + 3*z^2")
+    packs, unpacks = dict(ring._packcache), dict(ring._unpackcache)
+    prod = p * q
+    shifted = q.mul_term((1, 0, 0), 2)
+    merged = prod.sub_mul(1, (0, 1, 0), q)
+    rest = reduce_full(prod, [p])
+    assert ring._packcache == packs and ring._unpackcache == unpacks
+    assert prod == ring.parse("x*y*z + 3*x*z^2 + 2*y^2*z + 6*y*z^2")
+    assert shifted == ring.parse("2*x*y*z + 6*x*z^2")
+    assert merged == prod - ring.parse("y^2*z + 3*y*z^2")
+    assert rest.is_zero

@@ -13,7 +13,6 @@ from siggb.polyring import (
     DomainError,
     MonomialOrder,
     PolyRing,
-    Polynomial,
     PrimeField,
     StructureError,
     compare,
@@ -87,7 +86,7 @@ def ref_evaluate(v, basis):
                 acc[m] = f.add(acc[m], c) if m in acc else c
     live = [(m, c) for m, c in acc.items() if not f.is_zero(c)]
     live.sort(key=lambda t: ring.key(t[0]), reverse=True)
-    return Polynomial(ring, tuple(live))
+    return ring.build(live)
 
 
 EVAL_ORDERS = (
