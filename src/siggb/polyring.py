@@ -565,7 +565,7 @@ class Polynomial:
         self.ring = ring
         self.packed = packed
         self._ht = None  # filled the first time ht is read
-        self._numer = None  # filled the first time it is a second factor: _numerators
+        self._numer = None  # over ℚ, filled the first time it is a second factor: _numerators
 
     # inspection -------------------------------------------------------------
 
