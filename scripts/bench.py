@@ -11,6 +11,8 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
 - f5 (``incremental_basis`` then ``interreduce``) and gm
   (``buchberger_basis``) wall times on katsura-5 and on the 100-ideal corpus
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
+- the ``scan_run`` wall time over the corpus states that each f5 corpus run
+  built (``scan.corpus100_s``), the median of ``REPEATS`` passes;
 - the ``certify_all`` wall time on cyclic-5 over GF(32003), certified with
   witness validation as ``siggb --certify`` runs it, the median of
   ``CERTIFY_REPEATS`` fresh runs;
@@ -60,11 +62,18 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def engine_times(repeats: int) -> dict:
-    """Median wall seconds of f5 and gm on katsura-5 and on the corpus."""
+    """Median wall seconds of f5 and gm on katsura-5 and on the corpus, and of
+    ``scan_run`` over the states of each f5 corpus run."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from siggb.baseline import buchberger_basis
     from siggb.corpus import corpus_shapes, katsura, random_ideal
     from siggb.f5engine import incremental_basis, interreduce
+    from siggb.falsifier import scan_run
+
+    def f5(gens):
+        state = incremental_basis(gens)[0]
+        interreduce(state)
+        return state
 
     # built afresh for every run, so each run starts with cold ring caches
     inputs = {
@@ -73,21 +82,29 @@ def engine_times(repeats: int) -> dict:
                                           in corpus_shapes(CORPUS_COUNT, 0)],
     }
     engines = {
-        "f5": lambda gens: interreduce(incremental_basis(gens)[0]),
+        "f5": f5,
         "gm": buchberger_basis,
     }
+    scanned = ("f5", f"corpus{CORPUS_COUNT}")
     out = {}
     for name, make in inputs.items():
         for engine, run in engines.items():
-            samples = []
+            samples, scans = [], []
             for _ in range(repeats):
                 systems = make()
                 t0 = time.perf_counter()
-                for gens in systems:
-                    run(gens)
+                results = [run(gens) for gens in systems]
                 samples.append(time.perf_counter() - t0)
+                if (engine, name) == scanned:
+                    t0 = time.perf_counter()
+                    for state in results:
+                        scan_run(state)
+                    scans.append(time.perf_counter() - t0)
             out[f"{engine}.{name}_s"] = {"median": statistics.median(samples),
                                          "samples": samples}
+            if scans:
+                out[f"scan.{name}_s"] = {"median": statistics.median(scans),
+                                         "samples": scans}
     return out
 
 

@@ -280,7 +280,6 @@ class BasisState:
         self.elements: list[LabeledPoly] = []
         self.positions: list[int] = [0]  # positions[p] is p: one int per position, shared
         self.ht_masks: list[int] = []  # divisor masks of the head terms
-        self.index_positions: dict[int, list[int]] = {}  # ascending, by signature index
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
         self.msigs: list[dict] = []  # by position: u -> (u, u * Sig(r_pos))
         self.element_rule: list[RewriteRule | None] = []
@@ -343,9 +342,7 @@ class BasisState:
         self.msigs.append({})
         pos = self.size
         self.positions.append(pos)
-        j = lp.sig.index
-        self.index_positions.setdefault(j, []).append(pos)
-        for k0 in [k0 for k0 in self.f5_tables if k0 < j]:
+        for k0 in [k0 for k0 in self.f5_tables if k0 < lp.sig.index]:
             del self.f5_tables[k0]
         return pos
 

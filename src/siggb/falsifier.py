@@ -5,6 +5,11 @@ element divides its signature term while satisfying a strict head-term
 inequality (clause b).  That clause is provably vacuous, so this module never
 filters pairs: it shadows real runs and reports that clause (b) fired zero
 times, i.e. the relaxed check agrees with the plain one everywhere.
+
+Clause (b)'s inequality belongs to the element, not to the pair: it is the
+relation of the element's row, which the scan computes once per element.  So
+the scan walks, for each pair, only the elements whose row reads "<"; on a
+correct run there are none.
 """
 
 from __future__ import annotations
@@ -81,40 +86,62 @@ class ImprovedCheckReport:
         return out
 
 
-def _component_part_b(msig: Signature, state: BasisState, snapshot: int | None = None):
-    """Clause (b): an equal-index element whose head divides the signature term
-    and whose own signature satisfies HT(f_k0) * Gamma(Sig(prev)) < HT(p_prev),
-    for the component with multiplied signature msig.
+def _element_rows(state: BasisState) -> list[ElementRow]:
+    """One row per element p: HT(f_k0) * Gamma(Sig(p)) against HT(p), with
+    k0 = p's own index.  Inputs expect equality, derived elements ">"."""
+    ring, rows = state.ring, []
+    for pos, elt in enumerate(state.elements, 1):
+        k0, gamma = elt.sig.index, elt.sig.gamma
+        rel = compare(exp_mul(state.poly(k0).ht, gamma), elt.poly.ht, ring)
+        rows.append(ElementRow(pos, k0, gamma, rel, Cmp.EQ if pos <= state.m else Cmp.GT))
+    return rows
 
-    Only the elements of index k0 = msig.index are walked, up to position
-    snapshot, or all of them without one.  The input of index k0 is among
-    them; it never fires, since its gamma is 1.
+
+def _part_b_candidates(rows: list[ElementRow]) -> dict[int, list[int]]:
+    """By index, the ascending positions whose row reads "<": the only
+    elements clause (b) can name.  Empty on a correct run."""
+    out: dict[int, list[int]] = {}
+    for r in rows:
+        if r.relation is Cmp.LT:
+            out.setdefault(r.index, []).append(r.pos)
+    return out
+
+
+def _component_part_b(
+    msig: Signature, state: BasisState, snapshot: int | None = None, candidates=None
+):
+    """Clause (b): an equal-index element whose head divides the signature term
+    and whose own signature satisfies HT(f_k0) * Gamma(Sig(p_prev)) < HT(p_prev),
+    for the component with multiplied signature msig; the first such position.
+
+    The inequality depends on prev alone, and it is the relation of prev's
+    row (``_element_rows``), so only the positions of index k0 = msig.index
+    whose row reads "<" are walked (``candidates``, built from the basis when
+    not given), up to position snapshot, or all of them without one.  On a
+    correct run there are none.
     """
-    k0, t = msig.index, msig.gamma
-    ht_f = state.poly(k0).ht
-    ring = state.ring
+    if candidates is None:
+        candidates = _part_b_candidates(_element_rows(state))
     max_pos = state.size if snapshot is None else snapshot
-    for prev in state.index_positions.get(k0, ()):
+    for prev in candidates.get(msig.index, ()):
         if prev > max_pos:
             break
-        pe = state.elements[prev - 1]
-        if not exp_divides(pe.poly.ht, t):
-            continue
-        lhs = exp_mul(ht_f, pe.sig.gamma)
-        if compare(lhs, pe.poly.ht, ring) is Cmp.LT:
+        if exp_divides(state.elements[prev - 1].poly.ht, msig.gamma):
             return prev
     return None
 
 
 def completely_normalized(
-    pair: CriticalPair, state: BasisState, snapshot: int | None = None
+    pair: CriticalPair, state: BasisState, snapshot: int | None = None, candidates=None
 ) -> CNResult:
-    """Literal evaluation of both clauses of the relaxed check."""
+    """Literal evaluation of both clauses of the relaxed check.  ``candidates``
+    are clause (b)'s (``_part_b_candidates``), built from the basis when not
+    given."""
     nv = is_normalized(pair, state, snapshot)
     if not nv.normalized:
         return CNResult(False, "a", nv.component, nv.witness)
     for comp in ("i", "j"):
-        prev = _component_part_b(pair.msig(comp), state, snapshot)
+        prev = _component_part_b(pair.msig(comp), state, snapshot, candidates)
         if prev is not None:
             return CNResult(False, "b", comp, prev)
     return CNResult(True)
@@ -125,21 +152,16 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
 
     Every derived element must satisfy the strict head-term inequality, every
     input the equality, and re-running both pair checks on each recorded pair
-    (against the basis as it stood at creation) must never disagree.
+    (against the basis as it stood at creation) must never disagree.  Clause
+    (b) walks only the elements whose row reads "<", collected once from the
+    rows; there are none on a correct run, so it costs nothing per pair.
     """
-    report = ImprovedCheckReport()
-    ring = state.ring
-    for pos in range(1, state.size + 1):
-        elt = state.element(pos)
-        k0 = elt.sig.index
-        lhs = exp_mul(state.poly(k0).ht, elt.sig.gamma)
-        rel = compare(lhs, elt.poly.ht, ring)
-        expected = Cmp.EQ if pos <= state.m else Cmp.GT
-        report.rows.append(ElementRow(pos, k0, elt.sig.gamma, rel, expected))
+    report = ImprovedCheckReport(rows=_element_rows(state))
+    candidates = _part_b_candidates(report.rows)
     for pair in state.events:
         if not isinstance(pair, PairCreated):
             continue
-        cn = completely_normalized(pair, state, pair.snapshot)
+        cn = completely_normalized(pair, state, pair.snapshot, candidates)
         part_b = cn.via == "b"
         if part_b:
             report.part_b_firings += 1

@@ -172,7 +172,7 @@ def principal_syzygy(a: int, b: int, state) -> ModuleVector:
 @dataclass
 class BoundCheck:
     position: int
-    term: tuple[int, ...]
+    head: int  # packed head term of the entry, unpacked only to render
     kind: str  # "strict" | "flagged" | "crit"
     ok: bool
 
@@ -213,8 +213,8 @@ class Certificate:
         for b in self.bounds:
             rel = "=" if b.kind != "strict" else "<"
             lines.append(
-                f"  bound e{b.position}: {ring.render_exp(b.term)}*Sig(r{b.position}) "
-                f"{rel} bound ({b.kind}) [{'ok' if b.ok else 'VIOLATED'}]"
+                f"  bound e{b.position}: {ring.render_exp(ring.unpack(b.head))}"
+                f"*Sig(r{b.position}) {rel} bound ({b.kind}) [{'ok' if b.ok else 'VIOLATED'}]"
             )
         if self.rewrite_equality is not None:
             lines.append(
@@ -400,13 +400,13 @@ def _checked(pair, verdict, state, tpl: _Template, v: tuple[int, ...]) -> Certif
     bounds: list[BoundCheck] = []
     for pos in vec.positions():
         coeff = vec.entries[pos]
-        key = _head_key(pos, coeff, keys)
+        key, head = _head_key(pos, coeff, keys), coeff.packed[0][0]
         if pos == pos_k:
-            bounds.append(BoundCheck(pos, coeff.ht, "flagged", key <= bkey))
+            bounds.append(BoundCheck(pos, head, "flagged", key <= bkey))
         elif pos == tpl.crit_pos:
-            bounds.append(BoundCheck(pos, coeff.ht, "crit", key <= bkey))
+            bounds.append(BoundCheck(pos, head, "crit", key <= bkey))
         else:
-            bounds.append(BoundCheck(pos, coeff.ht, "strict", key < bkey))
+            bounds.append(BoundCheck(pos, head, "strict", key < bkey))
 
     rewriter = _shifted(v, tpl.rewriter)
     cert = Certificate(

@@ -2,7 +2,14 @@ import pytest
 
 from siggb.corpus import cyclic, katsura
 from siggb.f5engine import EngineOptions, PairCreated, incremental_basis, is_normalized
-from siggb.falsifier import _component_part_b, completely_normalized, scan_run
+from siggb.falsifier import (
+    ElementRow,
+    ImprovedCheckReport,
+    PairScan,
+    _component_part_b,
+    completely_normalized,
+    scan_run,
+)
 from siggb.polyring import Cmp, PolyRing, compare, exp_div, exp_mul
 
 
@@ -131,3 +138,45 @@ def test_part_b_equal_index_walk_matches_active_walk(small_runs, monkeypatch, fi
                     assert prev == _part_b_over_active_positions(u, pos, state, snap, cmp)
                     found += prev is not None
     assert bool(found) == fires
+
+
+def _reference_scan(state, cmp):
+    """scan_run as first written: each element's row from cmp, and clause (b)
+    by ``_part_b_over_active_positions`` for every component."""
+    report = ImprovedCheckReport()
+    for pos in range(1, state.size + 1):
+        elt = state.element(pos)
+        k0 = elt.sig.index
+        rel = cmp(exp_mul(state.poly(k0).ht, elt.sig.gamma), elt.poly.ht, state.ring.order)
+        expected = Cmp.EQ if pos <= state.m else Cmp.GT
+        report.rows.append(ElementRow(pos, k0, elt.sig.gamma, rel, expected))
+    for pair in state.events:
+        if not isinstance(pair, PairCreated):
+            continue
+        via = None if is_normalized(pair, state, pair.snapshot).normalized else "a"
+        if via is None and any(
+            _part_b_over_active_positions(*pair.component(comp), state, pair.snapshot, cmp)
+            is not None
+            for comp in ("i", "j")
+        ):
+            via = "b"
+        report.part_b_firings += via == "b"
+        report.pair_scans.append(PairScan(pair, via != "a", via is None, via == "b"))
+    return report
+
+
+def test_scan_matches_reference_scan(small_runs, monkeypatch):
+    # clause (b) walks only the elements whose row reads "<"; the reference
+    # walks every position.  With the real order no row reads "<"; with an
+    # inequality that always holds every row does and clause (b) fires.  The
+    # real scan runs first, so lists kept from it would fail the second.
+    always = lambda a, b, order: Cmp.LT
+    for state in small_runs + [incremental_basis(cyclic(5))[0]]:
+        report = scan_run(state)
+        assert report.part_b_firings == 0
+        assert _scan_lines(report, state) == _scan_lines(_reference_scan(state, compare), state)
+        with monkeypatch.context() as patched:
+            patched.setattr("siggb.falsifier.compare", always)
+            report = scan_run(state)
+        assert report.part_b_firings > 0
+        assert _scan_lines(report, state) == _scan_lines(_reference_scan(state, always), state)
