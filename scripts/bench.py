@@ -13,9 +13,10 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), the median of ``REPEATS`` passes;
-- the ``certify_all`` wall time on cyclic-5 over GF(32003), certified with
-  witness validation as ``siggb --certify`` runs it, the median of
-  ``CERTIFY_REPEATS`` fresh runs;
+- the ``certify_all`` wall times on cyclic-5 over GF(32003)
+  (``certify.cyclic5_s``) and on katsura-5 over Q (``certify.katsura5qq_s``),
+  each certified with witness validation as ``siggb --certify`` runs it, the
+  median of ``CERTIFY_REPEATS`` fresh runs;
 - the wall time and the summary line of the tier-1 tests;
 - the git sha, whether the tree had uncommitted changes, the Python version
   and the processor count.
@@ -109,20 +110,25 @@ def engine_times(repeats: int) -> dict:
 
 
 def certify_times(repeats: int) -> dict:
-    """Median wall seconds of ``certify_all`` on a fresh certified cyclic-5."""
+    """Median wall seconds of ``certify_all`` on a fresh certified cyclic-5
+    over GF(32003) and katsura-5 over Q."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from siggb.corpus import cyclic
+    from siggb.corpus import cyclic, katsura
     from siggb.f5engine import EngineOptions, certify_all, incremental_basis
 
     opts = EngineOptions(certify=True, validate_witnesses=True)
-    samples = []
-    for _ in range(repeats):
-        state, _ = incremental_basis(cyclic(5, 32003), opts=opts)
-        t0 = time.perf_counter()
-        certs = certify_all(state)
-        samples.append(time.perf_counter() - t0)
-    return {"certify.cyclic5_s": {"median": statistics.median(samples), "samples": samples,
-                                  "certificates": len(certs)}}
+    out = {}
+    for name, gens in (("cyclic5", lambda: cyclic(5, 32003)),
+                       ("katsura5qq", lambda: katsura(5, None))):
+        samples = []
+        for _ in range(repeats):
+            state, _ = incremental_basis(gens(), opts=opts)
+            t0 = time.perf_counter()
+            certs = certify_all(state)
+            samples.append(time.perf_counter() - t0)
+        out[f"certify.{name}_s"] = {"median": statistics.median(samples), "samples": samples,
+                                    "certificates": len(certs)}
+    return out
 
 
 def tier1() -> dict:

@@ -21,10 +21,8 @@ from .polyring import (
 from .signature import (
     LabeledPoly,
     Signature,
-    SignatureCollisionError,
     sig_compare,
     sig_mul,
-    spol_labeled,
 )
 from .syzygy import (
     Certificate,

@@ -165,7 +165,7 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
     except OSError as e:
         print(f"error: {e}", file=err)
         return EXIT_PARSE
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=err)
         return EXIT_PARSE
 

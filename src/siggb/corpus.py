@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .polyring import MonomialOrder, PolyRing, Polynomial, PrimeField
@@ -21,9 +20,15 @@ def random_ring(n: int, p: int = DEFAULT_PRIME) -> PolyRing:
 
 
 def _monomials_upto(n: int, d: int):
-    for exps in itertools.product(range(d + 1), repeat=n):
-        if sum(exps) <= d:
-            yield exps
+    """The exponent tuples of n variables with sum at most d, in the order
+    of ``itertools.product(range(d + 1), repeat=n)``: the first exponent
+    ascending, then the rest within the remaining degree."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(d + 1):
+        for rest in _monomials_upto(n - 1, d - a):
+            yield (a, *rest)
 
 
 def random_ideal(

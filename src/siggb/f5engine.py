@@ -289,7 +289,8 @@ class BasisState:
         self.syzygy_trails: dict[str, ModuleVector] = {}
         self.sig_keys: list = [None]  # by position: the sig_key of its signature
         self.creation_syzygies: dict[int, ModuleVector] = {}  # by position, built on demand
-        self.cert_templates: dict = {}  # certificate templates by (position, kind, witness | rule)
+        # checked certificates at u_min, by (position, kind, witness | rule)
+        self.cert_templates: dict = {}
         self.current_index = m
         self._pair_seq = 0
         self._trail_seq = 0

@@ -14,9 +14,23 @@ multiplies every step of the construction by x^v: the two syzygies, the
 entries that reach the bound u*Sig(r_k) and the entries they expand, the
 scalar that aligns the heads, and each bound check.  So
 cert(u) = x^(u - u_min) * cert(u_min), vector for vector.
+
 ``certify_rejection`` builds one template per (position, criterion,
-witness or rule) at u_min and shifts it; each shifted certificate is still
-evaluated and checked against its own bound.
+witness or rule) at u_min, checks it once in full, and shifts it for
+every rejection without checking the shifted copy again.  The copy passes
+exactly when its template does:
+
+- the order is multiplicative and packed addition is exact, so adding
+  pack(v) to both sides of a bound comparison keeps its result;
+- evaluation is linear, so the shifted vector evaluates to x^v times the
+  template's evaluation, and x^v * 0 = 0;
+- the rewriter equality multiplies both sides by x^v;
+- a shift that leaves a packed field raises DomainError in ``mul_term``
+  before any certificate is made.
+
+What still checks every certificate independently is the test that
+rebuilds each one from scratch at its own u, and perfbench's re-check of
+every certificate in sympy arithmetic.
 """
 
 from __future__ import annotations
@@ -259,37 +273,27 @@ def _expand_at(v: ModuleVector, pos: int, term: tuple[int, ...], coeff, state) -
     return v + s.mul_term(term, coeff)
 
 
-@dataclass(slots=True)
-class _Template:
-    """The syzygy behind a rejection of the component u*r_k, built from
-    scratch for one u and not yet checked.  ``certify_rejection`` shifts it
-    by a monomial; ``mht_a``, ``mht_b`` and ``rewriter`` (lambda times the
-    module head term of the rule's syzygy, Rewritten only) shift with it."""
-
-    vector: ModuleVector
-    mht_a: Signature | None
-    mht_b: Signature | None
-    scale: object
-    crit_pos: int | None
-    rewriter: Signature | None
-
-
-def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
-    """Materialize the syzygy behind the rejection of the component u_k*r_k.
+def _template(pair, verdict, state, u_k: tuple[int, ...]) -> Certificate:
+    """The certificate of the rejection of the component u_k*r_k, built from
+    scratch and checked against its bound u_k*Sig(r_k).
 
     For a component flagged by the F5 criterion the second syzygy is the
     principal one of (witness element, input k); for the Rewritten criterion
     it is the creation syzygy of the rule's element (or the recorded reduction
     trail of a zero reduction).  The two are combined so their module head
     terms cancel, and entries that still reach the component's multiplied
-    signature are expanded down the creation chains.
+    signature are expanded down the creation chains.  The result is checked
+    in full: its evaluation, one bound per entry and, for a Rewritten
+    certificate, the rewriter equality (lambda times the module head term of
+    the rule's syzygy equals the bound).  Raises CertificateError when any
+    of them fails.
     """
     ring = state.ring
     field_ = ring.field
     keys = state.sig_keys
+    pos_k = pair.component(verdict.component)[1]
     sig_k = state.sig(pos_k)
     bound = sig_mul(u_k, sig_k)
-    bkey = sig_key(bound, ring)
     where = f"{ring.render_exp(u_k)}*r{pos_k}"
 
     a_vec = _creation_syzygy(pos_k, state).mul_term(u_k)
@@ -320,36 +324,29 @@ def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
     # Align the two syzygies: expand offending entries down the creation
     # chains until the head coefficient dictionaries are proportional, then
     # cancel.  The scalar accounts for monic normalization along the chains.
-    def offender_coeffs(v, skip):
-        return {
-            pos: coeff.hc
-            for pos, coeff in v.entries.items()
-            if pos not in skip and _head_key(pos, coeff, keys) == bkey
-        }
-
+    # Each syzygy's module head term is the bound and an expansion replaces
+    # a head by lower terms, so no entry passes the bound: the offenders are
+    # the entries whose head reaches it exactly.
     budget = 4 * state.size + 8
     for _ in range(budget):
-        ca = offender_coeffs(a_vec, skip_a)
-        cb = offender_coeffs(b_vec, skip_b)
-        if a_vec.is_zero or not ca:
+        oa = _offenders(a_vec, state, bound, skip_a)
+        ob = _offenders(b_vec, state, bound, skip_b)
+        if a_vec.is_zero or not oa:
             rho = field_.one
             break
-        if set(ca) == set(cb):
-            ratios = {pos: field_.div(ca[pos], cb[pos]) for pos in ca}
-            vals = list(ratios.values())
-            if all(v == vals[0] for v in vals):
-                rho = vals[0]
+        if oa.keys() == ob.keys():
+            ratios = {field_.div(oa[p][1], ob[p][1]) for p in oa}
+            if len(ratios) == 1:
+                rho = ratios.pop()
                 break
-        expandable = [p for p in set(ca) | set(cb) if p > state.m]
+        expandable = [p for p in oa.keys() | ob.keys() if p > state.m]
         if not expandable:
             raise CertificateError(f"cannot align syzygy head terms for {where}")
         p = max(expandable)
-        if p in ca:
-            q = a_vec.entries[p]
-            a_vec = _expand_at(a_vec, p, q.ht, q.hc, state)
-        if p in cb:
-            q = b_vec.entries[p]
-            b_vec = _expand_at(b_vec, p, q.ht, q.hc, state)
+        if p in oa:
+            a_vec = _expand_at(a_vec, p, *oa[p], state)
+        if p in ob:
+            b_vec = _expand_at(b_vec, p, *ob[p], state)
     else:  # pragma: no cover
         raise CertificateError("syzygy head alignment did not terminate")
 
@@ -365,12 +362,43 @@ def _template(pos_k: int, u_k: tuple[int, ...], verdict, state) -> _Template:
                 raise CertificateError(f"unresolvable head term in certificate for {where}")
             break
         p = max(expandable)
-        e, c = expandable[p]
-        vec = _expand_at(vec, p, e, c, state)
+        vec = _expand_at(vec, p, *expandable[p], state)
     else:  # pragma: no cover
         raise CertificateError("certificate expansion did not terminate")
 
-    return _Template(vec, mht_a, mht_b, rho, crit_pos, rewriter)
+    bkey = sig_key(bound, ring)
+    bounds: list[BoundCheck] = []
+    for pos in vec.positions():
+        coeff = vec.entries[pos]
+        key, head = _head_key(pos, coeff, keys), coeff.packed[0][0]
+        if pos == pos_k:
+            bounds.append(BoundCheck(pos, head, "flagged", key <= bkey))
+        elif pos == crit_pos:
+            bounds.append(BoundCheck(pos, head, "crit", key <= bkey))
+        else:
+            bounds.append(BoundCheck(pos, head, "strict", key < bkey))
+
+    cert = Certificate(
+        pair=pair,
+        kind=verdict.kind,
+        component=verdict.component,
+        flagged_pos=pos_k,
+        flagged_u=u_k,
+        bound_sig=bound,
+        vector=vec,
+        evaluation=evaluate(vec, state),
+        mht_a=mht_a,
+        mht_b=mht_b,
+        scale=rho,
+        bounds=bounds,
+        rewrite_equality=None if rewriter is None else rewriter == bound,
+    )
+    if not cert.valid:
+        raise CertificateError(
+            f"certificate for pair ({pair.i},{pair.j}) failed verification:\n"
+            + cert.render(state)
+        )
+    return cert
 
 
 def _least_multiplier(pos_k: int, verdict, state) -> tuple[int, ...]:
@@ -385,63 +413,21 @@ def _shifted(v: tuple[int, ...], sig: Signature | None) -> Signature | None:
     return None if sig is None else sig_mul(v, sig)
 
 
-def _checked(pair, verdict, state, tpl: _Template, v: tuple[int, ...]) -> Certificate:
-    """The certificate of the rejection: x^v times the template, checked as
-    one built from scratch is, against its own bound u*Sig(r_k): its
-    evaluation, its bound per entry and the rewriter equality.  Raises
-    CertificateError when any of them fails."""
+def certify_rejection(pair, verdict, state) -> Certificate:
+    """The certificate of a criterion rejection: its template shifted.
+
+    The certificate of the component u*r_k is x^v times the one at the
+    least multiplier u_min, v = u - u_min (module docstring).  One template
+    per (position, criterion, witness or rule) is built at u_min and
+    checked by ``_template``, and only a template that passed is kept in
+    ``state.cert_templates``.  Every rejection then shifts it: the vector,
+    the bound and both module head terms by x^v, each bound's packed head
+    by pack(v) with its verdict kept; the zero evaluation, the scale and the
+    rewriter equality carry over.  No evaluation and no key comparison is
+    made here.
+    """
     comp = verdict.component
     u_k, pos_k = pair.component(comp)
-    bound = sig_mul(u_k, state.sig(pos_k))
-    bkey = sig_key(bound, state.ring)
-    keys = state.sig_keys
-    vec = tpl.vector.mul_term(v)
-
-    bounds: list[BoundCheck] = []
-    for pos in vec.positions():
-        coeff = vec.entries[pos]
-        key, head = _head_key(pos, coeff, keys), coeff.packed[0][0]
-        if pos == pos_k:
-            bounds.append(BoundCheck(pos, head, "flagged", key <= bkey))
-        elif pos == tpl.crit_pos:
-            bounds.append(BoundCheck(pos, head, "crit", key <= bkey))
-        else:
-            bounds.append(BoundCheck(pos, head, "strict", key < bkey))
-
-    rewriter = _shifted(v, tpl.rewriter)
-    cert = Certificate(
-        pair=pair,
-        kind=verdict.kind,
-        component=comp,
-        flagged_pos=pos_k,
-        flagged_u=u_k,
-        bound_sig=bound,
-        vector=vec,
-        evaluation=evaluate(vec, state),
-        mht_a=_shifted(v, tpl.mht_a),
-        mht_b=_shifted(v, tpl.mht_b),
-        scale=tpl.scale,
-        bounds=bounds,
-        rewrite_equality=None if rewriter is None else rewriter == bound,
-    )
-    if not cert.valid:
-        raise CertificateError(
-            f"certificate for pair ({pair.i},{pair.j}) failed verification:\n"
-            + cert.render(state)
-        )
-    return cert
-
-
-def certify_rejection(pair, verdict, state) -> Certificate:
-    """Materialize the syzygy behind a criterion rejection and verify it.
-
-    The syzygy of the component u*r_k is x^(u - u_min) times the one at the
-    least multiplier u_min (module docstring), so one template per
-    (position, criterion, witness or rule) is built, at u_min, and kept in
-    ``state.cert_templates``; every rejection shifts it and checks the
-    result in full (``_checked``).
-    """
-    u_k, pos_k = pair.component(verdict.component)
     u_min = _least_multiplier(pos_k, verdict, state)
     v = exp_div(u_k, u_min)
     if v is None:
@@ -453,5 +439,20 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     key = (pos_k, verdict.kind, crit)
     tpl = state.cert_templates.get(key)
     if tpl is None:
-        tpl = state.cert_templates[key] = _template(pos_k, u_min, verdict, state)
-    return _checked(pair, verdict, state, tpl, v)
+        tpl = state.cert_templates[key] = _template(pair, verdict, state, u_min)
+    shift = state.ring.pack(v)
+    return Certificate(
+        pair=pair,
+        kind=tpl.kind,
+        component=comp,
+        flagged_pos=pos_k,
+        flagged_u=u_k,
+        bound_sig=sig_mul(v, tpl.bound_sig),
+        vector=tpl.vector.mul_term(v),
+        evaluation=tpl.evaluation,
+        mht_a=_shifted(v, tpl.mht_a),
+        mht_b=_shifted(v, tpl.mht_b),
+        scale=tpl.scale,
+        bounds=[BoundCheck(b.position, b.head + shift, b.kind, b.ok) for b in tpl.bounds],
+        rewrite_equality=tpl.rewrite_equality,
+    )

@@ -240,6 +240,19 @@ def test_run_exponent_past_a_packed_field(order, generator, column):
     assert proc.stderr == f"parse error: exponent too large at line 3, column {column}\n"
 
 
+def test_run_file_not_utf8(tmp_path):
+    # bytes that are not UTF-8 are one parse error line, not a traceback
+    bad = tmp_path / "latin.ideal"
+    bad.write_bytes(b"vars: x\n\xff\xfe x\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "siggb.cli", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith("parse error: 'utf-8' codec can't decode")
+
+
 def test_run_missing_file():
     code, _, err = cli("/nonexistent/nope.ideal")
     assert code == EXIT_PARSE

@@ -3,14 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from siggb.polyring import Cmp, MonomialOrder, PolyRing
-from siggb.signature import (
-    LabeledPoly,
-    Signature,
-    SignatureCollisionError,
-    sig_compare,
-    sig_mul,
-    spol_labeled,
-)
+from siggb.signature import Signature, build_labeled_spol, sig_compare, sig_mul
 
 DRL = MonomialOrder("degrevlex")
 
@@ -74,49 +67,19 @@ def test_sig_mul_monotone(u, s):
 
 # -- labeled S-polynomials ------------------------------------------------------
 
-def test_spol_labeled_larger_signature_wins(ring):
-    # r6 = (x e1, Spol(f1, f2)) against r1 = (e1, f1): result signature xz^2 e1
-    f1 = ring.parse("y*z^3 - x^2*t^2")
-    p6 = ring.parse("y^3*z*t - x^3*t^2")
-    r6 = LabeledPoly(Signature(e(1, 0, 0, 0), 1), p6)
-    r1 = LabeledPoly(Signature(e(0, 0, 0, 0), 1), f1)
-    out = spol_labeled(r6, r1)
-    assert out.sig == Signature(e(1, 0, 2, 0), 1)
-
-
-def test_spol_labeled_index_order(ring):
-    f1 = ring.parse("y*z^3 - x^2*t^2")
-    f2 = ring.parse("x*z^2 - y^2*t")
-    r1 = LabeledPoly(Signature(e(0, 0, 0, 0), 1), f1)
-    r2 = LabeledPoly(Signature(e(0, 0, 0, 0), 2), f2)
-    out = spol_labeled(r1, r2)
-    assert out.sig == Signature(e(1, 0, 0, 0), 1)  # x e1
-    # swapped arguments give the same signature
-    assert spol_labeled(r2, r1).sig == out.sig
-
-
-def test_spol_labeled_self_is_zero(ring):
-    r = LabeledPoly(Signature(e(0, 0, 0, 0), 1), ring.parse("x^2 + y"))
-    out = spol_labeled(r, r)
-    assert out.poly.is_zero
-
-
-def test_spol_labeled_collision(ring):
-    # y * (x e1) = x * (y e1) but the polynomials do not cancel
-    ra = LabeledPoly(Signature(e(1, 0, 0, 0), 1), ring.parse("x^2"))
-    rb = LabeledPoly(Signature(e(0, 1, 0, 0), 1), ring.parse("x*y + z^2"))
-    with pytest.raises(SignatureCollisionError):
-        spol_labeled(ra, rb)
-
-
 def test_spol_labeled_witness(ring):
+    # hc(b)*u_a*wa - hc(a)*u_b*wb, with u_a = x and u_b = y*z the cofactors
+    # of lcm(HT(f1), HT(f2)) = x*y*z^3
     from siggb.syzygy import ModuleVector
 
     f1 = ring.parse("y*z^3 - x^2*t^2")
     f2 = ring.parse("x*z^2 - y^2*t")
-    r1 = LabeledPoly(Signature(e(0, 0, 0, 0), 1), f1, ModuleVector.unit(1, ring))
-    r2 = LabeledPoly(Signature(e(0, 0, 0, 0), 2), f2, ModuleVector.unit(2, ring))
-    out = spol_labeled(r1, r2)
+    sig = Signature(e(1, 0, 0, 0), 1)
+    out = build_labeled_spol(
+        sig, f1, ModuleVector.unit(1, ring), f2, ModuleVector.unit(2, ring)
+    )
+    assert out.sig == sig
     assert out.witness is not None
     assert out.witness.entries[1] == ring.parse("x")
     assert out.witness.entries[2] == ring.parse("-y*z")
+    assert out.poly == ring.parse("x") * f1 - ring.parse("y*z") * f2

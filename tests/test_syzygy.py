@@ -382,6 +382,12 @@ def _certified_state(gens):
     return state
 
 
+def _lex(gens):
+    ring = gens[0].ring
+    lex = PolyRing(ring.names, ring.field, MonomialOrder("lex"))
+    return [lex.build(dict(g.terms)) for g in gens]
+
+
 @pytest.fixture(scope="module")
 def template_states(golden_gens):
     from siggb.corpus import cyclic, katsura
@@ -390,17 +396,18 @@ def template_states(golden_gens):
         "golden": _certified_state(golden_gens),
         "cyclic-4": _certified_state(cyclic(4)),
         "katsura-4 over Q": _certified_state(katsura(4, None)),
+        "cyclic-4 lex": _certified_state(_lex(cyclic(4))),
     }
 
 
 def _from_scratch(ev, state):
-    from siggb.syzygy import _checked, _template
+    from siggb.syzygy import _template
 
-    u, pos = ev.pair.component(ev.component)
-    return _checked(ev.pair, ev, state, _template(pos, u, ev, state), state.ring.zero_exp)
+    u, _ = ev.pair.component(ev.component)
+    return _template(ev.pair, ev, state, u)
 
 
-@pytest.mark.parametrize("name", ["golden", "cyclic-4", "katsura-4 over Q"])
+@pytest.mark.parametrize("name", ["golden", "cyclic-4", "katsura-4 over Q", "cyclic-4 lex"])
 def test_shifted_templates_equal_certificates_from_scratch(template_states, name):
     state = template_states[name]
     events = rejection_events(state)
@@ -415,6 +422,30 @@ def test_shifted_templates_equal_certificates_from_scratch(template_states, name
         assert got.scale == want.scale
         assert (got.mht_a, got.mht_b) == (want.mht_a, want.mht_b)
         assert got.render(state) == want.render(state)
+
+
+def test_template_that_fails_its_check_is_never_kept(template_states):
+    # An F5 verdict whose witness is an input of smaller index than the
+    # component: the witness entry of the principal syzygy lies above the
+    # bound, so the template fails its check.  It raises on every call and is
+    # never kept; a kept one would be shifted unchecked by the next call.
+    from siggb.f5engine import PairRejected
+    from siggb.syzygy import CertificateError, certify_rejection
+
+    state = template_states["cyclic-4"]
+    ev, w = next(
+        (e, w)
+        for e in rejection_events(state)
+        if e.kind == "f5crit"
+        for w in range(1, state.sig(e.pair.component(e.component)[1]).index)
+        if all(h <= t for h, t in zip(state.poly(w).ht, e.pair.msig(e.component).gamma))
+    )
+    pos = ev.pair.component(ev.component)[1]
+    forged = PairRejected(ev.pair, "f5crit", "creation", ev.component, w)
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="failed verification"):
+            certify_rejection(ev.pair, forged, state)
+    assert (pos, "f5crit", w) not in state.cert_templates
 
 
 def test_forged_rewrite_verdict_is_refused_after_a_genuine_one(template_states):
