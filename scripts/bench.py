@@ -18,6 +18,9 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
   each certified with witness validation as ``siggb --certify`` runs it, the
   median of ``CERTIFY_REPEATS`` fresh runs;
 - the wall time and the summary line of the tier-1 tests;
+- the size of ``src/siggb/*.py``: every line (``size.src_lines``), and the
+  lines that hold code, without docstrings, comments and blank lines
+  (``size.src_code_lines``);
 - the git sha, whether the tree had uncommitted changes, the Python version
   and the processor count.
 
@@ -27,6 +30,7 @@ not correct, or when the tier-1 tests fail; the file is written either way.
 """
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -34,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1, 2)
@@ -143,6 +148,39 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def _code_lines(path: str) -> int:
+    """Lines of a Python file that hold a token of code: comments, blank
+    lines and docstrings (a string that is a statement by itself) are left
+    out, and a token spanning several lines counts each of them."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    with open(path, "rb") as fh:
+        toks = list(tokenize.tokenize(fh.readline))
+    lines = set()
+    at_start = True  # the next token begins a statement
+    for tok, nxt in zip(toks, toks[1:]):  # the last token is ENDMARKER
+        if tok.type in layout:
+            at_start = at_start or tok.type in (tokenize.NEWLINE, tokenize.INDENT,
+                                                tokenize.DEDENT)
+            continue
+        docstring = (tok.type == tokenize.STRING and at_start
+                     and nxt.type in (tokenize.NEWLINE, tokenize.COMMENT))
+        at_start = False
+        if not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def source_size() -> dict:
+    """Every line of ``src/siggb/*.py``, and the lines that hold code."""
+    files = sorted(glob.glob(os.path.join(ROOT, "src", "siggb", "*.py")))
+    total = 0
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return {"src_lines": total, "src_code_lines": sum(_code_lines(p) for p in files)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="Write BENCH_<pr>.json.")
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -158,6 +196,7 @@ def main() -> int:
         "cpus": os.cpu_count(),
         "run_seconds": spec["run_seconds"],
         "seeds": list(SEEDS),
+        "size": source_size(),
         "perfbench": [],
     }
     for workload in (w["name"] for w in spec["workloads"]):

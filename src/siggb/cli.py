@@ -156,11 +156,11 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
             if args.file is None:
                 print("error: an ideal file (or --random) is required", file=err)
                 return EXIT_PARSE
-            text = (
-                sys.stdin.read()
-                if args.file == "-"
-                else open(args.file, "r", encoding="utf-8").read()
-            )
+            if args.file == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.file, encoding="utf-8") as fh:
+                    text = fh.read()
             spec = parse_ideal(text)
     except OSError as e:
         print(f"error: {e}", file=err)

@@ -48,7 +48,7 @@ def random_ideal(
         for e in _monomials_upto(n, deg):
             terms[e] = rng.randrange(p)
         f = ring.build(terms)
-        if not f.is_zero and f.total_degree >= 1:
+        if not f.is_zero and f.ht != ring.zero_exp:
             gens.append(f)
     return gens
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass, field as dfield
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -90,9 +89,6 @@ class RewriteRule:
     def __post_init__(self):
         self.mask = exp_mask(self.gamma)
 
-    def render_label(self) -> str:
-        return str(self.label)
-
 
 @dataclass(slots=True)
 class CriticalPair:
@@ -100,13 +96,16 @@ class CriticalPair:
 
     ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
     u_j * Sig(r_j); the criteria read a component's index and term from them.
-    ``snapshot`` is the basis size when the pair was made, the last position
-    an F5 witness of the pair may have.  In the engine's pairs, components
-    with equal (u, position) share one u and one multiplied signature (the
-    per-position memo ``BasisState.msigs``), and the positions and snapshot
-    are the state's shared ints, so the pairs of one batch share one
-    snapshot.  A created pair is its own event: ``PairCreated`` names this
-    class.
+    ``snapshot`` is the basis size when the pair was made.  It bounds only
+    clause (b) of the relaxed criterion (``falsifier``), whose elements have
+    a component's own index and so can grow within an iteration.  The F5
+    criterion takes no bound: its witnesses, of larger index, are all in the
+    basis before the pair is made (``component_f5_witnesses``).  In the
+    engine's pairs, components with equal (u, position) share one u and one
+    multiplied signature (the per-position memo ``BasisState.msigs``), and
+    the positions and snapshot are the state's shared ints, so the pairs of
+    one batch share one snapshot.  A created pair is its own event:
+    ``PairCreated`` names this class.
     """
 
     i: int
@@ -132,12 +131,12 @@ class CriticalPair:
 PairCreated = CriticalPair
 
 
-def _all_f5_witnesses(pair: CriticalPair, state: BasisState, snapshot: int) -> tuple:
+def _all_f5_witnesses(pair: CriticalPair, state: BasisState) -> tuple:
     """((comp, prev_pos), ...), component i first, in basis order."""
     return tuple(
         (comp, prev)
         for comp in ("i", "j")
-        for prev in component_f5_witnesses(pair.msig(comp), state, snapshot)
+        for prev in component_f5_witnesses(pair.msig(comp), state)
     )
 
 
@@ -172,9 +171,9 @@ class IterationBegin:
 class PairRejected:
     """A discarded pair.  An F5 rejection keeps its component and first
     witness, the one the certificate uses, and lists every witness on demand
-    through the state's weak reference, from the basis the pair was created
-    against: the witnesses of a component are frozen within an iteration,
-    so a pop-stage verdict sees the same ones."""
+    through the state's weak reference, from the basis as it stands: the
+    witnesses of a component are all there before the pair is made, and no
+    later element joins them."""
 
     pair: CriticalPair
     kind: str  # "f5crit" | "rewrite"
@@ -192,14 +191,14 @@ class PairRejected:
         state = self.state_ref() if self.state_ref is not None else None
         if state is None:
             raise StructureError("the basis state this rejection was made in is gone")
-        return _all_f5_witnesses(self.pair, state, self.pair.snapshot)
+        return _all_f5_witnesses(self.pair, state)
 
     def render(self, state) -> str:
         ring = state.ring
         p = self.pair
         lines = []
         if self.kind == "f5crit":
-            for comp, prev in _all_f5_witnesses(p, state, p.snapshot):
+            for comp, prev in _all_f5_witnesses(p, state):
                 u, pos = p.component(comp)
                 lines.append(
                     f"REJECT f5crit pair=({p.i},{p.j}) comp={comp} "
@@ -211,7 +210,7 @@ class PairRejected:
             lines.append(
                 f"REJECT rewrite pair=({p.i},{p.j}) comp={self.component} "
                 f"u={ring.render_exp(u)} sig={state.sig(pos).render(ring)} "
-                f"rule={self.rule.render_label()}"
+                f"rule={self.rule.label}"
             )
         return "\n".join(lines)
 
@@ -238,7 +237,6 @@ class PairAdmitted:
 @dataclass(slots=True)
 class ReducedToZero:
     sig: Signature
-    trail_label: str
 
     def render(self, state) -> str:
         return f"ZERO sig={self.sig.render(state.ring)}"
@@ -411,25 +409,24 @@ def _f5_table(state: BasisState, k0: int) -> F5Table:
     return table
 
 
-def component_f5_witnesses(
-    msig: Signature, state: BasisState, snapshot: int | None = None
-) -> list[int]:
+def component_f5_witnesses(msig: Signature, state: BasisState) -> tuple[int, ...]:
     """Basis elements of larger index than msig's whose head divides msig's
-    term, for a component with multiplied signature msig = u * Sig(r_pos).
+    term, for a component with multiplied signature msig = u * Sig(r_pos),
+    in position order.
 
     The candidates, every element of index > k0 = msig.index, do not depend
     on when the question is asked.  The engine works index by index from m-1
     down to 1 and makes every element of index j in iteration j, so each
-    candidate exists before any component of index k0 meets a pair: no
-    snapshot cuts one off, and later elements (index <= k0) never join.
-    That is why ``first_f5_witness`` memoises its answer on (k0, term)
-    alone, and this full list, read when a rejection lists its witnesses,
-    is memoised the same way in ``F5Table.every``.  The witnesses come in
-    position order, so the basis of a pair's snapshot holds a prefix of them.
-    States built by hand may append out of that order; appending an element
-    of index j drops the tables of every k0 < j (``BasisState._append``).
-    A head whose divisor mask names a variable that the term lacks is
-    skipped without the exponent-wise test.
+    candidate exists before any component of index k0 meets a pair, and
+    later elements (index <= k0) never join.  So the basis as it stands
+    answers for every pair of index k0, whenever it was made, and no
+    snapshot cuts the answer: ``first_f5_witness`` memoises its answer on
+    (k0, term) alone, and this full tuple, read when a rejection lists its
+    witnesses, is memoised the same way in ``F5Table.every``.  States built
+    by hand may append out of that order; appending an element of index j
+    drops the tables of every k0 < j (``BasisState._append``).  A head whose
+    divisor mask names a variable that the term lacks is skipped without the
+    exponent-wise test.
     """
     table = _f5_table(state, msig.index)
     t = msig.gamma
@@ -440,19 +437,15 @@ def component_f5_witnesses(
             pos for pos, mask, ht in table.cands
             if not mask & miss and exp_divides(ht, t)
         )
-    max_pos = state.size if snapshot is None else snapshot
-    return list(every[:bisect_right(every, max_pos)])
+    return every
 
 
-def first_f5_witness(
-    msig: Signature, state: BasisState, snapshot: int | None = None
-) -> int:
+def first_f5_witness(msig: Signature, state: BasisState) -> int:
     """Position of the first F5 witness of the component with multiplied
     signature msig, or 0 when it has none: the one F5-criterion query.
 
     The answer is memoised on (msig.index, msig.gamma), which the
-    invariant in ``component_f5_witnesses`` makes sound.  Candidates come in
-    position order, so a first witness past the snapshot means none in it.
+    invariant in ``component_f5_witnesses`` makes sound.
     """
     table = state.f5_tables.get(msig.index) or _f5_table(state, msig.index)
     t = msig.gamma
@@ -465,8 +458,6 @@ def first_f5_witness(
                 first = pos
                 break
         table.first[t] = first
-    if snapshot is not None and first > snapshot:
-        return 0
     return first
 
 
@@ -486,17 +477,16 @@ def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteR
     return None
 
 
-def is_normalized(
-    pair: CriticalPair, state: BasisState, snapshot: int | None = None
-) -> NormalizedVerdict:
-    """F5 criterion: component i, then j, each asked for its first witness
-    among the first ``snapshot`` positions, or the whole basis without one.
+def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
+    """F5 criterion: component i, then j, each asked for its first witness in
+    the basis as it stands, which holds every witness the component can have
+    (``component_f5_witnesses``); the pair's snapshot plays no part.
 
     One witness decides the verdict and builds the certificate;
     ``component_f5_witnesses`` lists them all.
     """
     for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
-        hit = first_f5_witness(msig, state, snapshot)
+        hit = first_f5_witness(msig, state)
         if hit:
             return NormalizedVerdict(False, comp, hit)
     return NormalizedVerdict(True)
@@ -705,9 +695,10 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
 def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
     """Run the F5 criterion at creation, then the Rewritten criterion at
     either stage; record and count the rejection when one of them discards
-    the pair.  The F5 criterion is ``is_normalized`` against the basis as it
-    stands, which is the pair's snapshot; a rejection keeps the component
-    and its first witness."""
+    the pair.  The F5 criterion is ``is_normalized``, which needs no snapshot:
+    a witness has a larger index than the component it flags, so every
+    witness is in the basis before the pair is made.  A rejection keeps the
+    component and its first witness."""
     if stage == "creation":
         nv = is_normalized(pair, state)
         if not nv.normalized:
@@ -749,7 +740,7 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
             lp_rule.label = label
             if res.element.witness is not None:
                 state.syzygy_trails[label] = res.element.witness
-            state.events.append(ReducedToZero(res.element.sig, label))
+            state.events.append(ReducedToZero(res.element.sig))
         elif res.kind == "reduced":
             pos = state.add_element(res.element, lp_rule)
             if state.opts.certify and state.opts.validate_witnesses:

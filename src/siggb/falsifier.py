@@ -134,10 +134,11 @@ def _component_part_b(
 def completely_normalized(
     pair: CriticalPair, state: BasisState, snapshot: int | None = None, candidates=None
 ) -> CNResult:
-    """Literal evaluation of both clauses of the relaxed check.  ``candidates``
-    are clause (b)'s (``_part_b_candidates``), built from the basis when not
-    given."""
-    nv = is_normalized(pair, state, snapshot)
+    """Literal evaluation of both clauses of the relaxed check.  Clause (a) is
+    ``is_normalized``, which takes no snapshot; ``snapshot`` bounds clause (b)
+    alone.  ``candidates`` are clause (b)'s (``_part_b_candidates``), built
+    from the basis when not given."""
+    nv = is_normalized(pair, state)
     if not nv.normalized:
         return CNResult(False, "a", nv.component, nv.witness)
     for comp in ("i", "j"):
@@ -152,9 +153,10 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
 
     Every derived element must satisfy the strict head-term inequality, every
     input the equality, and re-running both pair checks on each recorded pair
-    (against the basis as it stood at creation) must never disagree.  Clause
-    (b) walks only the elements whose row reads "<", collected once from the
-    rows; there are none on a correct run, so it costs nothing per pair.
+    (clause (b) against the basis as it stood at creation) must never
+    disagree.  Clause (b) walks only the elements whose row reads "<",
+    collected once from the rows; there are none on a correct run, so it
+    costs nothing per pair.
     """
     report = ImprovedCheckReport(rows=_element_rows(state))
     candidates = _part_b_candidates(report.rows)

@@ -123,15 +123,10 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: degrevlex or lex, with an optional variable precedence.
-
-    ``precedence`` permutes the variables before the standard comparison;
-    entry 0 names the most significant variable.  None means the ring's own
-    variable order.
-    """
+    """A monomial order on the ring's variables, x_1 > x_2 > ... > x_n:
+    degrevlex or lex, named by ``kind``."""
 
     kind: str = "degrevlex"
-    precedence: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
@@ -140,8 +135,6 @@ class MonomialOrder:
     def key(self, e: tuple[int, ...]):
         """A tuple that sorts as e does in this order: the ring-free
         reference that ``PolyRing.pack`` must match."""
-        if self.precedence is not None:
-            e = tuple(e[i] for i in self.precedence)
         if self.kind == "degrevlex":
             return (sum(e), tuple(-x for x in reversed(e)))
         return e
@@ -360,7 +353,7 @@ class PolyRing:
         Fields of ``_FIELD_BITS`` bits, most significant first, each topped
         by a guard bit that stays clear: under degrevlex the degree, then
         S_{n-1}, ..., S_1 with S_k = x_1 + ... + x_k, then x_1, ..., x_n;
-        under lex x_1, ..., x_n; variables taken in ``precedence`` order.
+        under lex x_1, ..., x_n.
         Adding two packed monomials multiplies them, and h divides e exactly
         when ``(e - h) & self._guard`` is zero.  Raises DomainError for an
         exponent that does not fit its field.
@@ -369,15 +362,13 @@ class PolyRing:
         if k is None:
             if len(e) != self.nvars:
                 raise StructureError("exponent length mismatch")
-            prec = self.order.precedence
-            x = [e[i] for i in prec] if prec is not None else list(e)
-            fields = x
+            fields = e
             if self.order.kind == "degrevlex":
                 sums = [0]
-                for v in x[:-1]:
+                for v in e[:-1]:
                     sums.append(sums[-1] + v)
-                fields = [sums[-1] + x[-1]] + sums[:0:-1] + x
-            if min(x) < 0 or max(fields) >= _GUARD:
+                fields = [sums[-1] + e[-1], *sums[:0:-1], *e]
+            if min(e) < 0 or max(fields) >= _GUARD:
                 raise DomainError(f"exponent {e} does not fit a packed monomial")
             k = 0
             for v in fields:
@@ -393,14 +384,9 @@ class PolyRing:
         e = self._unpackcache.get(k)
         if e is None:
             n = self.nvars
-            x = [(k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)]
-            prec = self.order.precedence
-            if prec is not None:
-                y = [0] * n
-                for i, v in zip(prec, x):
-                    y[i] = v
-                x = y
-            e = self._unpackcache[k] = tuple(x)
+            e = self._unpackcache[k] = tuple(
+                (k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)
+            )
             self._packcache[e] = k
         return e
 
@@ -607,12 +593,6 @@ class Polynomial:
         if not self.packed:
             raise DomainError("zero polynomial has no lower-order terms")
         return Polynomial(self.ring, self.packed[1:])
-
-    @property
-    def total_degree(self) -> int:
-        if not self.packed:
-            return -1
-        return max(exp_degree(e) for e, _ in self.terms)
 
     # arithmetic -------------------------------------------------------------
 

@@ -201,9 +201,6 @@ class Certificate:
     bound_sig: Signature  # u_k * Sig(r_k) of the flagged component
     vector: ModuleVector
     evaluation: Polynomial
-    mht_a: Signature | None
-    mht_b: Signature | None
-    scale: object
     bounds: list[BoundCheck] = field(default_factory=list)
     rewrite_equality: bool | None = None
 
@@ -318,9 +315,6 @@ def _template(pair, verdict, state, u_k: tuple[int, ...]) -> Certificate:
     skip_b = {crit_pos} if crit_pos is not None else set()
     distinguished = skip_a | skip_b
 
-    mht_a = None if a_vec.is_zero else mht(a_vec, state)
-    mht_b = None if b_vec.is_zero else mht(b_vec, state)
-
     # Align the two syzygies: expand offending entries down the creation
     # chains until the head coefficient dictionaries are proportional, then
     # cancel.  The scalar accounts for monic normalization along the chains.
@@ -387,9 +381,6 @@ def _template(pair, verdict, state, u_k: tuple[int, ...]) -> Certificate:
         bound_sig=bound,
         vector=vec,
         evaluation=evaluate(vec, state),
-        mht_a=mht_a,
-        mht_b=mht_b,
-        scale=rho,
         bounds=bounds,
         rewrite_equality=None if rewriter is None else rewriter == bound,
     )
@@ -409,10 +400,6 @@ def _least_multiplier(pos_k: int, verdict, state) -> tuple[int, ...]:
     return tuple(x - g if x > g else 0 for x, g in zip(h, state.sig(pos_k).gamma))
 
 
-def _shifted(v: tuple[int, ...], sig: Signature | None) -> Signature | None:
-    return None if sig is None else sig_mul(v, sig)
-
-
 def certify_rejection(pair, verdict, state) -> Certificate:
     """The certificate of a criterion rejection: its template shifted.
 
@@ -420,11 +407,12 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     least multiplier u_min, v = u - u_min (module docstring).  One template
     per (position, criterion, witness or rule) is built at u_min and
     checked by ``_template``, and only a template that passed is kept in
-    ``state.cert_templates``.  Every rejection then shifts it: the vector,
-    the bound and both module head terms by x^v, each bound's packed head
-    by pack(v) with its verdict kept; the zero evaluation, the scale and the
-    rewriter equality carry over.  No evaluation and no key comparison is
-    made here.
+    ``state.cert_templates``.  Every rejection then shifts it.  The shifted
+    certificate carries the pair, the criterion and the component of this
+    rejection, the flagged position with its own u, the bound and the vector
+    times x^v, and each bound check with its packed head plus pack(v) and
+    its verdict kept; the zero evaluation and the rewriter equality carry
+    over.  No evaluation and no key comparison is made here.
     """
     comp = verdict.component
     u_k, pos_k = pair.component(comp)
@@ -450,9 +438,6 @@ def certify_rejection(pair, verdict, state) -> Certificate:
         bound_sig=sig_mul(v, tpl.bound_sig),
         vector=tpl.vector.mul_term(v),
         evaluation=tpl.evaluation,
-        mht_a=_shifted(v, tpl.mht_a),
-        mht_b=_shifted(v, tpl.mht_b),
-        scale=tpl.scale,
         bounds=[BoundCheck(b.position, b.head + shift, b.kind, b.ok) for b in tpl.bounds],
         rewrite_equality=tpl.rewrite_equality,
     )

@@ -133,7 +133,7 @@ def test_lemma_scan(golden_state, corpus_runs):
             if not isinstance(pair, PairCreated):
                 continue
             pairs += 1
-            nv = is_normalized(pair, state, pair.snapshot)
+            nv = is_normalized(pair, state)
             cn = completely_normalized(pair, state, pair.snapshot)
             if nv.normalized != cn.completely_normalized:
                 ok = False

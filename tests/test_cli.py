@@ -1,8 +1,10 @@
+import gc
 import io
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,20 @@ def test_run_file_not_utf8(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
     assert lines[0].startswith("parse error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("content", [GOLDEN_TEXT.encode(), b"vars: x\n\xff\xfe x\n"],
+                         ids=["golden", "not-utf8"])
+def test_run_closes_the_ideal_file(tmp_path, content):
+    # an ideal file is closed on every path, so no ResourceWarning is left
+    # for the garbage collector to report
+    path = tmp_path / "in.ideal"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_run_missing_file():

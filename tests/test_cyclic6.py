@@ -6,10 +6,10 @@ and the relaxed-criterion scan (``scan_run``'s report lines, then one line
 per pair scan).  The scan must also report zero clause-(b) firings and the
 lemma holding: the paper's result on the largest run.
 
-The test took 249 s with a peak resident size of 614 MB on a shared 2-core
-machine (Python 3.11.7): about 37 s the engine run, 6 s the scan and most
-of the rest rendering the 2.4 M events.  So it is marked ``slow`` and left
-out of the default run:
+The test took 132 s with a peak resident size of 614 MB on a shared 2-core
+machine (Python 3.11.7, one run).  A separate run of its parts took 22 s
+for the engine, 3.5 s for the scan and 105 s to render the 2.4 M events.
+So it is marked ``slow`` and left out of the default run:
 
     PYTHONPATH=src python -m pytest -m slow tests/test_cyclic6.py
 

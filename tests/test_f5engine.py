@@ -144,7 +144,7 @@ def test_is_normalized_both_components(golden_state):
     pair = _pair(golden_state, 7, 6, (0, 3, 0, 0), (0, 0, 4, 0))
     v = is_normalized(pair, golden_state)
     assert not v.normalized
-    witnesses = _all_f5_witnesses(pair, golden_state, pair.snapshot)
+    witnesses = _all_f5_witnesses(pair, golden_state)
     assert ("i", 3) in witnesses and ("j", 2) in witnesses
 
 
@@ -204,24 +204,31 @@ def _spy_first_witness(monkeypatch):
     calls = []
     real = f5engine.first_f5_witness
 
-    def spy(msig, state, snapshot=None):
-        hit = real(msig, state, snapshot)
-        seen = state.size if snapshot is None else snapshot
+    def spy(msig, state):
+        hit = real(msig, state)
         frame = sys._getframe(1)
         if frame.f_code.co_name == "is_normalized":
             frame = frame.f_back
-        calls.append((frame.f_code.co_name, msig, seen, hit))
+        calls.append((frame.f_code.co_name, msig, state.size, hit))
         return hit
 
     monkeypatch.setattr(f5engine, "first_f5_witness", spy)
     return calls
 
 
+def _lex(gens):
+    ring = gens[0].ring
+    lex = PolyRing(ring.names, ring.field, MonomialOrder("lex"))
+    return [lex.build(dict(g.terms)) for g in gens]
+
+
 def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
+    # the engine's F5 answers take no snapshot; the eager scan cuts at the
+    # basis each pair saw, and the two must agree on every pair
     calls = _spy_first_witness(monkeypatch)
     certified = EngineOptions(certify=True, validate_witnesses=True)
     runs = [(golden_gens, None), (cyclic(4), None), (katsura(4), None), (cyclic(5), None),
-            (katsura(4, p=None), certified)]
+            (katsura(4, p=None), certified), (_lex(cyclic(4)), None)]
     for gens, opts in runs:
         calls.clear()
         state, events = incremental_basis(gens, opts=opts)
@@ -233,11 +240,11 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
                 u, pos = pair.component(comp)
                 assert pair.msig(comp) == sig_mul(u, state.sig(pos))
             eager = _eager_witnesses(pair, state, pair.snapshot)
-            v = is_normalized(pair, state, pair.snapshot)
+            v = is_normalized(pair, state)
             assert v.normalized == (not eager)
             if eager:
                 assert (v.component, v.witness) == eager[0]
-                assert _all_f5_witnesses(pair, state, pair.snapshot) == tuple(eager)
+                assert _all_f5_witnesses(pair, state) == tuple(eager)
         for ev in rejection_events(state):
             if ev.kind == "f5crit":
                 eager = _eager_witnesses(ev.pair, state, ev.pair.snapshot)
@@ -289,10 +296,7 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     pos = state.add_element(LabeledPoly(Signature((1, 0), 2), ring.parse("x*y")),
                             state.add_rule((1, 0), 2))
     assert first_f5_witness(msig, state) == pos
-    assert component_f5_witnesses(msig, state) == [pos]
-    # the basis a pair saw before the append still has no witness
-    assert first_f5_witness(msig, state, 2) == 0
-    assert component_f5_witnesses(msig, state, 2) == []
+    assert component_f5_witnesses(msig, state) == (pos,)
     # tables of the element's own index and above stay
     assert 2 in state.f5_tables
     # through a pair whose component i is x*y * r_1, with term x*y

@@ -30,7 +30,7 @@ def test_equivalence_on_every_pair(golden_state):
     for pair in golden_state.events:
         if not isinstance(pair, PairCreated):
             continue
-        nv = is_normalized(pair, golden_state, pair.snapshot)
+        nv = is_normalized(pair, golden_state)
         cn = completely_normalized(pair, golden_state, pair.snapshot)
         assert nv.normalized == cn.completely_normalized
         if not cn.completely_normalized:
@@ -42,7 +42,7 @@ def test_not_normalized_pair_reports_clause_a(golden_state):
         pair
         for pair in golden_state.events
         if isinstance(pair, PairCreated)
-        and not is_normalized(pair, golden_state, pair.snapshot).normalized
+        and not is_normalized(pair, golden_state).normalized
     )
     cn = completely_normalized(rejected, golden_state, rejected.snapshot)
     assert not cn.completely_normalized and cn.via == "a"
@@ -153,7 +153,7 @@ def _reference_scan(state, cmp):
     for pair in state.events:
         if not isinstance(pair, PairCreated):
             continue
-        via = None if is_normalized(pair, state, pair.snapshot).normalized else "a"
+        via = None if is_normalized(pair, state).normalized else "a"
         if via is None and any(
             _part_b_over_active_positions(*pair.component(comp), state, pair.snapshot, cmp)
             is not None

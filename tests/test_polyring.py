@@ -87,13 +87,6 @@ def test_compare_multiplicative(a, b, u):
     assert compare(exp_mul(a, u), exp_mul(b, u), DRL) is compare(a, b, DRL)
 
 
-def test_compare_precedence_permutation():
-    # t > z > y > x: reverse precedence turns lex around
-    rev = MonomialOrder("lex", precedence=(3, 2, 1, 0))
-    assert compare((1, 0, 0, 0), (0, 0, 0, 1), rev) is Cmp.LT
-    assert compare((1, 0, 0, 0), (0, 0, 0, 1), LEX) is Cmp.GT
-
-
 # -- lcm ----------------------------------------------------------------------
 
 def test_lcm_known_values():
@@ -126,14 +119,13 @@ def test_exp_mask_never_skips_a_divisor(pairs):
 
 @st.composite
 def packed_case(draw):
-    """A ring of 1-7 variables under degrevlex or lex, with or without a
-    precedence, and two of its monomials."""
+    """A ring of 1-7 variables under degrevlex or lex, and two of its
+    monomials."""
     n = draw(st.integers(1, 7))
     kind = draw(st.sampled_from(("degrevlex", "lex")))
-    prec = draw(st.none() | st.permutations(range(n)).map(tuple))
     names = tuple(f"x{i}" for i in range(n))
     exps = st.tuples(*([st.integers(0, 9)] * n))
-    return names, MonomialOrder(kind, prec), draw(exps), draw(exps)
+    return names, MonomialOrder(kind), draw(exps), draw(exps)
 
 
 @given(packed_case())
@@ -498,12 +490,7 @@ def ref_reduced_basis(polys):
         current = reduced
 
 
-DIFF_ORDERS = (
-    MonomialOrder("degrevlex"),
-    MonomialOrder("lex"),
-    MonomialOrder("degrevlex", precedence=(2, 0, 1)),
-    MonomialOrder("lex", precedence=(1, 2, 0)),
-)
+DIFF_ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"))
 DIFF_FIELDS = (QQ, PrimeField(7))
 exps3 = st.tuples(*([st.integers(0, 2)] * 3))
 
