@@ -4,11 +4,11 @@ criterion diagnostics."""
 from .polyring import (
     Cmp,
     DomainError,
+    Field,
     MonomialOrder,
     ParseError,
     PolyRing,
     Polynomial,
-    PrimeField,
     QQ,
     StructureError,
     compare,

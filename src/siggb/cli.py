@@ -22,11 +22,11 @@ from .f5engine import (
 from .falsifier import scan_run
 from .polyring import (
     DomainError,
+    Field,
     MonomialOrder,
     ParseError,
     PolyRing,
     Polynomial,
-    PrimeField,
     QQ,
 )
 from .syzygy import CertificateError
@@ -88,6 +88,9 @@ def parse_ideal(text: str) -> IdealSpec:
                     raise ParseError("empty variable list", line=lineno)
                 if len(set(parts)) != len(parts):
                     raise ParseError("duplicate variable names", line=lineno)
+                for name in parts:
+                    if not name.isidentifier():
+                        raise ParseError(f"bad variable name {name!r}", line=lineno)
                 names = tuple(parts)
             elif header == "order":
                 kind = _ORDER_NAMES.get(value.lower())
@@ -100,7 +103,7 @@ def parse_ideal(text: str) -> IdealSpec:
                     field = QQ
                 elif len(v) == 2 and v[0] == "gf":
                     try:
-                        field = PrimeField(int(v[1]))
+                        field = Field(int(v[1]))
                     except DomainError as e:  # not prime, or too large to decide
                         raise ParseError(f"bad prime {v[1]!r}: {e}", line=lineno) from None
                     except ValueError:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .polyring import MonomialOrder, PolyRing, Polynomial, PrimeField
+from .polyring import Field, MonomialOrder, PolyRing, Polynomial
 
 DEFAULT_PRIME = 32003
 
@@ -16,7 +16,7 @@ def _var_names(n: int) -> tuple[str, ...]:
 
 
 def random_ring(n: int, p: int = DEFAULT_PRIME) -> PolyRing:
-    return PolyRing(_var_names(n), PrimeField(p), MonomialOrder("degrevlex"))
+    return PolyRing(_var_names(n), Field(p), MonomialOrder("degrevlex"))
 
 
 def _monomials_upto(n: int, d: int):
@@ -54,33 +54,26 @@ def random_ideal(
 
 
 def cyclic(n: int, p: int | None = DEFAULT_PRIME) -> list[Polynomial]:
-    """The cyclic-n system."""
-    from .polyring import QQ
-
-    field = QQ if p is None else PrimeField(p)
-    ring = PolyRing(_var_names(n), field, MonomialOrder("degrevlex"))
+    """The cyclic-n system, over GF(p), or over ℚ when p is None."""
+    ring = PolyRing(_var_names(n), Field(p), MonomialOrder("degrevlex"))
     gens = []
     for d in range(1, n):
-        terms: dict[tuple[int, ...], object] = {}
+        terms = []
         for start in range(n):
             e = [0] * n
             for off in range(d):
                 e[(start + off) % n] += 1
-            key = tuple(e)
-            terms[key] = field.add(terms.get(key, field.zero), field.one)
+            terms.append((e, 1))
         gens.append(ring.build(terms))
-    e = tuple([1] * n)
-    gens.append(ring.build({e: field.one, ring.zero_exp: field.neg(field.one)}))
+    gens.append(ring.build([((1,) * n, 1), (ring.zero_exp, -1)]))
     return gens
 
 
 def katsura(n: int, p: int | None = DEFAULT_PRIME) -> list[Polynomial]:
-    """The katsura-n system in n+1 unknowns u_0..u_n."""
-    from .polyring import QQ
-
-    field = QQ if p is None else PrimeField(p)
+    """The katsura-n system in n+1 unknowns u_0..u_n, over GF(p), or over ℚ
+    when p is None."""
     nv = n + 1
-    ring = PolyRing(tuple(f"u{i}" for i in range(nv)), field, MonomialOrder("degrevlex"))
+    ring = PolyRing(tuple(f"u{i}" for i in range(nv)), Field(p), MonomialOrder("degrevlex"))
 
     def u(i: int) -> int | None:
         i = abs(i)
@@ -88,7 +81,7 @@ def katsura(n: int, p: int | None = DEFAULT_PRIME) -> list[Polynomial]:
 
     gens = []
     for m in range(n):
-        terms: dict[tuple[int, ...], object] = {}
+        terms = []
         for ell in range(-n, n + 1):
             a, b = u(ell), u(m - ell)
             if a is None or b is None:
@@ -96,19 +89,17 @@ def katsura(n: int, p: int | None = DEFAULT_PRIME) -> list[Polynomial]:
             e = [0] * nv
             e[a] += 1
             e[b] += 1
-            key = tuple(e)
-            terms[key] = field.add(terms.get(key, field.zero), field.one)
+            terms.append((e, 1))
         e = [0] * nv
         e[m] = 1
-        key = tuple(e)
-        terms[key] = field.add(terms.get(key, field.zero), field.neg(field.one))
+        terms.append((e, -1))
         gens.append(ring.build(terms))
-    terms = {}
+    terms = []
     for i in range(nv):
         e = [0] * nv
         e[i] = 1
-        terms[tuple(e)] = field.one if i == 0 else field.of(2)
-    terms[ring.zero_exp] = field.neg(field.one)
+        terms.append((e, 1 if i == 0 else 2))
+    terms.append((ring.zero_exp, -1))
     gens.append(ring.build(terms))
     return gens
 

@@ -194,24 +194,24 @@ class PairRejected:
         return _all_f5_witnesses(self.pair, state)
 
     def render(self, state) -> str:
+        """One line per witness of each component (f5crit), or one line
+        naming the rule (rewrite); a component's prefix is built once."""
         ring = state.ring
         p = self.pair
+
+        def prefix(comp):
+            u, pos = p.component(comp)
+            return (f"REJECT {self.kind} pair=({p.i},{p.j}) comp={comp} "
+                    f"u={ring.render_exp(u)} sig={state.sig(pos).render(ring)} ")
+
+        if self.kind != "f5crit":
+            return f"{prefix(self.component)}rule={self.rule.label}"
         lines = []
-        if self.kind == "f5crit":
-            for comp, prev in _all_f5_witnesses(p, state):
-                u, pos = p.component(comp)
-                lines.append(
-                    f"REJECT f5crit pair=({p.i},{p.j}) comp={comp} "
-                    f"u={ring.render_exp(u)} sig={state.sig(pos).render(ring)} "
-                    f"witness={prev}"
-                )
-        else:
-            u, pos = p.component(self.component)
-            lines.append(
-                f"REJECT rewrite pair=({p.i},{p.j}) comp={self.component} "
-                f"u={ring.render_exp(u)} sig={state.sig(pos).render(ring)} "
-                f"rule={self.rule.label}"
-            )
+        for comp in ("i", "j"):
+            witnesses = component_f5_witnesses(p.msig(comp), state)
+            if witnesses:
+                head = prefix(comp)
+                lines.extend(f"{head}witness={prev}" for prev in witnesses)
         return "\n".join(lines)
 
 
@@ -579,7 +579,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     check = opts.certify and opts.validate_witnesses
     ring = state.ring
     field = ring.field
-    prime = field.p if field.is_prime else 0
+    prime = field.p
     overflow = ring._guard if ring.order.kind == "lex" else 0
     unpack = ring.unpack
     acc, heap = _packed(r.poly)

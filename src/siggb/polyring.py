@@ -9,8 +9,9 @@ coefficient) pairs, strictly descending; the zero polynomial is the empty
 tuple.  Exponent tuples appear only at the edges: ``parse`` and ``build``
 take them, ``terms`` and ``str`` give them back, and ``ht``, which the
 criteria read, is the head's tuple, unpacked once per polynomial.
-Coefficients are exact: arbitrary precision rationals or a word-sized prime
-field.
+Coefficients are exact (``Field``): Fractions over ℚ, or over GF(p), for
+any prime p below 3.3·10^24, ints in [0, p).  Every kernel reads p from
+``ring.field.p``, 0 over ℚ, and takes a GF(p) result mod p itself.
 
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
@@ -159,58 +160,6 @@ def compare(a: tuple[int, ...], b: tuple[int, ...], order: MonomialOrder) -> Cmp
 # ---------------------------------------------------------------------------
 # coefficient fields
 
-class RationalField:
-    """Arbitrary-precision rationals."""
-
-    is_prime = False
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def of(self, value) -> Fraction:
-        return Fraction(value)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DomainError("division by zero")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def render(self, a) -> str:
-        return str(a)
-
-
 # Miller-Rabin with the first 13 primes as bases is exact below
 # _PRIME_BOUND, the least composite that is a strong pseudoprime to all of
 # them (about 3.3 * 10^24).
@@ -245,67 +194,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """GF(p) with canonical representatives in [0, p)."""
+class Field:
+    """The coefficient field: ``Field(p)`` is GF(p), its elements the ints
+    in [0, p); ``Field()`` is ℚ, its elements Fractions, and ``p`` is 0.
 
-    is_prime = True
+    Arithmetic is Python's own: the kernels add and multiply coefficients
+    as they are and, over GF(p), take the result mod ``p``.  ``of`` makes an
+    int or a Fraction an element, and ``inv`` inverts a nonzero one.
+    """
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
+    def __init__(self, p: int | None = None):
+        if p is not None and not _is_prime(p):
             raise DomainError(f"{p} is not prime")
-        self.p = p
+        self.p = p or 0
+        self.one = 1 if p else Fraction(1)
 
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def of(self, value) -> int:
+    def of(self, value):
+        """value, an int or a Fraction, as an element; over GF(p),
+        DomainError when p divides its denominator."""
+        p = self.p
+        if not p:
+            return Fraction(value)
         if isinstance(value, Fraction):
-            return self.mul(value.numerator % self.p, self.inv(value.denominator % self.p))
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+            return value.numerator * self.inv(value.denominator) % p
+        return value % p
 
     def inv(self, a):
-        a %= self.p
-        if a == 0:
+        p = self.p
+        if p:
+            a %= p
+        if not a:
             raise DomainError("division by zero")
-        return pow(a, -1, self.p)
+        return pow(a, -1, p) if p else 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.p == self.p
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+    def __hash__(self):
+        return hash(("Field", self.p))
 
-    def render(self, a) -> str:
-        return str(a % self.p)
+    def __repr__(self):
+        return f"GF({self.p})" if self.p else "QQ"
 
 
-QQ = RationalField()
+QQ = Field()
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +326,18 @@ class PolyRing:
 
     def build(self, terms: Mapping[tuple[int, ...], object] | Iterable) -> "Polynomial":
         """Normalize a mapping or iterable of (exponent tuple, coefficient)
-        terms into a Polynomial: equal monomials summed, zeros dropped."""
+        terms, each coefficient an int or a Fraction, into a Polynomial:
+        equal monomials summed, each sum made an element (``Field.of``),
+        zeros dropped."""
         acc: dict[int, object] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        f, pack = self.field, self.pack
+        pack = self.pack
         for e, c in items:
             k = pack(tuple(e))
-            prev = acc.get(k)
-            acc[k] = f.add(prev, c) if prev is not None else c
-        return Polynomial(self, tuple(
-            (k, acc[k]) for k in sorted(acc, reverse=True) if not f.is_zero(acc[k])
-        ))
+            acc[k] = acc.get(k, 0) + c
+        of = self.field.of
+        packed = ((k, of(acc[k])) for k in sorted(acc, reverse=True))
+        return Polynomial(self, tuple((k, c) for k, c in packed if c))
 
     @property
     def zero(self) -> "Polynomial":
@@ -461,7 +394,7 @@ class PolyRing:
         if not tokens:
             raise ParseError("empty polynomial", column=1)
 
-        f = self.field
+        p = self.field.p
         terms: list[tuple[tuple[int, ...], object]] = []
         i = 0
         n = len(tokens)
@@ -480,7 +413,7 @@ class PolyRing:
             if i >= n:
                 err("dangling sign")
             first = tokens[i]
-            coeff = f.of(sign)
+            coeff = sign
             exps = [0] * self.nvars
             saw_factor = False
             while i < n:
@@ -495,13 +428,13 @@ class PolyRing:
                         den = tokens[i][1]
                         if den == 0:
                             err("zero denominator", tokens[i])
-                        try:
-                            coeff = f.mul(coeff, f.of(Fraction(num, den)))
-                        except DomainError:  # GF(p), p divides num/den's denominator
-                            err(f"denominator is divisible by {f.p}", tokens[i])
+                        q = Fraction(num, den)
+                        if p and q.denominator % p == 0:
+                            err(f"denominator is divisible by {p}", tokens[i])
+                        coeff *= q
                         i += 1
                     else:
-                        coeff = f.mul(coeff, f.of(num))
+                        coeff *= num
                     saw_factor = True
                 elif kind == "name":
                     vi = self.names.index(val)
@@ -602,15 +535,15 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.ring, _merge(self.packed, -1, 0, other.packed, _prime(self.ring)))
+        return Polynomial(self.ring, _merge(self.packed, -1, 0, other.packed, self.ring.field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.ring, _merge(self.packed, 1, 0, other.packed, _prime(self.ring)))
+        return Polynomial(self.ring, _merge(self.packed, 1, 0, other.packed, self.ring.field.p))
 
     def __neg__(self) -> "Polynomial":
-        f = self.ring.field
-        return Polynomial(self.ring, tuple((k, f.neg(c)) for k, c in self.packed))
+        p = self.ring.field.p
+        return Polynomial(self.ring, tuple((k, -c % p if p else -c) for k, c in self.packed))
 
     def mul_term(self, e: tuple[int, ...], c=None) -> "Polynomial":
         """c * x^e * self; without c each coefficient is kept as it is.
@@ -619,31 +552,29 @@ class Polynomial:
         keeps their order.  DomainError when a product leaves its field.
         """
         ring = self.ring
-        f = ring.field
-        if c is not None and f.is_zero(c):
+        p = ring.field.p
+        if c is not None and not (c % p if p else c):
             return ring.zero
         u = ring.pack(e)
         _check_shift(ring, self.packed, u)
         if c is None:
             packed = tuple((k + u, tc) for k, tc in self.packed)
-        elif f.is_prime:
-            p = f.p
+        elif p:
             packed = tuple((k + u, tc * c % p) for k, tc in self.packed)
         else:
-            packed = tuple((k + u, f.mul(tc, c)) for k, tc in self.packed)
+            packed = tuple((k + u, tc * c) for k, tc in self.packed)
         return Polynomial(ring, packed)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return sum_of_products(self.ring, ((self, other),))
 
     def scale(self, c) -> "Polynomial":
-        f = self.ring.field
-        if f.is_zero(c):
+        p = self.ring.field.p
+        if not (c % p if p else c):
             return self.ring.zero
-        if f.is_prime:
-            p = f.p
+        if p:
             return Polynomial(self.ring, tuple((k, tc * c % p) for k, tc in self.packed))
-        return Polynomial(self.ring, tuple((k, f.mul(tc, c)) for k, tc in self.packed))
+        return Polynomial(self.ring, tuple((k, tc * c) for k, tc in self.packed))
 
     def sub_mul(self, c, e: tuple[int, ...], other: "Polynomial") -> "Polynomial":
         """self - c * x^e * other, as one merge (``_merge``).  DomainError
@@ -652,7 +583,7 @@ class Polynomial:
         ring = self.ring
         u = ring.pack(e)
         _check_shift(ring, other.packed, u)
-        return Polynomial(ring, _merge(self.packed, c, u, other.packed, _prime(ring)))
+        return Polynomial(ring, _merge(self.packed, c, u, other.packed, ring.field.p))
 
     def monic(self) -> "Polynomial":
         if not self.packed:
@@ -677,10 +608,9 @@ class Polynomial:
     def __str__(self):
         if not self.packed:
             return "0"
-        f = self.ring.field
         parts = []
         for i, (e, c) in enumerate(self.terms):
-            cs = f.render(c)
+            cs = str(c)
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
@@ -718,12 +648,6 @@ def spol(p1: Polynomial, p2: Polynomial):
     u2 = exp_div(l, p2.ht)
     s = p1.mul_term(u1, p2.hc).sub_mul(p1.hc, u2, p2)
     return u1, u2, s
-
-
-def _prime(ring: PolyRing) -> int:
-    """p over GF(p), 0 over ℚ."""
-    f = ring.field
-    return f.p if f.is_prime else 0
 
 
 def _check_shift(ring: PolyRing, packed: tuple, u: int) -> None:
@@ -825,7 +749,7 @@ def _numerators(p: Polynomial, keep: bool = False) -> tuple[int, tuple]:
     coefficient is an int, that is 1 and ``p.packed`` itself; over ℚ,
     ``keep`` keeps them in p's ``_numer`` slot, so a basis polynomial that
     many products read is converted once."""
-    if p.ring.field.is_prime:
+    if p.ring.field.p:
         return 1, p.packed
     if p._numer is not None:
         return p._numer
@@ -853,7 +777,7 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     A product term that leaves its packed field raises DomainError
     (``_check_shift``, once per term of a).
     """
-    prime = _prime(ring)
+    prime = ring.field.p
     factors = []
     den = 1
     for a, b in products:
@@ -953,7 +877,7 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     packed, find = basis.packed, basis.find
     get = basis.first.get
     n = len(packed)
-    prime = _prime(ring)
+    prime = ring.field.p
     overflow = ring._guard if ring.order.kind == "lex" else 0
     acc, heap = _packed(p)
     done = []

@@ -329,7 +329,7 @@ def _template(pair, verdict, state, u_k: tuple[int, ...]) -> Certificate:
             rho = field_.one
             break
         if oa.keys() == ob.keys():
-            ratios = {field_.div(oa[p][1], ob[p][1]) for p in oa}
+            ratios = {field_.of(oa[p][1] * field_.inv(ob[p][1])) for p in oa}
             if len(ratios) == 1:
                 rho = ratios.pop()
                 break

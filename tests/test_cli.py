@@ -20,7 +20,7 @@ from siggb.cli import (
     parse_ideal,
     run,
 )
-from siggb.polyring import ParseError, PrimeField, QQ
+from siggb.polyring import Field, ParseError, QQ
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -64,7 +64,7 @@ def test_parse_ideal_golden():
 
 def test_parse_ideal_gf():
     spec = parse_ideal("vars: a, b\nfield: gf 32003\na^2 - b\nb^3 - 1\n")
-    assert spec.ring.field == PrimeField(32003)
+    assert spec.ring.field == Field(32003)
 
 
 def test_parse_ideal_errors():
@@ -78,6 +78,8 @@ def test_parse_ideal_errors():
         parse_ideal("vars: x\norder: weird\nx\n")
     with pytest.raises(ParseError):
         parse_ideal("vars: x\nfield: gf 10\nx\n")  # not prime
+    with pytest.raises(ParseError):
+        parse_ideal("vars: x\nfield: gf 0\nx\n")  # not prime; Field() is ℚ, not Field(0)
     with pytest.raises(ParseError):
         parse_ideal("vars: x\n0\n")  # zero generator
     err = None
@@ -94,7 +96,7 @@ def test_run_large_prime_field(tmp_path):
     path = tmp_path / "large.ideal"
     path.write_text(GOLDEN_TEXT.replace("field: q", "field: gf 2305843009213693951"))
     t0 = time.perf_counter()
-    assert parse_ideal(path.read_text()).ring.field == PrimeField(2**61 - 1)
+    assert parse_ideal(path.read_text()).ring.field == Field(2**61 - 1)
     code, out, _ = cli(str(path), "--engine", "both")
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_OK and out.startswith("basis:")
@@ -240,6 +242,23 @@ def test_run_exponent_past_a_packed_field(order, generator, column):
     proc = cli_stdin(f"vars: x, y\norder: {order}\n{generator}\n")
     assert proc.returncode == EXIT_PARSE
     assert proc.stderr == f"parse error: exponent too large at line 3, column {column}\n"
+
+
+@pytest.mark.parametrize("names, bad", [
+    ("x*y", "x*y"),
+    ("2, y", "2"),
+    ("x, y^2", "y^2"),
+    ("x, 1a", "1a"),
+    ("x, y-z", "y-z"),
+])
+def test_run_refuses_a_variable_name_the_grammar_cannot_spell(tmp_path, names, bad):
+    # the grammar reads digits as a number and * ^ / + - as operators, so a
+    # name that is not an identifier could never be written in a generator
+    path = tmp_path / "bad-vars.ideal"
+    path.write_text(f"vars: {names}\ny\n")
+    code, out, err = cli(str(path))
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"parse error: bad variable name {bad!r} at line 1\n"
 
 
 def test_run_file_not_utf8(tmp_path):
