@@ -12,7 +12,8 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
   (``buchberger_basis``) wall times on katsura-5 and on the 100-ideal corpus
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
-  built (``scan.corpus100_s``), the median of ``REPEATS`` passes;
+  built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
+  state (``scan.cyclic5_s``), the median of ``REPEATS`` passes each;
 - the ``certify_all`` wall times on cyclic-5 over GF(32003)
   (``certify.cyclic5_s``) and on katsura-5 over Q (``certify.katsura5qq_s``),
   each certified with witness validation as ``siggb --certify`` runs it, the
@@ -114,6 +115,23 @@ def engine_times(repeats: int) -> dict:
     return out
 
 
+def scan_times(repeats: int) -> dict:
+    """Median wall seconds of ``scan_run`` over one fresh cyclic-5 state over
+    GF(32003)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from siggb.corpus import cyclic
+    from siggb.f5engine import incremental_basis
+    from siggb.falsifier import scan_run
+
+    state = incremental_basis(cyclic(5, 32003))[0]
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scan_run(state)
+        samples.append(time.perf_counter() - t0)
+    return {"scan.cyclic5_s": {"median": statistics.median(samples), "samples": samples}}
+
+
 def certify_times(repeats: int) -> dict:
     """Median wall seconds of ``certify_all`` on a fresh certified cyclic-5
     over GF(32003) and katsura-5 over Q."""
@@ -204,6 +222,7 @@ def main() -> int:
             record["perfbench"].append(perfbench(workload, seed, spec["run_seconds"], 0))
         record["perfbench"].append(perfbench(workload, SEEDS[0], spec["run_seconds"], 1))
     record["engines"] = engine_times(REPEATS)
+    record["engines"].update(scan_times(REPEATS))
     record["engines"].update(certify_times(CERTIFY_REPEATS))
     record["tier1"] = tier1()
 

@@ -637,7 +637,9 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     one snapshot, the state's int for the basis size, and a's head,
     signature and memo are read once.  Each component's (u, u * Sig(r_pos))
     comes from its position's memo in ``BasisState.msigs``, so components
-    with equal (u, pos) share one u and one multiplied signature.
+    with equal (u, pos) share one u and one multiplied signature.  A
+    creation-time rejection is the event right after its pair, which
+    ``falsifier.scan_run`` reads as the pair's F5 verdict.
     """
     ring = state.ring
     packs, pack = ring._packcache, ring.pack

@@ -8,19 +8,25 @@ times, i.e. the relaxed check agrees with the plain one everywhere.
 
 Clause (b)'s inequality belongs to the element, not to the pair: it is the
 relation of the element's row, which the scan computes once per element.  So
-the scan walks, for each pair, only the elements whose row reads "<"; on a
-correct run there are none.
+clause (b) can name only an element whose row reads "<"; on a correct run
+there are none.  Clause (a) is the plain F5 criterion, which the engine ran
+on every pair at creation and recorded: a creation-stage ``f5crit``
+``PairRejected`` is the event right after its pair.  The scan takes each
+pair's clause (a) verdict from that record and evaluates both clauses only
+when some row reads "<".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 
 from .polyring import Cmp, compare, exp_divides, exp_mul
 from .f5engine import (
     BasisState,
     CriticalPair,
     PairCreated,
+    PairRejected,
     is_normalized,
 )
 from .signature import Signature
@@ -152,22 +158,31 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
     """Post-run scan of a completed engine state.
 
     Every derived element must satisfy the strict head-term inequality, every
-    input the equality, and re-running both pair checks on each recorded pair
-    (clause (b) against the basis as it stood at creation) must never
-    disagree.  Clause (b) walks only the elements whose row reads "<",
-    collected once from the rows; there are none on a correct run, so it
-    costs nothing per pair.
+    input the equality, and both pair checks on each recorded pair (clause
+    (b) against the basis as it stood at creation) must never disagree.
+
+    One walk of the events gives every pair its ``PairScan``, in order.  A
+    pair fails clause (a) exactly when the event after it is its
+    creation-stage ``f5crit`` rejection (``_make_pairs`` appends that event
+    there, and the F5 criterion runs nowhere else).  Clause (b) can fire
+    only at an element whose row reads "<", so ``completely_normalized`` is
+    asked only when some row does; on a correct run none does, and the
+    scan asks the criterion nothing.
     """
     report = ImprovedCheckReport(rows=_element_rows(state))
     candidates = _part_b_candidates(report.rows)
-    for pair in state.events:
+    scans = report.pair_scans
+    for pair, nxt in pairwise(chain(state.events, (None,))):
         if not isinstance(pair, PairCreated):
             continue
-        cn = completely_normalized(pair, state, pair.snapshot, candidates)
-        part_b = cn.via == "b"
-        if part_b:
-            report.part_b_firings += 1
-        report.pair_scans.append(
-            PairScan(pair, cn.via != "a", cn.completely_normalized, part_b)
-        )
+        if candidates:
+            cn = completely_normalized(pair, state, pair.snapshot, candidates)
+            part_b = cn.via == "b"
+            report.part_b_firings += part_b
+            scans.append(PairScan(pair, cn.via != "a", cn.completely_normalized, part_b))
+        else:
+            normalized = not (
+                isinstance(nxt, PairRejected) and nxt.pair is pair and nxt.kind == "f5crit"
+            )
+            scans.append(PairScan(pair, normalized, normalized, False))
     return report

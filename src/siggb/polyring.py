@@ -19,9 +19,11 @@ working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
 share one subtract step, ``_sub_tail``.  The one product kernel,
 ``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
 sums products in one packed accumulator, over ℚ as integer numerators over
-one common denominator.  A packed field holds at most 2^31 - 1, so an
-exponent (under degrevlex, a total degree) beyond that raises DomainError,
-whether it is parsed or made by a product.
+one common denominator.  A product by one term is one kernel too,
+``shift_terms``, behind ``Polynomial.mul_term`` and the module vectors' own.
+A packed field holds at most 2^31 - 1, so an exponent (under degrevlex, a
+total degree) beyond that raises DomainError, whether it is parsed or made
+by a product.
 
 ``_reduce`` reduces against a ``Reducers``, an append-only list of
 reducers whose memo remembers, across reductions, each monomial's first
@@ -555,15 +557,7 @@ class Polynomial:
         p = ring.field.p
         if c is not None and not (c % p if p else c):
             return ring.zero
-        u = ring.pack(e)
-        _check_shift(ring, self.packed, u)
-        if c is None:
-            packed = tuple((k + u, tc) for k, tc in self.packed)
-        elif p:
-            packed = tuple((k + u, tc * c % p) for k, tc in self.packed)
-        else:
-            packed = tuple((k + u, tc * c) for k, tc in self.packed)
-        return Polynomial(ring, packed)
+        return Polynomial(ring, shift_terms(ring, self.packed, ring.pack(e), c))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return sum_of_products(self.ring, ((self, other),))
@@ -648,6 +642,21 @@ def spol(p1: Polynomial, p2: Polynomial):
     u2 = exp_div(l, p2.ht)
     s = p1.mul_term(u1, p2.hc).sub_mul(p1.hc, u2, p2)
     return u1, u2, s
+
+
+def shift_terms(ring: PolyRing, packed: tuple, u: int, c=None) -> tuple:
+    """The packed terms of c * x^u * packed, for packed monomial u and a
+    nonzero c (without c each coefficient is kept as it is); a nonzero c
+    zeroes no term, so nothing is filtered.  Adding u keeps the terms' order.
+    DomainError when a product leaves its field (``_check_shift``)."""
+    _check_shift(ring, packed, u)
+    # a list comprehension: quicker than a generator on the few terms of most entries
+    if c is None:
+        return tuple([(k + u, tc) for k, tc in packed])
+    p = ring.field.p
+    if p:
+        return tuple([(k + u, tc * c % p) for k, tc in packed])
+    return tuple([(k + u, tc * c) for k, tc in packed])
 
 
 def _check_shift(ring: PolyRing, packed: tuple, u: int) -> None:

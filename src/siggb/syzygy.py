@@ -38,7 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .polyring import DomainError, Polynomial, StructureError, exp_div, exp_mul, sum_of_products
+from .polyring import (
+    DomainError,
+    Polynomial,
+    StructureError,
+    exp_div,
+    exp_mul,
+    shift_terms,
+    sum_of_products,
+)
 from .signature import Signature, sig_key, sig_mul
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,19 +99,22 @@ class ModuleVector:
             ent[pos] = -p if q is None else q - p
         return ModuleVector(self.ring, ent)
 
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.ring, {pos: -p for pos, p in self.entries.items()})
-
     def scale(self, c) -> "ModuleVector":
         return ModuleVector(self.ring, {pos: p.scale(c) for pos, p in self.entries.items()})
 
     def mul_term(self, e: tuple[int, ...], c=None) -> "ModuleVector":
-        return ModuleVector(
-            self.ring, {pos: p.mul_term(e, c) for pos, p in self.entries.items()}
-        )
-
-    def mul_poly(self, q: Polynomial) -> "ModuleVector":
-        return ModuleVector(self.ring, {pos: p * q for pos, p in self.entries.items()})
+        """c * x^e * self: e is packed once, and each entry is shifted by
+        ``Polynomial.mul_term``'s kernel, ``shift_terms``.  A nonzero c
+        zeroes no entry, so no entry is filtered out."""
+        ring = self.ring
+        p = ring.field.p
+        out = ModuleVector(ring)
+        if c is not None and not (c % p if p else c):
+            return out
+        u = ring.pack(e)
+        out.entries = {pos: Polynomial(ring, shift_terms(ring, q.packed, u, c))
+                       for pos, q in self.entries.items()}
+        return out
 
     def render(self, ring=None) -> str:
         ring = ring or self.ring

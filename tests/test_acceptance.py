@@ -190,7 +190,8 @@ def test_property_suites(golden_gens, golden_ring):
             golden_ring, {rng.randint(1, state.size): rand_poly() for _ in range(2)}
         )
         alpha = rand_poly()
-        if evaluate(v.mul_poly(alpha) + w, state) != alpha * evaluate(
+        av = ModuleVector(golden_ring, {pos: p * alpha for pos, p in v.entries.items()})
+        if evaluate(av + w, state) != alpha * evaluate(
             v, state
         ) + evaluate(w, state):
             lin_ok = False

@@ -6,9 +6,9 @@ and the relaxed-criterion scan (``scan_run``'s report lines, then one line
 per pair scan).  The scan must also report zero clause-(b) firings and the
 lemma holding: the paper's result on the largest run.
 
-The test took 89 s with a peak resident size of 609 MB on a shared 2-core
-machine (Python 3.11.7, one run).  A separate run of its parts took 32 s
-for the engine, 5.2 s for the scan and 44 s to render the 2.4 M events.
+The test took 74 s with a peak resident size of 609 MB on a shared 2-core
+machine (Python 3.11.7, one run).  A separate run of its parts took 24 s
+for the engine, 2.2 s for the scan and 30 s to render the 2.4 M events.
 So it is marked ``slow`` and left out of the default run:
 
     PYTHONPATH=src python -m pytest -m slow tests/test_cyclic6.py

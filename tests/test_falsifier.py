@@ -1,7 +1,13 @@
 import pytest
 
 from siggb.corpus import cyclic, katsura
-from siggb.f5engine import EngineOptions, PairCreated, incremental_basis, is_normalized
+from siggb.f5engine import (
+    EngineOptions,
+    PairCreated,
+    PairRejected,
+    incremental_basis,
+    is_normalized,
+)
 from siggb.falsifier import (
     ElementRow,
     ImprovedCheckReport,
@@ -90,9 +96,60 @@ def small_runs(golden_gens):
     )]
 
 
+@pytest.fixture(scope="module")
+def scan_states(small_runs):
+    return small_runs + [incremental_basis(cyclic(5))[0]]
+
+
+def test_creation_rejection_follows_its_pair(scan_states):
+    # scan_run reads each pair's F5 verdict from the event after it, so every
+    # creation-stage rejection must be that event
+    for state in scan_states:
+        events = state.events
+        seen = 0
+        for n, ev in enumerate(events):
+            if isinstance(ev, PairRejected) and ev.stage == "creation":
+                assert events[n - 1] is ev.pair
+                seen += ev.kind == "f5crit"
+        assert seen == state.stats.rejected_not_normalized
+
+
+def test_scan_verdict_matches_the_criterion(scan_states):
+    # the recorded verdict against the F5 criterion asked afresh
+    for state in scan_states:
+        scans = scan_run(state).pair_scans
+        pairs = [ev for ev in state.events if isinstance(ev, PairCreated)]
+        assert [s.pair for s in scans] == pairs
+        assert not all(s.normalized for s in scans)
+        for s in scans:
+            assert s.normalized == is_normalized(s.pair, state).normalized
+            assert s.completely == s.normalized and not s.part_b
+
+
+def test_scan_asks_the_criterion_only_for_a_lt_row(scan_states, monkeypatch):
+    # with no row reading "<" the scan makes no completely_normalized call;
+    # with an inequality that always holds it asks once per pair
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return completely_normalized(*args)
+
+    monkeypatch.setattr("siggb.falsifier.completely_normalized", counted)
+    for state in scan_states:
+        report = scan_run(state)
+        assert all(r.relation is not Cmp.LT for r in report.rows)
+        assert calls == []
+        with monkeypatch.context() as patched:
+            patched.setattr("siggb.falsifier.compare", lambda a, b, order: Cmp.LT)
+            report = scan_run(state)
+        assert calls == [s.pair for s in report.pair_scans]
+        calls.clear()
+
+
 def test_scan_without_the_engines_memo(golden_gens):
-    # scan_run answers from the F5 memo the engine filled; emptied, the memo
-    # is refilled from the basis alone and gives the same report
+    # the scan's records come from the engine's events, not from the F5
+    # memo, so emptying the memo changes nothing in the report
     for gens in (golden_gens, cyclic(4), katsura(4), cyclic(5)):
         state, _ = incremental_basis(gens)
         assert state.f5_tables
@@ -165,13 +222,13 @@ def _reference_scan(state, cmp):
     return report
 
 
-def test_scan_matches_reference_scan(small_runs, monkeypatch):
+def test_scan_matches_reference_scan(scan_states, monkeypatch):
     # clause (b) walks only the elements whose row reads "<"; the reference
     # walks every position.  With the real order no row reads "<"; with an
     # inequality that always holds every row does and clause (b) fires.  The
     # real scan runs first, so lists kept from it would fail the second.
     always = lambda a, b, order: Cmp.LT
-    for state in small_runs + [incremental_basis(cyclic(5))[0]]:
+    for state in scan_states:
         report = scan_run(state)
         assert report.part_b_firings == 0
         assert _scan_lines(report, state) == _scan_lines(_reference_scan(state, compare), state)

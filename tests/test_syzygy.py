@@ -152,7 +152,8 @@ def test_evaluate_linear(golden_state, golden_ring):
         v = ModuleVector(golden_ring, {rng.randint(1, 10): rand_poly() for _ in range(2)})
         w = ModuleVector(golden_ring, {rng.randint(1, 10): rand_poly() for _ in range(2)})
         a = rand_poly()
-        left = evaluate(v.mul_poly(a) + w, golden_state)
+        av = ModuleVector(golden_ring, {pos: p * a for pos, p in v.entries.items()})
+        left = evaluate(av + w, golden_state)
         right = a * evaluate(v, golden_state) + evaluate(w, golden_state)
         assert left == right
 
