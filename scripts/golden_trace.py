@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Print the full criterion trace, stats, and certificates of the worked
 three-generator ideal, matching ``siggb tests/data/golden.ideal
---trace-criteria --stats --certify --improved-scan``."""
+--engine both --trace-criteria --stats --certify --improved-scan``.  The
+ideal is found from this script's own location, so it runs from any
+directory."""
 
+import os
 import sys
 
 from siggb.cli import build_parser, run
 
+GOLDEN_IDEAL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "tests", "data", "golden.ideal")
 
-def main() -> int:
+
+def main(out=sys.stdout) -> int:
     args = build_parser().parse_args(
         [
-            "tests/data/golden.ideal",
+            GOLDEN_IDEAL,
             "--engine",
             "both",
             "--trace-criteria",
@@ -20,7 +26,7 @@ def main() -> int:
             "--improved-scan",
         ]
     )
-    return run(args)
+    return run(args, out=out)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ def main() -> int:
     ]
     systems += [("cyclic-4", cyclic(4)), ("katsura-4", katsura(4))]
 
-    opts = EngineOptions(certify=args.certify)
+    opts = EngineOptions(certify=args.certify, validate_witnesses=args.certify)
     mismatches = unsound = part_b = 0
     totals = {"pairs": 0, "f5crit": 0, "rewrite": 0, "zeros": 0, "splits": 0}
     t0 = time.time()

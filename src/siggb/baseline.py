@@ -91,8 +91,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
     t = len(G)
     lmf = f.ht
     new_lcms = {i: lcm_term(G[i].ht, lmf) for i in range(t)}
-    for i in range(t):
-        stats.pairs_created += 1
+    stats.pairs_created += t
 
     if strategy == "none":
         for i in range(t):
@@ -120,8 +119,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
     minimal: list[tuple[int, ...]] = []
     for l in sorted(by_lcm, key=ring.pack):
         if any(exp_divides(l2, l) for l2 in minimal):
-            for i in by_lcm[l]:
-                stats.rejected_chain += 1
+            stats.rejected_chain += len(by_lcm[l])
             continue
         minimal.append(l)
     for l in minimal:
@@ -131,11 +129,8 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
             stats.rejected_product += 1
             stats.rejected_chain += len(members) - 1
             continue
-        keep = min(members)
-        queue.add((keep, t), l, ring)
-        for i in members:
-            if i != keep:
-                stats.rejected_chain += 1
+        queue.add((min(members), t), l, ring)
+        stats.rejected_chain += len(members) - 1
     G.append(f)
 
 

@@ -19,9 +19,9 @@ from .polyring import (
     Cmp,
     DomainError,
     Polynomial,
+    Reducers,
     StructureError,
     compare,
-    exp_div,
     exp_divides,
     exp_mask,
     _as_reducer,
@@ -277,7 +277,6 @@ class BasisState:
         self.opts = opts or EngineOptions()
         self.elements: list[LabeledPoly] = []
         self.positions: list[int] = [0]  # positions[p] is p: one int per position, shared
-        self.ht_masks: list[int] = []  # divisor masks of the head terms
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
         self.msigs: list[dict] = []  # by position: u -> (u, u * Sig(r_pos))
         self.element_rule: list[RewriteRule | None] = []
@@ -334,9 +333,11 @@ class BasisState:
 
     def _append(self, lp: LabeledPoly) -> int:
         """Store lp and drop the F5 tables it could change: those of every
-        index below lp's, for which it is a new candidate."""
+        index below lp's, for which it is a new candidate.  Every query
+        reads an element's packed head, so a zero polynomial is refused."""
+        if lp.poly.is_zero:
+            raise DomainError("a basis element must be nonzero")
         self.elements.append(lp)
-        self.ht_masks.append(exp_mask(lp.poly.ht))
         self.sig_keys.append(sig_key(lp.sig, self.ring))
         self.msigs.append({})
         pos = self.size
@@ -387,25 +388,24 @@ class BasisState:
 
 @dataclass(slots=True)
 class F5Table:
-    """The F5 criterion for components of one index k0: its candidates, every
-    element of larger index as (position, head mask, head) in position order,
-    and, memoised by term t = u * Gamma(r), the first witness (0 for none)
-    and the tuple of every witness, in position order."""
+    """The F5 criterion for components of one index k0: ``cands``, the
+    positions of every element of larger index, ascending; ``reducers``, one
+    ``Reducers`` over their polynomials in the same order, whose memo holds
+    each packed term's first witness as an index into ``cands``; and
+    ``every``, memoised by term t = u * Gamma(r), the tuple of every
+    witness, in position order."""
 
     cands: list
-    first: dict = dfield(default_factory=dict)
+    reducers: Reducers
     every: dict = dfield(default_factory=dict)
 
 
 def _f5_table(state: BasisState, k0: int) -> F5Table:
     table = state.f5_tables.get(k0)
     if table is None:
-        masks = state.ht_masks
-        table = state.f5_tables[k0] = F5Table([
-            (pos, masks[pos - 1], elt.poly.ht)
-            for pos, elt in enumerate(state.elements, 1)
-            if elt.sig.index > k0
-        ])
+        cands = [pos for pos, elt in enumerate(state.elements, 1) if elt.sig.index > k0]
+        reducers = Reducers(state.ring, [state.elements[pos - 1].poly for pos in cands])
+        table = state.f5_tables[k0] = F5Table(cands, reducers)
     return table
 
 
@@ -421,21 +421,20 @@ def component_f5_witnesses(msig: Signature, state: BasisState) -> tuple[int, ...
     later elements (index <= k0) never join.  So the basis as it stands
     answers for every pair of index k0, whenever it was made, and no
     snapshot cuts the answer: ``first_f5_witness`` memoises its answer on
-    (k0, term) alone, and this full tuple, read when a rejection lists its
-    witnesses, is memoised the same way in ``F5Table.every``.  States built
-    by hand may append out of that order; appending an element of index j
-    drops the tables of every k0 < j (``BasisState._append``).  A head whose
-    divisor mask names a variable that the term lacks is skipped without the
-    exponent-wise test.
+    (k0, term) alone, in the table's ``Reducers``, and this full tuple, read
+    when a rejection lists its witnesses, is memoised the same way in
+    ``F5Table.every``.  States built by hand may append out of that order;
+    appending an element of index j drops the tables of every k0 < j
+    (``BasisState._append``).  Divisibility is the ring's guard test on
+    packed monomials, so a term outside the packed field raises DomainError.
     """
     table = _f5_table(state, msig.index)
     t = msig.gamma
     every = table.every.get(t)
     if every is None:
-        miss = ~exp_mask(t)
+        e, guard = state.ring.pack(t), state.ring._guard
         every = table.every[t] = tuple(
-            pos for pos, mask, ht in table.cands
-            if not mask & miss and exp_divides(ht, t)
+            pos for pos, h in zip(table.cands, table.reducers.heads) if not (e - h) & guard
         )
     return every
 
@@ -444,21 +443,15 @@ def first_f5_witness(msig: Signature, state: BasisState) -> int:
     """Position of the first F5 witness of the component with multiplied
     signature msig, or 0 when it has none: the one F5-criterion query.
 
-    The answer is memoised on (msig.index, msig.gamma), which the
-    invariant in ``component_f5_witnesses`` makes sound.
+    In the paper's terms, (u, r_k) is not normalized when u * Gamma(r_k) is
+    top-reducible by the elements of larger index, which is the question
+    ``Reducers.find`` answers for the packed term.  Its memo, keyed on the
+    packed term in the table of msig.index, is sound by the invariant in
+    ``component_f5_witnesses``.
     """
     table = state.f5_tables.get(msig.index) or _f5_table(state, msig.index)
-    t = msig.gamma
-    first = table.first.get(t)
-    if first is None:
-        first = 0
-        miss = ~exp_mask(t)
-        for pos, mask, ht in table.cands:
-            if not mask & miss and exp_divides(ht, t):
-                first = pos
-                break
-        table.first[t] = first
-    return first
+    i = table.reducers.find(state.ring.pack(msig.gamma))
+    return table.cands[i] if i >= 0 else 0
 
 
 def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteRule | None:
@@ -524,24 +517,23 @@ def _monicize(lp: LabeledPoly) -> LabeledPoly:
     return LabeledPoly(lp.sig, lp.poly.scale(inv), w)
 
 
-def _find_reductor(ht: tuple[int, ...], sig: Signature, state: BasisState):
-    """First eligible reductor of the head term ht, in insertion order.
+def _find_reductor(head: int, sig: Signature, state: BasisState):
+    """First eligible reductor of the packed head term head, in insertion
+    order.
 
     A reductor multiple must not share the working signature, must be
     normalized, and must not be rewritable (same predicates as pair
-    components).  A head whose divisor mask names a variable that ht lacks
-    is skipped without the exponent-wise test.
+    components).  A reductor divides the head when the ring's guard test
+    passes on their packed difference, which is then the packed multiplier.
     """
     ring = state.ring
-    miss = ~exp_mask(ht)
-    masks = state.ht_masks
+    guard, unpack, elements = ring._guard, ring.unpack, state.elements
     for pos in state.active_positions():
-        if masks[pos - 1] & miss:
+        elt = elements[pos - 1]
+        d = head - elt.poly.packed[0][0]
+        if d & guard:
             continue
-        elt = state.elements[pos - 1]
-        u = exp_div(ht, elt.poly.ht)
-        if u is None:
-            continue
+        u = unpack(d)
         msig = sig_mul(u, elt.sig)
         cm = sig_compare(msig, sig, ring)
         if cm is Cmp.EQ:
@@ -563,15 +555,16 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     Reduction to the zero polynomial reports zero.
 
     The working polynomial lives on packed monomials, as in ``polyring``'s
-    reduction loop: an accumulator plus a heap, where a step pops the head
-    and subtracts q*x^u times the reductor's packed tail (``_sub_tail``),
-    so it costs the reductor's length, not the working polynomial's.  The
-    working polynomial and its witness are kept unscaled (the certified
-    per-step check compares the two as they are) and made monic only where
-    they leave the loop, so the result equals that of rescaling after every
-    step: on a split with no step taken the element is r itself, and a zero
-    result's witness is the last step's divided by the head coefficient
-    before that step (by one when it was the first).
+    reduction loop: an accumulator plus a heap, where a step pops the packed
+    head, hands it to ``_find_reductor`` as it is, and subtracts q*x^u times
+    the reductor's packed tail (``_sub_tail``), so it costs the reductor's
+    length, not the working polynomial's.  The working polynomial and its
+    witness are kept unscaled (the certified per-step check compares the two
+    as they are) and made monic only where they leave the loop, so the
+    result equals that of rescaling after every step: on a split with no
+    step taken the element is r itself, and a zero result's witness is the
+    last step's divided by the head coefficient before that step (by one
+    when it was the first).
     """
     if r.poly.is_zero:
         return TRResult("zero", r)
@@ -581,14 +574,13 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     field = ring.field
     prime = field.p
     overflow = ring._guard if ring.order.kind == "lex" else 0
-    unpack = ring.unpack
     acc, heap = _packed(r.poly)
     head = -heapq.heappop(heap)
     c = acc.pop(head)
     witness = r.witness
     scale = None  # head coefficient after the last step; None before the first
     while True:
-        found = _find_reductor(unpack(head), r.sig, state)
+        found = _find_reductor(head, r.sig, state)
         if found is None or found[3] is Cmp.GT:
             if scale is not None:
                 poly = _settle(ring, [(head, c)], acc, prime)
@@ -803,16 +795,14 @@ def incremental_basis(
     return state, state.events
 
 
-def interreduce(basis) -> list[Polynomial]:
-    """Unique reduced monic Groebner basis of the given basis.
+def interreduce(state: BasisState) -> list[Polynomial]:
+    """Unique reduced monic Groebner basis of the state's basis.
 
-    A ``BasisState`` holds a Groebner basis, so its redundant elements are
-    dropped (``minimal_basis``) before autoreduction instead of being
-    reduced to zero; any other sequence is autoreduced as it is.
+    The state holds a Groebner basis, so its redundant elements are dropped
+    (``minimal_basis``) before autoreduction instead of being reduced to
+    zero.  Autoreduce any other sequence with ``reduced_basis``.
     """
-    if isinstance(basis, BasisState):
-        return reduced_basis(minimal_basis(basis.polys()))
-    return reduced_basis(list(basis))
+    return reduced_basis(minimal_basis(state.polys()))
 
 
 def rejection_events(state: BasisState) -> list[PairRejected]:

@@ -250,10 +250,10 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
                 eager = _eager_witnesses(ev.pair, state, ev.pair.snapshot)
                 assert ev.witnesses == tuple(eager)
                 assert (ev.component, ev.witness) == eager[0]
-        memo_size = sum(len(table.first) for table in state.f5_tables.values())
+        memo_size = sum(len(table.reducers.first) for table in state.f5_tables.values())
         scan_run(state)
         # the scan asks only what pair creation asked, so it adds no entry
-        assert sum(len(table.first) for table in state.f5_tables.values()) == memo_size
+        assert sum(len(table.reducers.first) for table in state.f5_tables.values()) == memo_size
         # every answer, memo hits included, from pair creation, the reductor
         # search and the post-run scan
         callers = {c for c, *_ in calls[:engine_calls]}
@@ -264,8 +264,12 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         for msig, seen, hit in keys:
             assert hit == _eager_first(msig, state, seen)
         for k0, table in state.f5_tables.items():
-            for t, hit in table.first.items():
-                assert hit == _eager_first(Signature(t, k0), state, state.size)
+            # the memo maps a packed term to a reducer index, or to ~k once
+            # none of the k candidates divides it
+            for e, i in table.reducers.first.items():
+                assert i >= 0 or ~i == len(table.cands)
+                hit = table.cands[i] if i >= 0 else 0
+                assert hit == _eager_first(Signature(state.ring.unpack(e), k0), state, state.size)
             # the witness lists the rejections above read, memoised uncut
             for t, every in table.every.items():
                 assert list(every) == [
@@ -303,6 +307,22 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     pair = _pair(state, 1, 2, (1, 1), (2, 0))
     v = is_normalized(pair, state)
     assert not v.normalized and (v.component, v.witness) == ("i", pos)
+
+
+def test_f5_query_refuses_a_term_outside_the_packed_field():
+    # the F5 queries test divisibility on packed monomials, so a term that
+    # does not fit one raises DomainError, as a product that leaves its
+    # field does
+    ring = PolyRing(("x", "y"))
+    state = BasisState(ring, 2)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
+    for gamma in ((2**31, 0), (2**30, 2**30)):
+        with pytest.raises(DomainError):
+            first_f5_witness(Signature(gamma, 1), state)
+        with pytest.raises(DomainError):
+            component_f5_witnesses(Signature(gamma, 1), state)
+    assert first_f5_witness(Signature((0, 2**30), 1), state) == 2
 
 
 def test_no_pop_stage_f5_rejections_on_corpus(corpus_runs):
@@ -535,7 +555,7 @@ def ref_top_reduction_signed(r, state):
     if r.poly.is_zero:
         return TRResult("zero", r)
     while True:
-        found = _find_reductor(r.poly.ht, r.sig, state)
+        found = _find_reductor(r.poly.packed[0][0], r.sig, state)
         if found is None:
             return TRResult("reduced", ref_monicize(r))
         u, pos, elt, cm = found
@@ -661,11 +681,11 @@ def test_signed_top_reduction_sweep_reaches_every_outcome():
 
 def test_interreduce_examples(golden_state, golden_expected):
     ring = PolyRing(("x", "y"))
-    assert interreduce([ring.parse("x"), ring.parse("x + y")]) == [
+    assert reduced_basis([ring.parse("x"), ring.parse("x + y")]) == [
         ring.parse("y"),
         ring.parse("x"),
     ]
-    assert interreduce([ring.parse("x^2")]) == [ring.parse("x^2")]
+    assert reduced_basis([ring.parse("x^2")]) == [ring.parse("x^2")]
     assert interreduce(golden_state) == golden_expected
 
 
