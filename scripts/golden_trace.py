@@ -14,7 +14,7 @@ GOLDEN_IDEAL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "tests", "data", "golden.ideal")
 
 
-def main(out=sys.stdout) -> int:
+def main(out=sys.stdout, err=sys.stderr) -> int:
     args = build_parser().parse_args(
         [
             GOLDEN_IDEAL,
@@ -26,7 +26,7 @@ def main(out=sys.stdout) -> int:
             "--improved-scan",
         ]
     )
-    return run(args, out=out)
+    return run(args, out=out, err=err)
 
 
 if __name__ == "__main__":

@@ -330,8 +330,9 @@ def test_golden_trace_byte_identical(monkeypatch, tmp_path):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.chdir(tmp_path)
-    out = io.StringIO()
-    assert script.main(out=out) == EXIT_OK
+    out, err = io.StringIO(), io.StringIO()
+    assert script.main(out=out, err=err) == EXIT_OK
+    assert err.getvalue() == ""
     with open(os.path.join(DATA, "golden.trace"), "rb") as fh:
         assert out.getvalue().encode("utf-8") == fh.read()
 
