@@ -9,7 +9,8 @@ Run from the root of a checkout; it takes about ten minutes.  The file holds:
   at each seed of ``SEEDS`` with ``--trace 0``, and one ``--trace 1`` run
   at the first seed, each run as long as ``BENCHMARK.json`` sets;
 - f5 (``incremental_basis`` then ``interreduce``) and gm
-  (``buchberger_basis``) wall times on katsura-5 and on the 100-ideal corpus
+  (``buchberger_basis``) wall times on katsura-5 over GF(32003)
+  (``katsura5``) and over Q (``katsura5qq``), and on the 100-ideal corpus
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
@@ -69,8 +70,9 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def engine_times(repeats: int) -> dict:
-    """Median wall seconds of f5 and gm on katsura-5 and on the corpus, and of
-    ``scan_run`` over the states of each f5 corpus run."""
+    """Median wall seconds of f5 and gm on katsura-5 over GF(32003) and over
+    Q and on the corpus, and of ``scan_run`` over the states of each f5
+    corpus run."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from siggb.baseline import buchberger_basis
     from siggb.corpus import corpus_shapes, katsura, random_ideal
@@ -85,6 +87,7 @@ def engine_times(repeats: int) -> dict:
     # built afresh for every run, so each run starts with cold ring caches
     inputs = {
         "katsura5": lambda: [katsura(5)],
+        "katsura5qq": lambda: [katsura(5, None)],
         f"corpus{CORPUS_COUNT}": lambda: [random_ideal(k, d, n, s) for k, d, n, s
                                           in corpus_shapes(CORPUS_COUNT, 0)],
     }

@@ -72,7 +72,6 @@ class BaselineStats:
     rejected_product: int = 0
     rejected_chain: int = 0
     reductions_to_zero: int = 0
-    reduction_steps: int = 0
     elements_added: int = 0
 
     def lines(self) -> list[str]:

@@ -24,12 +24,12 @@ from .polyring import (
     compare,
     exp_divides,
     exp_mask,
-    _as_reducer,
     _packed,
     _settle,
     _sub_tail,
     minimal_basis,
     reduced_basis,
+    shift_terms,
 )
 from .signature import (
     LabeledPoly,
@@ -556,15 +556,17 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
 
     The working polynomial lives on packed monomials, as in ``polyring``'s
     reduction loop: an accumulator plus a heap, where a step pops the packed
-    head, hands it to ``_find_reductor`` as it is, and subtracts q*x^u times
-    the reductor's packed tail (``_sub_tail``), so it costs the reductor's
-    length, not the working polynomial's.  The working polynomial and its
-    witness are kept unscaled (the certified per-step check compares the two
-    as they are) and made monic only where they leave the loop, so the
-    result equals that of rescaling after every step: on a split with no
-    step taken the element is r itself, and a zero result's witness is the
-    last step's divided by the head coefficient before that step (by one
-    when it was the first).
+    head, hands it to ``_find_reductor`` as it is, and subtracts q times the
+    reductor's packed tail shifted by x^u (``shift_terms``, then
+    ``_sub_tail``), so it costs the reductor's length, not the working
+    polynomial's.  q is the head coefficient itself, since the engine's
+    elements are monic; only a hand-built state's reductor needs its head
+    inverted.  The working polynomial and its witness are kept unscaled
+    (the certified per-step check compares the two as they are) and made
+    monic only where they leave the loop, so the result equals that of
+    rescaling after every step: on a split with no step taken the element
+    is r itself, and a zero result's witness is the last step's divided by
+    the head coefficient before that step (by one when it was the first).
     """
     if r.poly.is_zero:
         return TRResult("zero", r)
@@ -573,8 +575,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     ring = state.ring
     field = ring.field
     prime = field.p
-    overflow = ring._guard if ring.order.kind == "lex" else 0
-    acc, heap = _packed(r.poly)
+    acc, heap = _packed(r.poly.packed)
     head = -heapq.heappop(heap)
     c = acc.pop(head)
     witness = r.witness
@@ -594,11 +595,12 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             state.stats.splits += 1
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
-        hk, inv, tail = _as_reducer(elt.poly)
+        reductor = elt.poly.packed
+        hk, hc = reductor[0]
         q = c
-        if inv is not None:
-            q = c * inv % prime if prime else c * inv
-        _sub_tail(acc, heap, q, head - hk, tail, overflow)
+        if hc != 1:  # the engine's elements are monic; a hand-built state's need not be
+            q = c * field.inv(hc) % prime if prime else c / hc
+        _sub_tail(acc, heap, q, shift_terms(ring, reductor[1:], head - hk))
         if witness is not None:
             witness = witness - ModuleVector.unit(pos, ring).mul_term(u, q)
         state.stats.reduction_steps += 1

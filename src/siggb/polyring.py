@@ -16,19 +16,25 @@ any prime p below 3.3·10^24, ints in [0, p).  Every kernel reads p from
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
 working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
-share one subtract step, ``_sub_tail``.  The one product kernel,
+share one subtract step, ``_sub_tail``, which takes a reducer's tail
+already shifted to the monomial it reduces.  The one product kernel,
 ``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
 sums products in one packed accumulator, over ℚ as integer numerators over
 one common denominator.  A product by one term is one kernel too,
-``shift_terms``, behind ``Polynomial.mul_term`` and the module vectors' own.
-A packed field holds at most 2^31 - 1, so an exponent (under degrevlex, a
-total degree) beyond that raises DomainError, whether it is parsed or made
-by a product.
+``shift_terms``, behind ``Polynomial.mul_term``, the module vectors' own
+and the reduction steps.  A packed field holds at most 2^31 - 1, so an
+exponent (under degrevlex, a total degree) beyond that raises DomainError,
+whether it is parsed or made by a product.
 
 ``_reduce`` reduces against a ``Reducers``, an append-only list of
-reducers whose memo remembers, across reductions, each monomial's first
-dividing reducer, or that none of the first k divides it: in a list that
-only grows, a first divisor stays first.
+reducers with two memos keyed on a packed monomial e.  One remembers, across
+reductions, e's first dividing reducer, or that none of the first k divides
+it: in a list that only grows, a first divisor stays first.  The other holds
+e's prepared step, the first reducer's head factor and its tail shifted to
+e, built the first time a reduction pops e and reused by every later one.
+Over ℚ ``_reduce`` works on integer numerators over one running
+denominator, as ``sum_of_products`` does, and makes Fractions only of the
+result's terms.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -486,7 +492,7 @@ class Polynomial:
         self.ring = ring
         self.packed = packed
         self._ht = None  # filled the first time ht is read
-        self._numer = None  # over ℚ, filled the first time it is a second factor: _numerators
+        self._numer = None  # over ℚ, filled once it is a factor or a reducer: _numerators
 
     # inspection -------------------------------------------------------------
 
@@ -702,36 +708,25 @@ def _merge(a: tuple, c, u: int, b: tuple, prime: int) -> tuple:
     return tuple(out)
 
 
-def _as_reducer(g: Polynomial) -> tuple:
-    """g as a reducer: its packed head, the inverse of its head
-    coefficient (None when it is one) and its packed tail."""
-    (hk, hc), tail = g.packed[0], g.packed[1:]
-    return hk, None if hc == 1 else g.ring.field.inv(hc), tail
+def _packed(terms: tuple) -> tuple[dict, list]:
+    """Packed terms as a ``{packed: coeff}`` accumulator and a heap of
+    their negated packed monomials, so heapq pops the largest monomial
+    first: the terms descend, so their negations ascend, which is a heap."""
+    return dict(terms), [-k for k, _ in terms]
 
 
-def _packed(p: Polynomial) -> tuple[dict, list]:
-    """p as a ``{packed: coeff}`` accumulator and a heap of its negated
-    packed monomials, so heapq pops the largest monomial first: p's terms
-    descend, so their negations ascend, which is a heap."""
-    return dict(p.packed), [-k for k, _ in p.packed]
-
-
-def _sub_tail(acc: dict, heap: list, q, u: int, tail: tuple, overflow: int) -> None:
-    """acc -= q * x^u * tail, tail a reducer's packed tail: the one subtract
-    step of both reduction loops.
+def _sub_tail(acc: dict, heap: list, q, shifted: tuple) -> None:
+    """acc -= q * shifted, shifted a reducer's packed tail already shifted
+    to the monomial it reduces (``shift_terms``): the one subtract step of
+    both reduction loops.
 
     A monomial new to acc goes on the heap.  Nothing leaves acc here and no
     coefficient is reduced: over GF(p) a coefficient is a raw sum of
     products, taken mod p only where a loop reads it, and a term that
     cancels, over ℚ too, stays as a zero that the reader skips.
-    ``overflow`` is the ring's guard mask under lex, where a product can
-    outgrow its field (DomainError), and 0 under degrevlex, where none can.
     """
     get = acc.get
-    for te, tc in tail:
-        m = te + u
-        if overflow and m & overflow:
-            raise DomainError("exponent overflow in a packed monomial")
+    for m, tc in shifted:
         prev = get(m)
         if prev is None:
             acc[m] = -tc * q
@@ -757,7 +752,7 @@ def _numerators(p: Polynomial, keep: bool = False) -> tuple[int, tuple]:
     with each coefficient c as the integer c·d.  Over GF(p), where every
     coefficient is an int, that is 1 and ``p.packed`` itself; over ℚ,
     ``keep`` keeps them in p's ``_numer`` slot, so a basis polynomial that
-    many products read is converted once."""
+    many products or reduction steps read is converted once."""
     if p.ring.field.p:
         return 1, p.packed
     if p._numer is not None:
@@ -810,26 +805,46 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     return _settle(ring, [], acc, prime, 0 if prime else den)
 
 
+def _step(g: Polynomial, e: int) -> tuple:
+    """The step that reduces the packed monomial e by g, whose head divides
+    it: g's head factor and g's tail shifted to e (``shift_terms``, so a
+    lex product that leaves its field raises DomainError).
+
+    Over GF(p) the factor is the inverse of g's head coefficient and the
+    tail keeps g's coefficients; over ℚ both are g's integer numerators
+    (``_numerators``, kept on g), the factor the head's."""
+    _, terms = _numerators(g, keep=True)
+    (hk, h), tail = terms[0], terms[1:]
+    prime = g.ring.field.p
+    if prime and h != 1:
+        h = pow(h, -1, prime)
+    return h, shift_terms(g.ring, tail, e - hk)
+
+
 class Reducers:
     """An append-only list of reducers, in insertion order, that remembers
-    each monomial's first reducer across reductions.
+    each monomial's first reducer, and the step it takes, across reductions.
 
-    ``packed`` holds each reducer as its packed head, the inverse of its head
-    coefficient (None when it is one) and its packed tail; ``heads`` holds
-    the packed heads alone.  The memo ``first`` maps a packed monomial to the
-    index of the first reducer whose head divides it, or to ~k when none of
-    the first k does, so that a later lookup resumes at k.  Reducers are only
-    appended, so a first divisor, once found, stays the first, and no entry
-    is ever invalidated.  ``append`` skips the zero polynomial.
+    ``polys`` holds the reducers and ``heads`` their packed heads.  The memo
+    ``first`` maps a packed monomial to the index of the first reducer whose
+    head divides it, or to ~k when none of the first k does, so that a later
+    lookup resumes at k.  Reducers are only appended, so a first divisor,
+    once found, stays the first, and no entry is ever invalidated.  The memo
+    ``steps`` maps a packed monomial e with a first reducer to e's prepared
+    step (``_step``), which ``_reduce`` builds the first time it pops e;
+    since e's first reducer never changes, neither does its step.  Only
+    ``_reduce`` builds steps: a list that only answers ``find`` copies no
+    tail.  ``append`` skips the zero polynomial.
     """
 
-    __slots__ = ("ring", "heads", "packed", "first")
+    __slots__ = ("ring", "heads", "polys", "first", "steps")
 
     def __init__(self, ring: PolyRing, polys: Iterable[Polynomial] = ()):
         self.ring = ring
         self.heads: list[int] = []
-        self.packed: list[tuple] = []
+        self.polys: list[Polynomial] = []
         self.first: dict[int, int] = {}
+        self.steps: dict[int, tuple] = {}
         for g in polys:
             self.append(g)
 
@@ -838,9 +853,8 @@ class Reducers:
             return
         if g.ring is not self.ring and g.ring != self.ring:
             raise StructureError("polynomials from different rings")
-        r = _as_reducer(g)
-        self.heads.append(r[0])
-        self.packed.append(r)
+        self.heads.append(g.packed[0][0])
+        self.polys.append(g)
 
     def find(self, e: int) -> int:
         """The index of the first reducer whose head divides the packed
@@ -864,14 +878,23 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     The working polynomial is a ``{packed: coeff}`` accumulator, read from
     p's packed terms, plus a heap of negated packed ints, so heapq pops the
     largest monomial first; a popped term that is zero (mod p) has
-    cancelled and is skipped.  Each nonzero popped term is reduced by the
+    cancelled and is skipped.  Each nonzero popped term e is reduced by the
     first basis element, in insertion order, whose head divides it, exactly
     as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
-    the same.  The result's packed terms come out of the loop as they are.
+    the same.  The step is e's prepared one (``Reducers.steps``): built
+    once, then one multiplier and one ``_sub_tail`` each time e comes up.
     ``full=False`` stops at the first irreducible term.
 
-    basis is a ``Reducers``, whose memo answers a monomial that an earlier
-    reduction against it already met, and scans only the reducers appended
+    Over GF(p) the multiplier is c times the head's inverse.  Over ℚ every
+    coefficient is an integer numerator N over one running denominator D,
+    starting from p's (``_numerators``).  A step by a reducer of head
+    numerator n_h rescales the accumulator and D by a = n_h / gcd(N, n_h)
+    and subtracts N / gcd(N, n_h) times the reducer's numerators, which
+    keeps every numerator an integer.  A term leaves the loop as
+    Fraction(N, D), so the result is the canonical one.
+
+    basis is a ``Reducers``, whose memos answer a monomial that an earlier
+    reduction against it already met, and scan only the reducers appended
     since; any other sequence becomes a throwaway one.
 
     Under degrevlex no product outgrows the term it replaces; under lex a
@@ -883,12 +906,12 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
         basis = Reducers(ring, basis)
     elif basis.ring is not ring and basis.ring != ring:
         raise StructureError("polynomials from different rings")
-    packed, find = basis.packed, basis.find
-    get = basis.first.get
-    n = len(packed)
+    polys, steps, find = basis.polys, basis.steps, basis.find
+    get, get_step = basis.first.get, steps.get
+    n = len(polys)
     prime = ring.field.p
-    overflow = ring._guard if ring.order.kind == "lex" else 0
-    acc, heap = _packed(p)
+    den, terms = _numerators(p)
+    acc, heap = _packed(terms)
     done = []
     while heap:
         e = -heappop(heap)
@@ -897,20 +920,31 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
             c %= prime
         if not c:
             continue
-        i = get(e, -1)
-        if i < 0 and ~i < n:
-            i = find(e)
-        if i < 0:
-            done.append((e, c))
-            if not full:
-                break
-            continue
-        hk, inv, tail = packed[i]
-        q = c
-        if inv is not None:
-            q = c * inv % prime if prime else c * inv
-        _sub_tail(acc, heap, q, e - hk, tail, overflow)
-    return _settle(ring, done, acc, prime)
+        step = get_step(e)
+        if step is None:
+            i = get(e, -1)
+            if i < 0 and ~i < n:
+                i = find(e)
+            if i < 0:
+                done.append((e, c if prime else Fraction(c, den)))
+                if not full:
+                    break
+                continue
+            step = steps[e] = _step(polys[i], e)
+        h, shifted = step
+        if prime:
+            q = c * h % prime
+        else:
+            g = gcd(c, h)
+            q, a = c // g, h // g
+            if a < 0:
+                q, a = -q, -a
+            if a != 1:
+                for k in acc:
+                    acc[k] *= a
+                den *= a
+        _sub_tail(acc, heap, q, shifted)
+    return _settle(ring, done, acc, prime, 0 if prime else den)
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from siggb.polyring import (
     spol,
     sum_of_products,
     top_reduce,
+    _step,
 )
 
 DRL = MonomialOrder("degrevlex")
@@ -533,10 +535,15 @@ def degree_bounded(q, homogeneous=False):
 @st.composite
 def diff_case(draw, max_basis=4, homogeneous=False):
     """A ring, a polynomial and a basis; the basis may be empty, and may
-    repeat a head term through a scaled copy of one element."""
+    repeat a head term through a scaled copy of one element.  Over ℚ the
+    coefficients are fractions of denominator up to 4, so that a reduction
+    step rescales its integer numerators."""
     ring = PolyRing(("x", "y", "z"), draw(st.sampled_from(DIFF_FIELDS)),
                     draw(st.sampled_from(DIFF_ORDERS)))
-    coeffs = st.integers(-3, 3).map(ring.field.of)
+    if ring.field.p:
+        coeffs = st.integers(-3, 3).map(ring.field.of)
+    else:
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     poly = st.dictionaries(exps3, coeffs, max_size=6).map(
         lambda d: degree_bounded(ring.build(d), homogeneous))
     basis = draw(st.lists(poly, max_size=max_basis))
@@ -670,12 +677,18 @@ def test_reduced_basis_on_equal_heads():
     assert ref_round_results(polys)[:3] == [P("y"), P("z^2"), P("x")]
 
 
-# -- Reducers: the append-only list and its first-reducer memo -------------------
+# -- Reducers: the append-only list, its first-reducer memo and its steps --------
 #
 # Every append is followed by reductions against both the Reducers and the
 # plain list of the elements so far, and against the dict-and-sort
-# reference: the memo carries answers from reduction to reduction and from
+# reference: the memos carry answers from reduction to reduction and from
 # one append to the next, and must agree with a fresh scan each time.
+
+def normalized_fractions(p):
+    """True when every coefficient of p is a Fraction in lowest terms."""
+    return all(type(c) is Fraction and c.denominator > 0
+               and math.gcd(c.numerator, c.denominator) == 1 for _, c in p.packed)
+
 
 @given(diff_case(max_basis=5))
 @settings(max_examples=300)
@@ -688,11 +701,18 @@ def test_reducers_match_the_list_so_far(case):
         if g is not None:
             reducers.append(g)
             so_far.append(g)
-        assert len(reducers.packed) == sum(1 for q in so_far if q)
+        assert len(reducers.polys) == sum(1 for q in so_far if q)
         for q in queries:
             got = reduce_full(q, reducers)
             assert got == reduce_full(q, so_far) == ref_reduce_full(q, so_far)
-            assert top_reduce(q, reducers) == top_reduce(q, so_far) == ref_top_reduce(q, so_far)
+            top = top_reduce(q, reducers)
+            assert top == top_reduce(q, so_far) == ref_top_reduce(q, so_far)
+            if not ring.field.p:
+                assert normalized_fractions(got) and normalized_fractions(top)
+        # a step cached before this append is the one the list now builds
+        fresh = Reducers(ring, so_far)
+        for e, step in reducers.steps.items():
+            assert step == _step(fresh.polys[fresh.find(e)], e)
     for e, k in reducers.first.items():
         want = next((i for i, h in enumerate(reducers.heads) if not (e - h) & ring._guard), None)
         if k >= 0:
@@ -707,7 +727,7 @@ def test_reducers_memo_resumes_after_an_append():
     P = ring.parse
     xy = ring.pack((1, 1))
     reducers = Reducers(ring, [ring.zero])
-    assert not reducers.packed
+    assert not reducers.polys
     # with no reducer nothing divides: the memo records none among the first 0
     assert reducers.find(xy) == -1 and reducers.first[xy] == ~0
     assert reduce_full(P("x*y + 1"), reducers) == P("x*y + 1")
