@@ -815,9 +815,9 @@ def _step(g: Polynomial, e: int) -> tuple:
     (``_numerators``, kept on g), the factor the head's."""
     _, terms = _numerators(g, keep=True)
     (hk, h), tail = terms[0], terms[1:]
-    prime = g.ring.field.p
-    if prime and h != 1:
-        h = pow(h, -1, prime)
+    field = g.ring.field
+    if field.p and h != 1:
+        h = field.inv(h)
     return h, shift_terms(g.ring, tail, e - hk)
 
 
