@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
 """Write the bench trajectory file ``BENCH_<pr>.json`` from fixed inputs.
 
-    python3 scripts/bench.py --pr 9
+    python3 scripts/bench.py --pr 9 [--baseline OTHER_CHECKOUT]
 
-Run from the root of a checkout; it takes about ten minutes.  The file holds:
+Run from the root of a checkout; it takes about fifteen minutes.  The file
+holds:
 
 - every ``perfbench/run.py`` result, for both workloads of ``BENCHMARK.json``
   at each seed of ``SEEDS`` with ``--trace 0``, and one ``--trace 1`` run
   at the first seed, each run as long as ``BENCHMARK.json`` sets;
 - f5 (``incremental_basis`` then ``interreduce``) and gm
-  (``buchberger_basis``) wall times on katsura-5 over GF(32003)
+  (``buchberger_basis``) wall times on cyclic-5 over GF(32003)
+  (``f5.cyclic5_s``, the criteria-bound run), on katsura-5 over GF(32003)
   (``katsura5``) and over Q (``katsura5qq``), and on the 100-ideal corpus
   of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
+- cyclic-6 over GF(32003), the run where the criteria's per-pair cost
+  dominates: ``CYCLIC6_RUNS`` f5 runs (``incremental_basis`` alone), each in
+  a fresh child process, their median wall time (``f5.cyclic6_s``) and the
+  largest of their peak resident sizes (``f5.cyclic6_peak_mb``, the
+  child's own ``ru_maxrss``).  With ``--baseline``, the same runs of the
+  checkout named there alternate with these, recorded under ``baseline``,
+  so that one file compares the two on the same machine at the same time;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
   state (``scan.cyclic5_s``), the median of ``REPEATS`` passes each;
@@ -46,6 +55,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1, 2)
 REPEATS = 11
 CERTIFY_REPEATS = 5
+CYCLIC6_RUNS = 3
 CORPUS_COUNT = 100
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -75,7 +85,7 @@ def engine_times(repeats: int) -> dict:
     corpus run."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from siggb.baseline import buchberger_basis
-    from siggb.corpus import corpus_shapes, katsura, random_ideal
+    from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
     from siggb.f5engine import incremental_basis, interreduce
     from siggb.falsifier import scan_run
 
@@ -86,6 +96,7 @@ def engine_times(repeats: int) -> dict:
 
     # built afresh for every run, so each run starts with cold ring caches
     inputs = {
+        "cyclic5": lambda: [cyclic(5, 32003)],
         "katsura5": lambda: [katsura(5)],
         "katsura5qq": lambda: [katsura(5, None)],
         f"corpus{CORPUS_COUNT}": lambda: [random_ideal(k, d, n, s) for k, d, n, s
@@ -157,6 +168,37 @@ def certify_times(repeats: int) -> dict:
     return out
 
 
+# One cyclic-6 f5 run, printed as [wall seconds, peak resident MB].
+_CYCLIC6_RUN = """
+import json, resource, time
+from siggb.corpus import cyclic
+from siggb.f5engine import incremental_basis
+gens = cyclic(6, 32003)
+t0 = time.perf_counter()
+incremental_basis(gens)
+secs = time.perf_counter() - t0
+print(json.dumps([secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+
+
+def cyclic6_times(checkouts: dict) -> dict:
+    """``f5.cyclic6_s`` and ``f5.cyclic6_peak_mb`` of each checkout, by
+    label: ``CYCLIC6_RUNS`` rounds of one fresh child process per checkout,
+    each importing siggb from that checkout's ``src/``."""
+    samples = {label: ([], []) for label in checkouts}
+    for _ in range(CYCLIC6_RUNS):
+        for label, root in checkouts.items():
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+            proc = subprocess.run([sys.executable, "-c", _CYCLIC6_RUN], env=env,
+                                  capture_output=True, text=True, check=True)
+            secs, peak = json.loads(proc.stdout)
+            samples[label][0].append(secs)
+            samples[label][1].append(peak)
+    return {label: {"f5.cyclic6_s": {"median": statistics.median(secs), "samples": secs},
+                    "f5.cyclic6_peak_mb": {"max": max(peaks), "samples": peaks}}
+            for label, (secs, peaks) in samples.items()}
+
+
 def tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -205,6 +247,8 @@ def source_size() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description="Write BENCH_<pr>.json.")
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
+    ap.add_argument("--baseline", metavar="CHECKOUT",
+                    help="another checkout whose cyclic-6 runs alternate with these")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -227,6 +271,15 @@ def main() -> int:
     record["engines"] = engine_times(REPEATS)
     record["engines"].update(scan_times(REPEATS))
     record["engines"].update(certify_times(CERTIFY_REPEATS))
+    checkouts = {"tree": ROOT}
+    if args.baseline:
+        checkouts["baseline"] = os.path.abspath(args.baseline)
+    cyclic6 = cyclic6_times(checkouts)
+    record["engines"].update(cyclic6["tree"])
+    if args.baseline:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["baseline"],
+                             capture_output=True, text=True).stdout.strip()
+        record["baseline"] = {"git_sha": sha or None, "engines": cyclic6["baseline"]}
     record["tier1"] = tier1()
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

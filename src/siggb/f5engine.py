@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field as dfield
-from operator import add, sub
+from operator import add
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -27,6 +27,7 @@ from .polyring import (
     _packed,
     _settle,
     _sub_tail,
+    lcm_cofactors,
     minimal_basis,
     reduced_basis,
     shift_terms,
@@ -35,7 +36,6 @@ from .signature import (
     LabeledPoly,
     Signature,
     build_labeled_spol,
-    sig_compare,
     sig_key,
     sig_mul,
 )
@@ -101,8 +101,9 @@ class CriticalPair:
     a component's own index and so can grow within an iteration.  The F5
     criterion takes no bound: its witnesses, of larger index, are all in the
     basis before the pair is made (``component_f5_witnesses``).  In the
-    engine's pairs, components with equal (u, position) share one u and one
-    multiplied signature (the per-position memo ``BasisState.msigs``), and
+    engine's pairs, a component's u and multiplied signature come from its
+    record, one per (position, cofactor) in ``BasisState.msigs``
+    (``_component``), so components with equal (u, position) share them;
     the positions and snapshot are the state's shared ints, so the pairs of
     one batch share one snapshot.  A created pair is its own event:
     ``PairCreated`` names this class.
@@ -129,6 +130,32 @@ class CriticalPair:
 
 
 PairCreated = CriticalPair
+
+
+def _component(memo: dict, v: int, sig: Signature, ring) -> list:
+    """The new component record of cofactor u, given as its variable fields
+    v, in the memo of a position with signature sig.
+
+    A component u * r_pos has one record, shared by every pair and reductor
+    search that meets it: the list [u, u * sig, deg u, key], a list because
+    it is made for about every other component and a list is the cheapest
+    record to build.  key is None until a same-index signature comparison
+    packs the record's term (``_packed_term``), so that a term outside the
+    packed field raises DomainError only where a comparison or an F5 query
+    packs it.  The F5 verdict is not kept here: the query's own memo, keyed
+    on the packed term, holds it.
+    """
+    u = ring._varcache.get(v) or ring.unpack_vars(v)
+    rec = memo[v] = [u, Signature(tuple(map(add, u, sig.gamma)), sig.index), sum(u), None]
+    return rec
+
+
+def _packed_term(rec: list, ring) -> int:
+    """The packed term of a component record's signature, packed once."""
+    k = rec[3]
+    if k is None:
+        k = rec[3] = ring.pack(rec[1].gamma)
+    return k
 
 
 def _all_f5_witnesses(pair: CriticalPair, state: BasisState) -> tuple:
@@ -277,8 +304,12 @@ class BasisState:
         self.opts = opts or EngineOptions()
         self.elements: list[LabeledPoly] = []
         self.positions: list[int] = [0]  # positions[p] is p: one int per position, shared
+        # heads[p]: the variable fields of r_p's packed head (``lcm_cofactors``)
+        self.heads: list[int] = [0]
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
-        self.msigs: list[dict] = []  # by position: u -> (u, u * Sig(r_pos))
+        # by position: the variable fields of a cofactor u -> its component
+        # record [u, u * Sig(r_pos), deg u, packed term or None] (``_component``)
+        self.msigs: list[dict] = []
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
         self.stats = Stats()
@@ -338,6 +369,7 @@ class BasisState:
         if lp.poly.is_zero:
             raise DomainError("a basis element must be nonzero")
         self.elements.append(lp)
+        self.heads.append(lp.poly.packed[0][0] & self.ring._varmask)
         self.sig_keys.append(sig_key(lp.sig, self.ring))
         self.msigs.append({})
         pos = self.size
@@ -478,10 +510,12 @@ def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
     One witness decides the verdict and builds the certificate;
     ``component_f5_witnesses`` lists them all.
     """
-    for comp, msig in (("i", pair.sig), ("j", pair.sig_j)):
-        hit = first_f5_witness(msig, state)
-        if hit:
-            return NormalizedVerdict(False, comp, hit)
+    hit = first_f5_witness(pair.sig, state)
+    if hit:
+        return NormalizedVerdict(False, "i", hit)
+    hit = first_f5_witness(pair.sig_j, state)
+    if hit:
+        return NormalizedVerdict(False, "j", hit)
     return NormalizedVerdict(True)
 
 
@@ -519,30 +553,42 @@ def _monicize(lp: LabeledPoly) -> LabeledPoly:
 
 def _find_reductor(head: int, sig: Signature, state: BasisState):
     """First eligible reductor of the packed head term head, in insertion
-    order.
+    order: (u, pos, element, comparison of u * Sig(r_pos) with sig).
 
     A reductor multiple must not share the working signature, must be
     normalized, and must not be rewritable (same predicates as pair
-    components).  A reductor divides the head when the ring's guard test
-    passes on their packed difference, which is then the packed multiplier.
+    components).  A reductor divides the head when the guard test passes
+    on the difference of their variable fields (``BasisState.heads``), the
+    cofactor that keys the multiple's component record in the position's
+    memo, the record pair creation reads.  Signatures of one index compare
+    by their packed terms, the record's and sig's, each packed on first
+    need.
     """
     ring = state.ring
-    guard, unpack, elements = ring._guard, ring.unpack, state.elements
+    vguard, heads, elements, msigs = ring._varguard, state.heads, state.elements, state.msigs
+    index, key = sig.index, None
+    head &= ring._varmask
     for pos in state.active_positions():
-        elt = elements[pos - 1]
-        d = head - elt.poly.packed[0][0]
-        if d & guard:
+        v = head - heads[pos]
+        if v & vguard:
             continue
-        u = unpack(d)
-        msig = sig_mul(u, elt.sig)
-        cm = sig_compare(msig, sig, ring)
-        if cm is Cmp.EQ:
-            continue
+        elt, memo = elements[pos - 1], msigs[pos - 1]
+        rec = memo.get(v) or _component(memo, v, elt.sig, ring)
+        msig = rec[1]
+        if msig.index != index:
+            cm = Cmp.LT if msig.index > index else Cmp.GT
+        else:
+            k = _packed_term(rec, ring)
+            if key is None:
+                key = ring.pack(sig.gamma)
+            if k == key:
+                continue
+            cm = Cmp.GT if k > key else Cmp.LT
         if first_f5_witness(msig, state):
             continue
         if component_rewriter(msig, pos, state) is not None:
             continue
-        return u, pos, elt, cm
+        return rec[0], pos, elt, cm
     return None
 
 
@@ -629,46 +675,38 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
 
     No element or rule is added while a batch is made, so its pairs share
     one snapshot, the state's int for the basis size, and a's head,
-    signature and memo are read once.  Each component's (u, u * Sig(r_pos))
-    comes from its position's memo in ``BasisState.msigs``, so components
-    with equal (u, pos) share one u and one multiplied signature.  A
-    creation-time rejection is the event right after its pair, which
-    ``falsifier.scan_run`` reads as the pair's F5 verdict.
+    signature and memo are read once.  The lcm and both cofactors come from
+    the heads' packed variable fields (``lcm_cofactors``), and each
+    cofactor keys its component's record in its position's memo,
+    ``BasisState.msigs`` (``_component``), so components with equal
+    (u, pos) share one u and one multiplied signature, and the pair's
+    degree is deg u plus the degree of the head.  A creation-time rejection is the event right after
+    its pair, which ``falsifier.scan_run`` reads as the pair's F5 verdict.
     """
     ring = state.ring
-    packs, pack = ring._packcache, ring.pack
-    elements, msigs = state.elements, state.msigs
+    vguard = ring._varguard
+    elements, heads, msigs = state.elements, state.heads, state.msigs
     stats, events, heap = state.stats, state.events, state._heap
     snap = state.positions[-1]
     a = state.positions[a]
-    hta, siga, memo_a = elements[a - 1].poly.ht, elements[a - 1].sig, msigs[a - 1]
-    ga, ia = siga.gamma, siga.index
+    ea, ha, memo_a = elements[a - 1], heads[a], msigs[a - 1]
+    siga, dega = ea.sig, sum(ea.poly.ht)
+    ia = siga.index
     seq = state._pair_seq
     for b in others:
         if b == a:
             continue
-        eb = elements[b - 1]
-        htb = eb.poly.ht
-        l = tuple(map(max, hta, htb))
-        ua = tuple(map(sub, l, hta))
-        hit = memo_a.get(ua)
-        if hit is None:
-            hit = memo_a[ua] = (ua, Signature(tuple(map(add, ua, ga)), ia))
-        ua, sa = hit
-        ub = tuple(map(sub, l, htb))
+        va, vb = lcm_cofactors(ha, heads[b], vguard)
+        ra = memo_a.get(va) or _component(memo_a, va, siga, ring)
         memo_b = msigs[b - 1]
-        hit = memo_b.get(ub)
-        if hit is None:
-            sigb = eb.sig
-            hit = memo_b[ub] = (ub, Signature(tuple(map(add, ub, sigb.gamma)), sigb.index))
-        ub, sb = hit
+        rb = memo_b.get(vb) or _component(memo_b, vb, elements[b - 1].sig, ring)
+        sa, sb = ra[1], rb[1]
         stats.pairs_created += 1
         # component i carries the larger signature: the smaller index, then
         # the larger term
         ib = sb.index
         if ia == ib:
-            ka = packs.get(sa.gamma) or pack(sa.gamma)
-            kb = packs.get(sb.gamma) or pack(sb.gamma)
+            ka, kb = _packed_term(ra, ring), _packed_term(rb, ring)
             if ka == kb:
                 stats.signature_collisions += 1
                 events.append(SignatureCollision(a, b, sa))
@@ -677,9 +715,9 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
         else:
             swap = ia > ib
         if swap:
-            pair = CriticalPair(b, a, ub, ua, sum(l), sb, sa, snap)
+            pair = CriticalPair(b, a, rb[0], ra[0], ra[2] + dega, sb, sa, snap)
         else:
-            pair = CriticalPair(a, b, ua, ub, sum(l), sa, sb, snap)
+            pair = CriticalPair(a, b, ra[0], rb[0], ra[2] + dega, sa, sb, snap)
         events.append(pair)
         seq += 1
         if _rejected(state, pair, "creation"):

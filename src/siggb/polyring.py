@@ -130,6 +130,23 @@ _GUARD = 1 << (_FIELD_BITS - 1)
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
+def lcm_cofactors(a: int, b: int, guard: int) -> tuple[int, int]:
+    """The cofactors lcm/a and lcm/b of two monomials, given and returned
+    as their variable fields (``v & ring._varmask`` of a packed monomial v;
+    the whole packed int under lex), with guard ``ring._varguard``.
+
+    The lcm is the field-wise max.  Setting a's guard bits and subtracting
+    b leaves a field's guard bit set exactly when a's field is >= b's, and
+    borrows nothing across fields; turning each such bit into its field's
+    mask selects a's fields there and b's elsewhere.  Each cofactor is then
+    one subtraction, again without borrows.
+    """
+    m = ((a | guard) - b) & guard
+    m -= m >> (_FIELD_BITS - 1)
+    l = b ^ ((a ^ b) & m)
+    return l - a, l - b
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order on the ring's variables, x_1 > x_2 > ... > x_n:
@@ -267,9 +284,13 @@ class PolyRing:
         self.zero_exp = (0,) * self.nvars
         self._packcache: dict[tuple[int, ...], int] = {}
         self._unpackcache: dict[int, tuple[int, ...]] = {}
+        self._varcache: dict[int, tuple[int, ...]] = {}  # unpack_vars, apart from the pack caches
         self._rendercache: dict[tuple[int, ...], str] = {}
         nfields = self.nvars * (2 if self.order.kind == "degrevlex" else 1)
         self._guard = sum(_GUARD << (_FIELD_BITS * i) for i in range(nfields))
+        # the variable fields x_1, ..., x_n: the low nvars fields of a packed monomial
+        self._varmask = (1 << (_FIELD_BITS * self.nvars)) - 1
+        self._varguard = self._guard & self._varmask
         self._token_re = self._build_token_re()
 
     def __eq__(self, other):
@@ -328,6 +349,18 @@ class PolyRing:
                 (k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)
             )
             self._packcache[e] = k
+        return e
+
+    def unpack_vars(self, v: int) -> tuple[int, ...]:
+        """The exponent tuple of v, an int of the variable fields alone
+        (``lcm_cofactors``).  Under degrevlex v is no packed monomial, so it
+        has its own cache and never enters the pack caches."""
+        e = self._varcache.get(v)
+        if e is None:
+            n = self.nvars
+            e = self._varcache[v] = tuple(
+                (v >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)
+            )
         return e
 
     # construction ---------------------------------------------------------

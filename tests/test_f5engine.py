@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import weakref
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,12 @@ from siggb.f5engine import (
     PairAdmitted,
     PairCreated,
     PairRejected,
+    SignatureCollision,
     TRResult,
     _all_f5_witnesses,
+    _component,
     _find_reductor,
+    _make_pairs,
     component_f5_witnesses,
     first_f5_witness,
     incremental_basis,
@@ -44,6 +48,7 @@ from siggb.polyring import (
     exp_degree,
     exp_divides,
     exp_mul,
+    lcm_cofactors,
     lcm_term,
     minimal_basis,
     reduced_basis,
@@ -414,6 +419,152 @@ def test_cyclic5_pair_records_stay_lean():
     assert len(seen) < components / 2
 
 
+_TOP = 2**31 - 1  # the largest entry of a packed field
+
+
+@st.composite
+def _cofactor_case(draw):
+    """A ring under degrevlex or lex in 1 to 6 variables and two exponent
+    tuples that pack: entries up to 2^31 - 1, and under degrevlex a total
+    degree up to that too.  Small entries come often, so that equal fields
+    and zeros are common."""
+    kind = draw(st.sampled_from(("degrevlex", "lex")))
+    n = draw(st.integers(1, 6))
+    ring = PolyRing(tuple(f"x{k}" for k in range(n)), Field(7), MonomialOrder(kind))
+
+    def exps():
+        e = []
+        for _ in range(n):
+            hi = _TOP - sum(e) if kind == "degrevlex" else _TOP
+            e.append(draw(st.one_of(st.integers(0, min(2, hi)), st.integers(0, hi))))
+        return tuple(draw(st.permutations(e)))
+
+    return ring, exps(), exps()
+
+
+@given(_cofactor_case())
+@settings(max_examples=400, deadline=None)
+def test_lcm_cofactors_match_tuple_max_and_sub(case):
+    ring, a, b = case
+    vmask = ring._varmask
+    ka, kb = ring.pack(a), ring.pack(b)
+    packs, unpacks = dict(ring._packcache), dict(ring._unpackcache)
+    va, vb = lcm_cofactors(ka & vmask, kb & vmask, ring._varguard)
+    rec_a, rec_b = (_component({}, v, Signature(ring.zero_exp, 1), ring) for v in (va, vb))
+    # neither the kernel nor a record puts a variable-fields int, which
+    # under degrevlex is no packed monomial, into the pack caches
+    assert ring._packcache == packs and ring._unpackcache == unpacks
+    l = tuple(map(max, a, b))
+    ua, ub = tuple(map(sub, l, a)), tuple(map(sub, l, b))
+    # a record is [u, u * Sig, deg u, packed term or None]
+    assert ring.unpack_vars(va) == rec_a[0] == ua
+    assert ring.unpack_vars(vb) == rec_b[0] == ub
+    assert (rec_a[2], rec_b[2]) == (sum(ua), sum(ub))
+    assert rec_a[1] == Signature(ua, 1) and rec_a[3] is None
+    # u_a divides b and u_b divides a, so both pack; the lcm packs under lex
+    assert va == ring.pack(ua) & vmask and vb == ring.pack(ub) & vmask
+    assert (ka & vmask) + va == (kb & vmask) + vb
+    if ring.order.kind == "lex":
+        assert ka + va == ring.pack(l)
+
+
+def test_pair_creation_raises_where_a_term_is_first_packed():
+    # under lex, u * Gamma can leave its packed field; that raises
+    # DomainError where a same-index comparison or an F5 query packs it,
+    # and a component that neither asks about is never packed
+    top = 2**31 - 1
+    ring = PolyRing(("x", "y"), Field(7), MonomialOrder("lex"))
+
+    def lex_state(second):
+        # r_3 = x*y with signature x^top * e2: the cofactor x of any pair
+        # with x^2 takes its term to x^(2^31), outside the field
+        state = BasisState(ring, 2)
+        state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
+        state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse(second)))
+        state.add_element(LabeledPoly(Signature((top, 0), 2), ring.parse("x*y")),
+                          state.add_rule((top, 0), 2))
+        state.current_index = 1
+        state._heap = []
+        return state
+
+    # y * e1 has no witness, so the F5 query packs component j and raises
+    # after the pair is made and recorded
+    state = lex_state("y^3")
+    with pytest.raises(DomainError):
+        _make_pairs(state, 1, [3])
+    pair = state.events[-1]
+    assert isinstance(pair, PairCreated) and (pair.i, pair.j) == (1, 3)
+    assert pair.sig_j == Signature((top + 1, 0), 2)
+    assert state.stats.pairs_created == 1 and not state.stats.rejected_not_normalized
+    # y * e1 has the witness y: the pair is rejected on component i, and
+    # component j, never asked about, never packs
+    state = lex_state("y")
+    _make_pairs(state, 1, [3])
+    rejection = state.events[-1]
+    assert isinstance(rejection, PairRejected) and rejection.kind == "f5crit"
+    assert (rejection.component, rejection.witness) == ("i", 2)
+    assert state.msigs[2][ring.pack((1, 0))][3] is None
+    # a same-index pair compares the two terms: x * x^top * e2 raises
+    # there, before any pair or collision is recorded
+    state = lex_state("x^2")
+    events = len(state.events)
+    with pytest.raises(DomainError):
+        _make_pairs(state, 3, [2])
+    assert state.stats.pairs_created == 1 and len(state.events) == events
+    # the reductor search on x^2*y: the eligible r_1 comes first, and the
+    # overflowing multiple x * r_3 is never asked about; once r_1 is no
+    # longer active, that multiple raises at its F5 query
+    state = lex_state("y^3")
+    found = _find_reductor(ring.pack((2, 1)), Signature((5, 5), 1), state)
+    assert found[:2] == ((0, 1), 1)
+    state.current_index = 2
+    with pytest.raises(DomainError):
+        _find_reductor(ring.pack((2, 1)), Signature((5, 5), 1), state)
+
+
+def _check_pair_fates(state):
+    """Every created pair has exactly one recorded fate, a later
+    ``PairRejected`` (at creation or at pop) or ``PairAdmitted`` naming it,
+    and the stats add up: pairs created = signature collisions + both kinds
+    of rejection + admitted pairs."""
+    stats = state.stats
+    fates, admitted, collisions = {}, 0, 0
+    for ev in state.events:
+        if isinstance(ev, PairCreated):
+            fates[id(ev)] = 0
+        elif isinstance(ev, (PairRejected, PairAdmitted)):
+            fates[id(ev.pair)] += 1  # a KeyError: no earlier PairCreated
+            admitted += isinstance(ev, PairAdmitted)
+        elif isinstance(ev, SignatureCollision):
+            collisions += 1
+    assert all(n == 1 for n in fates.values())
+    assert collisions == stats.signature_collisions
+    assert stats.pairs_created == (stats.signature_collisions + stats.rejected_not_normalized
+                                   + stats.rejected_rewritable + admitted)
+    assert stats.pairs_created == len(fates) + collisions
+
+
+def test_every_pair_has_one_recorded_fate(corpus_runs, golden_state):
+    for run in corpus_runs:
+        _check_pair_fates(run["state"])
+    _check_pair_fates(golden_state)
+    for gens in (cyclic(5), katsura(5, p=None)):
+        _check_pair_fates(incremental_basis(gens)[0])
+
+
+def test_engine_runs_keep_the_pack_caches_whole(golden_gens):
+    # the pair records and the reductor search key their memos on variable
+    # fields, which under degrevlex are no packed monomials; the ring's pack
+    # caches hold only whole packed monomials
+    for gens in (golden_gens, cyclic(4), _lex(cyclic(4))):
+        state, _ = incremental_basis(gens)
+        ring = state.ring
+        fresh = PolyRing(ring.names, ring.field, ring.order)
+        assert ring._varcache
+        assert all(fresh.pack(e) == k for e, k in ring._packcache.items())
+        assert all(fresh.pack(e) == k for k, e in ring._unpackcache.items())
+
+
 def test_pairs_of_one_batch_share_its_snapshot(golden_gens):
     # a batch is the pairs made at an iteration's start or for one new
     # element; each shares one int, the basis size the batch saw
@@ -436,8 +587,6 @@ def test_pairs_of_one_batch_share_its_snapshot(golden_gens):
 def test_pairs_share_the_state_position_ints():
     # past 256 positions Python makes a fresh int for each position it
     # computes; the pairs must hold the state's own
-    from siggb.f5engine import _make_pairs
-
     ring = PolyRing(("x", "y"), Field(32003))
     n = 300
     state = BasisState(ring, 1)
