@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the bench trajectory file ``BENCH_<pr>.json`` from fixed inputs.
 
-    python3 scripts/bench.py --pr 9 [--baseline OTHER_CHECKOUT]
+    python3 scripts/bench.py --pr 9 [--baseline CHECKOUT]
 
 Run from the root of a checkout; it takes about fifteen minutes.  The file
 holds:

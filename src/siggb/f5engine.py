@@ -680,8 +680,9 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     cofactor keys its component's record in its position's memo,
     ``BasisState.msigs`` (``_component``), so components with equal
     (u, pos) share one u and one multiplied signature, and the pair's
-    degree is deg u plus the degree of the head.  A creation-time rejection is the event right after
-    its pair, which ``falsifier.scan_run`` reads as the pair's F5 verdict.
+    degree is deg u plus the degree of the head.  A creation-time rejection
+    is the event right after its pair, which ``falsifier.scan_run`` reads as
+    the pair's F5 verdict.
     """
     ring = state.ring
     vguard = ring._varguard

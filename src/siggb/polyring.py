@@ -2,7 +2,8 @@
 
 Monomials are packed (``PolyRing.pack``): one int of fixed-width fields,
 whose int order is the ring's monomial order, whose sum is the product, and
-where one subtraction and a guard-bit mask test divisibility.  The packed
+where one subtraction and a guard-bit mask test divisibility; a guard-bit
+field-wise max on the variable fields gives an lcm (``lcm_cofactors``).  The packed
 monomial is the ring's only order key (``PolyRing.key``).  A polynomial
 stores its terms in one form, ``Polynomial.packed``: (packed monomial,
 coefficient) pairs, strictly descending; the zero polynomial is the empty
@@ -128,6 +129,12 @@ def lcm_term(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 _FIELD_BITS = 32
 _GUARD = 1 << (_FIELD_BITS - 1)
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+
+def _low_fields(k: int, n: int) -> tuple[int, ...]:
+    """The low n fields of k, most significant first: the exponents x_1,
+    ..., x_n of a packed monomial, or of its variable fields."""
+    return tuple((k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n))
 
 
 def lcm_cofactors(a: int, b: int, guard: int) -> tuple[int, int]:
@@ -344,10 +351,7 @@ class PolyRing:
         """The exponent tuple of a packed monomial."""
         e = self._unpackcache.get(k)
         if e is None:
-            n = self.nvars
-            e = self._unpackcache[k] = tuple(
-                (k >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)
-            )
+            e = self._unpackcache[k] = _low_fields(k, self.nvars)
             self._packcache[e] = k
         return e
 
@@ -357,10 +361,7 @@ class PolyRing:
         has its own cache and never enters the pack caches."""
         e = self._varcache.get(v)
         if e is None:
-            n = self.nvars
-            e = self._varcache[v] = tuple(
-                (v >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n)
-            )
+            e = self._varcache[v] = _low_fields(v, self.nvars)
         return e
 
     # construction ---------------------------------------------------------
