@@ -19,8 +19,10 @@ holds:
   a fresh child process, their median wall time (``f5.cyclic6_s``) and the
   largest of their peak resident sizes (``f5.cyclic6_peak_mb``, the
   child's own ``ru_maxrss``).  With ``--baseline``, the same runs of the
-  checkout named there alternate with these, recorded under ``baseline``,
-  so that one file compares the two on the same machine at the same time;
+  checkout named there alternate with these, recorded under ``baseline``
+  with that checkout's f5 and gm medians (``engine_times``, in one child
+  process), so that one file compares the two on the same machine at the
+  same time;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
   state (``scan.cyclic5_s``), the median of ``REPEATS`` passes each;
@@ -181,6 +183,17 @@ print(json.dumps([secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 102
 """
 
 
+def engine_times_of(root: str) -> dict:
+    """``engine_times`` of another checkout, in a child process that
+    imports siggb from its ``src/``."""
+    code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'scripts')!r}); "
+            f"import bench; bench.ROOT = {root!r}; "
+            "print(json.dumps(bench.engine_times(bench.REPEATS)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
 def cyclic6_times(checkouts: dict) -> dict:
     """``f5.cyclic6_s`` and ``f5.cyclic6_peak_mb`` of each checkout, by
     label: ``CYCLIC6_RUNS`` rounds of one fresh child process per checkout,
@@ -279,7 +292,9 @@ def main() -> int:
     if args.baseline:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["baseline"],
                              capture_output=True, text=True).stdout.strip()
-        record["baseline"] = {"git_sha": sha or None, "engines": cyclic6["baseline"]}
+        record["baseline"] = {"git_sha": sha or None,
+                              "engines": {**engine_times_of(checkouts["baseline"]),
+                                          **cyclic6["baseline"]}}
     record["tier1"] = tier1()
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

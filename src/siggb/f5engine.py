@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field as dfield
+from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
@@ -24,13 +25,14 @@ from .polyring import (
     compare,
     exp_divides,
     exp_mask,
+    _numerators,
     _packed,
     _settle,
-    _sub_tail,
+    _step,
+    _sub_step,
     lcm_cofactors,
     minimal_basis,
     reduced_basis,
-    shift_terms,
 )
 from .signature import (
     LabeledPoly,
@@ -346,8 +348,7 @@ class BasisState:
         """Ascending positions of the elements a pair or reductor may use:
         inputs from the current index on, then every derived element.  They
         are the state's own position ints, so the pairs share them."""
-        m, ps = self.m, self.positions
-        return ps[self.current_index:min(m, self.size) + 1] + ps[m + 1:]
+        return self.positions[self.current_index:]
 
     def polys(self) -> list[Polynomial]:
         return [e.poly for e in self.elements]
@@ -568,7 +569,7 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
     vguard, heads, elements, msigs = ring._varguard, state.heads, state.elements, state.msigs
     index, key = sig.index, None
     head &= ring._varmask
-    for pos in state.active_positions():
+    for pos in range(state.current_index, len(heads)):
         v = head - heads[pos]
         if v & vguard:
             continue
@@ -601,18 +602,21 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     Reduction to the zero polynomial reports zero.
 
     The working polynomial lives on packed monomials, as in ``polyring``'s
-    reduction loop: an accumulator plus a heap, where a step pops the packed
-    head, hands it to ``_find_reductor`` as it is, and subtracts q times the
-    reductor's packed tail shifted by x^u (``shift_terms``, then
-    ``_sub_tail``), so it costs the reductor's length, not the working
-    polynomial's.  q is the head coefficient itself, since the engine's
-    elements are monic; only a hand-built state's reductor needs its head
-    inverted.  The working polynomial and its witness are kept unscaled
-    (the certified per-step check compares the two as they are) and made
-    monic only where they leave the loop, so the result equals that of
-    rescaling after every step: on a split with no step taken the element
-    is r itself, and a zero result's witness is the last step's divided by
-    the head coefficient before that step (by one when it was the first).
+    reduction loop: an accumulator plus a heap, over ℚ of integer numerators
+    over one running denominator (``_numerators``).  A step pops the packed
+    head, hands it to ``_find_reductor`` as it is, and applies the
+    reductor's step (``_step``, then ``_sub_step``), so it costs the
+    reductor's length, not the working polynomial's.  Over ℚ a Fraction is
+    made only of a value that leaves the loop: the witness multiplier, the
+    head coefficient, and the polynomial the certified per-step check and
+    the result read.  The working polynomial and its witness are kept
+    unscaled (the certified per-step check compares the two as they are)
+    and made monic only where they leave the loop, so the result equals
+    that of rescaling after every step: on a split with no step taken the
+    element is r itself, and a zero result's witness is the last step's
+    divided by the head coefficient before that step (by one when it was
+    the first).  Under lex a reductor's tail shifted out of its packed
+    field raises DomainError (``_step``).
     """
     if r.poly.is_zero:
         return TRResult("zero", r)
@@ -621,7 +625,8 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     ring = state.ring
     field = ring.field
     prime = field.p
-    acc, heap = _packed(r.poly.packed)
+    den, terms = _numerators(r.poly)
+    acc, heap = _packed(terms)
     head = -heapq.heappop(heap)
     c = acc.pop(head)
     witness = r.witness
@@ -630,7 +635,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
         found = _find_reductor(head, r.sig, state)
         if found is None or found[3] is Cmp.GT:
             if scale is not None:
-                poly = _settle(ring, [(head, c)], acc, prime)
+                poly = _settle(ring, [(head, scale)], acc, prime, den)
                 r = _monicize(LabeledPoly(r.sig, poly, witness))
             if found is None:
                 return TRResult("reduced", _monicize(r))
@@ -641,14 +646,11 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             state.stats.splits += 1
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
-        reductor = elt.poly.packed
-        hk, hc = reductor[0]
-        q = c
-        if hc != 1:  # the engine's elements are monic; a hand-built state's need not be
-            q = c * field.inv(hc) % prime if prime else c / hc
-        _sub_tail(acc, heap, q, shift_terms(ring, reductor[1:], head - hk))
+        step = _step(elt.poly, head)
         if witness is not None:
+            q = c * step[0] % prime if prime else Fraction(c, den) / elt.poly.hc
             witness = witness - ModuleVector.unit(pos, ring).mul_term(u, q)
+        den = _sub_step(acc, heap, c, step, prime, den)
         state.stats.reduction_steps += 1
         while heap:
             head = -heapq.heappop(heap)
@@ -661,8 +663,8 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             if witness is not None and scale is not None:
                 witness = witness.scale(field.inv(scale))
             return TRResult("zero", LabeledPoly(r.sig, ring.zero, witness))
-        scale = c
-        if check and evaluate(witness, state) != _settle(ring, [(head, c)], acc, prime):
+        scale = c if prime else Fraction(c, den)
+        if check and evaluate(witness, state) != _settle(ring, [(head, scale)], acc, prime, den):
             raise EngineError("working witness diverged during reduction")
 
 

@@ -16,9 +16,12 @@ any prime p below 3.3·10^24, ints in [0, p).  Every kernel reads p from
 
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
-working polynomial as a ``{packed: coeff}`` accumulator plus a heap, and
-share one subtract step, ``_sub_tail``, which takes a reducer's tail
-already shifted to the monomial it reduces.  The one product kernel,
+working polynomial as a ``{packed: coeff}`` accumulator plus a heap, over
+ℚ of integer numerators over one running denominator that become Fractions
+only where a value leaves the loop, and share one reduction step:
+``_step`` prepares it, a reducer's head factor and its tail shifted to the
+monomial it reduces, and ``_sub_step`` applies it, rescaling the
+numerators over ℚ.  The one product kernel,
 ``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
 sums products in one packed accumulator, over ℚ as integer numerators over
 one common denominator.  A product by one term is one kernel too,
@@ -33,9 +36,6 @@ reductions, e's first dividing reducer, or that none of the first k divides
 it: in a list that only grows, a first divisor stays first.  The other holds
 e's prepared step, the first reducer's head factor and its tail shifted to
 e, built the first time a reduction pops e and reused by every later one.
-Over ℚ ``_reduce`` works on integer numerators over one running
-denominator, as ``sum_of_products`` does, and makes Fractions only of the
-result's terms.
 """
 
 from __future__ import annotations
@@ -562,13 +562,6 @@ class Polynomial:
             raise DomainError("zero polynomial has no head coefficient")
         return self.packed[0][1]
 
-    @property
-    def lot(self) -> "Polynomial":
-        """The polynomial minus its head term."""
-        if not self.packed:
-            raise DomainError("zero polynomial has no lower-order terms")
-        return Polynomial(self.ring, self.packed[1:])
-
     # arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -749,16 +742,33 @@ def _packed(terms: tuple) -> tuple[dict, list]:
     return dict(terms), [-k for k, _ in terms]
 
 
-def _sub_tail(acc: dict, heap: list, q, shifted: tuple) -> None:
-    """acc -= q * shifted, shifted a reducer's packed tail already shifted
-    to the monomial it reduces (``shift_terms``): the one subtract step of
-    both reduction loops.
+def _sub_step(acc: dict, heap: list, c, step: tuple, prime: int, den: int) -> int:
+    """Reduce the term that c, popped from acc, was the coefficient of, by
+    its prepared step (h, shifted) (``_step``): the one reduction step of
+    both loops.  Returns the denominator acc's values are then over.
+
+    Over GF(p) h is the reducer's head inverse, and acc -= c·h · shifted.
+    Over ℚ c and acc's values are integer numerators over den, and h is the
+    reducer's head numerator: acc and den are rescaled by a = h / gcd(c, h),
+    then c / gcd(c, h) times the shifted tail numerators are subtracted, so
+    every numerator stays an integer.  A negative h leaves den negative,
+    which ``Fraction`` normalises where a value leaves the loop.
 
     A monomial new to acc goes on the heap.  Nothing leaves acc here and no
     coefficient is reduced: over GF(p) a coefficient is a raw sum of
     products, taken mod p only where a loop reads it, and a term that
     cancels, over ℚ too, stays as a zero that the reader skips.
     """
+    h, shifted = step
+    if prime:
+        q = c * h % prime
+    else:
+        g = gcd(c, h)
+        q, a = c // g, h // g
+        if a != 1:
+            for k in acc:
+                acc[k] *= a
+            den *= a
     get = acc.get
     for m, tc in shifted:
         prev = get(m)
@@ -767,17 +777,18 @@ def _sub_tail(acc: dict, heap: list, q, shifted: tuple) -> None:
             heappush(heap, -m)
         else:
             acc[m] = prev - tc * q
+    return den
 
 
-def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int = 0) -> Polynomial:
+def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int) -> Polynomial:
     """The polynomial whose packed terms are ``done``, then acc's nonzero
-    terms, descending, taken mod p over GF(p) (``prime`` is 0 over ℚ).
-    A nonzero ``den`` makes each of acc's values, an integer numerator,
+    terms, descending.  acc's values are integer numerators: over GF(p)
+    (``prime``) each is taken mod p, over ℚ (``prime`` 0) each becomes
     Fraction(value, den).  Nothing is unpacked."""
     for k in sorted(acc, reverse=True):
         v = acc[k] % prime if prime else acc[k]
         if v:
-            done.append((k, Fraction(v, den) if den else v))
+            done.append((k, v if prime else Fraction(v, den)))
     return Polynomial(ring, tuple(done))
 
 
@@ -836,7 +847,7 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             for kb, nb in tb:
                 m = ka + kb
                 acc[m] = get(m, 0) + na * nb
-    return _settle(ring, [], acc, prime, 0 if prime else den)
+    return _settle(ring, [], acc, prime, den)
 
 
 def _step(g: Polynomial, e: int) -> tuple:
@@ -916,16 +927,13 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     first basis element, in insertion order, whose head divides it, exactly
     as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
     the same.  The step is e's prepared one (``Reducers.steps``): built
-    once, then one multiplier and one ``_sub_tail`` each time e comes up.
+    once, then applied by ``_sub_step`` each time e comes up.
     ``full=False`` stops at the first irreducible term.
 
-    Over GF(p) the multiplier is c times the head's inverse.  Over ℚ every
-    coefficient is an integer numerator N over one running denominator D,
-    starting from p's (``_numerators``).  A step by a reducer of head
-    numerator n_h rescales the accumulator and D by a = n_h / gcd(N, n_h)
-    and subtracts N / gcd(N, n_h) times the reducer's numerators, which
-    keeps every numerator an integer.  A term leaves the loop as
-    Fraction(N, D), so the result is the canonical one.
+    Over ℚ every coefficient is an integer numerator N over one running
+    denominator D, starting from p's (``_numerators``), which ``_sub_step``
+    rescales; a term leaves the loop as Fraction(N, D), so the result is
+    the canonical one.
 
     basis is a ``Reducers``, whose memos answer a monomial that an earlier
     reduction against it already met, and scan only the reducers appended
@@ -965,20 +973,8 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
                     break
                 continue
             step = steps[e] = _step(polys[i], e)
-        h, shifted = step
-        if prime:
-            q = c * h % prime
-        else:
-            g = gcd(c, h)
-            q, a = c // g, h // g
-            if a < 0:
-                q, a = -q, -a
-            if a != 1:
-                for k in acc:
-                    acc[k] *= a
-                den *= a
-        _sub_tail(acc, heap, q, shifted)
-    return _settle(ring, done, acc, prime, 0 if prime else den)
+        den = _sub_step(acc, heap, c, step, prime, den)
+    return _settle(ring, done, acc, prime, den)
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:

@@ -672,6 +672,21 @@ def test_certified_reduction_detects_a_diverged_witness():
         top_reduction_signed(corrupt, state)
 
 
+@pytest.mark.parametrize("field", (Field(7), QQ))
+def test_signed_step_raises_where_a_shifted_tail_leaves_its_field(field):
+    # under lex each exponent has its own 31-bit field: the step by y * r_2
+    # shifts r_2's tail y^(2^31 - 1) to y^(2^31), which no field holds
+    ring = PolyRing(("x", "y"), field, MonomialOrder("lex"))
+    state = BasisState(ring, 2)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("y^3")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("x - 2*y^2147483647")))
+    state.current_index = 1
+    r = LabeledPoly(Signature((2, 0), 1), ring.parse("x*y + y^2"))
+    with pytest.raises(DomainError):
+        top_reduction_signed(r, state)
+    assert state.stats.reduction_steps == 0
+
+
 # -- differential: packed signed top reduction against the rescaling loop ---------------
 #
 # The reference is the loop the packed one replaced: every step is one
