@@ -13,16 +13,16 @@ holds:
   (``buchberger_basis``) wall times on cyclic-5 over GF(32003)
   (``f5.cyclic5_s``, the criteria-bound run), on katsura-5 over GF(32003)
   (``katsura5``) and over Q (``katsura5qq``), and on the 100-ideal corpus
-  of ``scripts/run_corpus.py``, the median of ``REPEATS`` runs each;
+  of ``scripts/run_corpus.py``, the median over ``ENGINE_ROUNDS`` fresh
+  child processes of ``REPEATS`` runs each;
 - cyclic-6 over GF(32003), the run where the criteria's per-pair cost
   dominates: ``CYCLIC6_RUNS`` f5 runs (``incremental_basis`` alone), each in
   a fresh child process, their median wall time (``f5.cyclic6_s``) and the
   largest of their peak resident sizes (``f5.cyclic6_peak_mb``, the
   child's own ``ru_maxrss``).  With ``--baseline``, the same runs of the
-  checkout named there alternate with these, recorded under ``baseline``
-  with that checkout's f5 and gm medians (``engine_times``, in one child
-  process), so that one file compares the two on the same machine at the
-  same time;
+  checkout named there alternate with these, as do the f5 and gm child
+  processes, recorded under ``baseline``, so that one file compares the
+  two on the same machine at the same time;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
   state (``scan.cyclic5_s``), the median of ``REPEATS`` passes each;
@@ -57,6 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1, 2)
 REPEATS = 11
 CERTIFY_REPEATS = 5
+ENGINE_ROUNDS = 3
 CYCLIC6_RUNS = 3
 CORPUS_COUNT = 100
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -183,15 +184,23 @@ print(json.dumps([secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 102
 """
 
 
-def engine_times_of(root: str) -> dict:
-    """``engine_times`` of another checkout, in a child process that
-    imports siggb from its ``src/``."""
-    code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'scripts')!r}); "
-            f"import bench; bench.ROOT = {root!r}; "
-            "print(json.dumps(bench.engine_times(bench.REPEATS)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    return json.loads(proc.stdout)
+def engine_times_of(checkouts: dict) -> dict:
+    """``engine_times`` of each checkout, by label: ``ENGINE_ROUNDS`` rounds
+    of one child process per checkout, each importing siggb from that
+    checkout's ``src/``; a median is over the samples of every round."""
+    samples = {label: {} for label in checkouts}
+    for _ in range(ENGINE_ROUNDS):
+        for label, root in checkouts.items():
+            code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'scripts')!r}); "
+                    f"import bench; bench.ROOT = {root!r}; "
+                    "print(json.dumps(bench.engine_times(bench.REPEATS)))")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True)
+            for name, run in json.loads(proc.stdout).items():
+                samples[label].setdefault(name, []).extend(run["samples"])
+    return {label: {name: {"median": statistics.median(s), "samples": s}
+                    for name, s in runs.items()}
+            for label, runs in samples.items()}
 
 
 def cyclic6_times(checkouts: dict) -> dict:
@@ -281,20 +290,20 @@ def main() -> int:
         for seed in SEEDS:
             record["perfbench"].append(perfbench(workload, seed, spec["run_seconds"], 0))
         record["perfbench"].append(perfbench(workload, SEEDS[0], spec["run_seconds"], 1))
-    record["engines"] = engine_times(REPEATS)
-    record["engines"].update(scan_times(REPEATS))
-    record["engines"].update(certify_times(CERTIFY_REPEATS))
     checkouts = {"tree": ROOT}
     if args.baseline:
         checkouts["baseline"] = os.path.abspath(args.baseline)
+    engines = engine_times_of(checkouts)
+    record["engines"] = engines["tree"]
+    record["engines"].update(scan_times(REPEATS))
+    record["engines"].update(certify_times(CERTIFY_REPEATS))
     cyclic6 = cyclic6_times(checkouts)
     record["engines"].update(cyclic6["tree"])
     if args.baseline:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["baseline"],
                              capture_output=True, text=True).stdout.strip()
         record["baseline"] = {"git_sha": sha or None,
-                              "engines": {**engine_times_of(checkouts["baseline"]),
-                                          **cyclic6["baseline"]}}
+                              "engines": {**engines["baseline"], **cyclic6["baseline"]}}
     record["tier1"] = tier1()
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
