@@ -17,10 +17,9 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from .polyring import (
-    DomainError,
     Polynomial,
     Reducers,
-    StructureError,
+    check_generators,
     exp_degree,
     exp_div,
     exp_divides,
@@ -149,15 +148,7 @@ def buchberger_basis(
     reduction finds its first reducer in the memo, and only the elements
     added since are scanned.
     """
-    F = list(F)
-    if not F:
-        raise DomainError("empty generator sequence")
-    ring = F[0].ring
-    for f in F:
-        if f.is_zero:
-            raise DomainError("zero generator")
-        if f.ring != ring:
-            raise StructureError("generators from different rings")
+    F, ring = check_generators(F)
     stats = stats if stats is not None else BaselineStats()
     queue = queue if queue is not None else PairQueue()
     G: list[Polynomial] = []

@@ -22,6 +22,7 @@ from .polyring import (
     Polynomial,
     Reducers,
     StructureError,
+    check_generators,
     compare,
     exp_divides,
     exp_mask,
@@ -612,11 +613,14 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     the result read.  The working polynomial and its witness are kept
     unscaled (the certified per-step check compares the two as they are)
     and made monic only where they leave the loop, so the result equals
-    that of rescaling after every step: on a split with no step taken the
-    element is r itself, and a zero result's witness is the last step's
-    divided by the head coefficient before that step (by one when it was
-    the first).  Under lex a reductor's tail shifted out of its packed
-    field raises DomainError (``_step``).
+    that of rescaling after every step.  After a step the result settles
+    monic in one pass, each numerator over the head's, c: Fraction(v, c)
+    over ℚ, v·c⁻¹ mod p over GF(p) (``_settle``), and only the witness is
+    scaled.  On a split with no step taken the element is r itself, and a
+    zero result's witness is the last step's divided by the head
+    coefficient before that step (by one when it was the first).  Under
+    lex a reductor's tail shifted out of its packed field raises
+    DomainError (``_step``).
     """
     if r.poly.is_zero:
         return TRResult("zero", r)
@@ -635,14 +639,18 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
         found = _find_reductor(head, r.sig, state)
         if found is None or found[3] is Cmp.GT:
             if scale is not None:
-                poly = _settle(ring, [(head, scale)], acc, prime, den)
-                r = _monicize(LabeledPoly(r.sig, poly, witness))
+                poly = _settle(ring, [(head, field.one)], acc, prime, c)
+                if witness is not None:
+                    witness = witness.scale(field.inv(scale))
+                r = LabeledPoly(r.sig, poly, witness)
             if found is None:
                 return TRResult("reduced", _monicize(r))
-            # Spol(r_red, r) with the larger multiplied signature
+            # Spol(r_red, r) with the larger multiplied signature: HT(r_red)
+            # divides HT(r), so the cofactors are u and 1
             u, pos, elt, _ = found
             unit = ModuleVector.unit(pos, ring) if r.witness is not None else None
-            new = build_labeled_spol(sig_mul(u, elt.sig), elt.poly, unit, r.poly, r.witness)
+            new = build_labeled_spol(sig_mul(u, elt.sig), u, elt.poly, unit,
+                                     ring.zero_exp, r.poly, r.witness)
             state.stats.splits += 1
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
@@ -757,9 +765,9 @@ def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
     if state.opts.certify:
         wi = ModuleVector.unit(pair.i, state.ring)
         wj = ModuleVector.unit(pair.j, state.ring)
-    return _monicize(
-        build_labeled_spol(pair.sig, state.poly(pair.i), wi, state.poly(pair.j), wj)
-    )
+    return _monicize(build_labeled_spol(
+        pair.sig, pair.u_i, state.poly(pair.i), wi, pair.u_j, state.poly(pair.j), wj
+    ))
 
 
 def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -> None:
@@ -804,15 +812,7 @@ def incremental_basis(
     Returns the final basis state (whose stored polynomials generate the same
     ideal and form a Groebner basis) and the event trace.
     """
-    F = list(F)
-    if not F:
-        raise DomainError("empty generator sequence")
-    ring = F[0].ring
-    for f in F:
-        if f.is_zero:
-            raise DomainError("zero generator")
-        if f.ring != ring:
-            raise StructureError("generators from different rings")
+    F, ring = check_generators(F)
     state = BasisState(ring, len(F), opts)
     for i, f in enumerate(F, 1):
         witness = ModuleVector.unit(i, ring) if state.opts.certify else None

@@ -658,6 +658,21 @@ class Polynomial:
         return f"<{self}>"
 
 
+def check_generators(F: Iterable["Polynomial"]) -> tuple[list, "PolyRing"]:
+    """F as a list, and its ring: the input check of both engines.
+    DomainError for an empty sequence or a zero generator, StructureError
+    for generators from different rings."""
+    F = list(F)
+    if not F:
+        raise DomainError("empty generator sequence")
+    for f in F:
+        if f.is_zero:
+            raise DomainError("zero generator")
+        if f.ring != F[0].ring:
+            raise StructureError("generators from different rings")
+    return F, F[0].ring
+
+
 # ---------------------------------------------------------------------------
 # S-polynomials and reduction
 
@@ -665,7 +680,9 @@ def spol(p1: Polynomial, p2: Polynomial):
     """Multipliers and S-polynomial: HC(p2)*u1*p1 - HC(p1)*u2*p2.
 
     Returns (u1, u2, s); the head terms of both products cancel at
-    lcm(HT(p1), HT(p2)).
+    lcm(HT(p1), HT(p2)).  The Buchberger oracle's construction: the
+    signature engine takes the cofactors it already holds
+    (``signature.build_labeled_spol``).
     """
     if p1.is_zero or p2.is_zero:
         raise DomainError("S-polynomial of a zero polynomial")
@@ -782,9 +799,15 @@ def _sub_step(acc: dict, heap: list, c, step: tuple, prime: int, den: int) -> in
 
 def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int) -> Polynomial:
     """The polynomial whose packed terms are ``done``, then acc's nonzero
-    terms, descending.  acc's values are integer numerators: over GF(p)
-    (``prime``) each is taken mod p, over ℚ (``prime`` 0) each becomes
-    Fraction(value, den).  Nothing is unpacked."""
+    terms, descending.  acc's values are integer numerators over den: over
+    ℚ (``prime`` 0) each becomes Fraction(value, den), over GF(p)
+    (``prime``) value·den⁻¹ mod p, one ``% p`` a term when den is 1, as it
+    is for every caller but a monic settle (``top_reduction_signed``).
+    Nothing is unpacked."""
+    if prime and den != 1:
+        inv = pow(den, -1, prime)
+        for k in acc:
+            acc[k] *= inv
     for k in sorted(acc, reverse=True):
         v = acc[k] % prime if prime else acc[k]
         if v:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import Cmp, MonomialOrder, Polynomial, compare, exp_mul, spol
+from .polyring import Cmp, MonomialOrder, Polynomial, compare, exp_mul
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,22 +55,18 @@ class LabeledPoly:
     poly: Polynomial
     witness: object | None = None
 
-    @property
-    def index(self) -> int:
-        return self.sig.index
 
-
-def build_labeled_spol(sig: Signature, a: Polynomial, wa, b: Polynomial, wb) -> LabeledPoly:
+def build_labeled_spol(sig: Signature, u_a, a: Polynomial, wa, u_b, b: Polynomial, wb):
     """The labeled S-polynomial hc(b)*u_a*a - hc(a)*u_b*b with signature sig,
-    u_a and u_b the cofactors of lcm(HT(a), HT(b)); its witness is
-    hc(b)*u_a*wa - hc(a)*u_b*wb when both witnesses are given, else None.
+    for u_a and u_b the cofactors of lcm(HT(a), HT(b)), which the caller
+    already holds; its witness is hc(b)*u_a*wa - hc(a)*u_b*wb when both
+    witnesses are given, else None.
 
-    The one construction behind the engine's pair and split S-polynomials;
-    the caller picks the signature.
+    The one construction behind the engine's pair and split S-polynomials:
+    the caller picks the signature and passes the cofactors.
     """
-    u_a, u_b, s = spol(a, b)
+    s = a.mul_term(u_a, b.hc).sub_mul(a.hc, u_b, b)
     witness = None
     if wa is not None and wb is not None:
         witness = wa.mul_term(u_a, b.hc) - wb.mul_term(u_b, a.hc)
     return LabeledPoly(sig, s, witness)
-

@@ -418,25 +418,27 @@ def certify_rejection(pair, verdict, state) -> Certificate:
     least multiplier u_min, v = u - u_min (module docstring).  One template
     per (position, criterion, witness or rule) is built at u_min and
     checked by ``_template``, and only a template that passed is kept in
-    ``state.cert_templates``.  Every rejection then shifts it.  The shifted
-    certificate carries the pair, the criterion and the component of this
-    rejection, the flagged position with its own u, the bound and the vector
-    times x^v, and each bound check with its packed head plus pack(v) and
-    its verdict kept; the zero evaluation and the rewriter equality carry
-    over.  No evaluation and no key comparison is made here.
+    ``state.cert_templates``.  Every rejection then shifts it.  A kept
+    template's flagged u is u_min, so ``_least_multiplier`` runs only for a
+    key without one, and v is checked before any template is built.  The
+    shifted certificate carries the pair, the criterion and the component
+    of this rejection, the flagged position with its own u, the bound and
+    the vector times x^v, and each bound check with its packed head plus
+    pack(v) and its verdict kept; the zero evaluation and the rewriter
+    equality carry over.  No evaluation and no key comparison is made here.
     """
     comp = verdict.component
     u_k, pos_k = pair.component(comp)
-    u_min = _least_multiplier(pos_k, verdict, state)
+    crit = verdict.witness if verdict.kind == "f5crit" else verdict.rule.label
+    key = (pos_k, verdict.kind, crit)
+    tpl = state.cert_templates.get(key)
+    u_min = tpl.flagged_u if tpl is not None else _least_multiplier(pos_k, verdict, state)
     v = exp_div(u_k, u_min)
     if v is None:
         raise CertificateError(
             f"the {verdict.kind} verdict on pair ({pair.i},{pair.j}) does not "
             f"apply to {state.ring.render_exp(u_k)}*r{pos_k}"
         )
-    crit = verdict.witness if verdict.kind == "f5crit" else verdict.rule.label
-    key = (pos_k, verdict.kind, crit)
-    tpl = state.cert_templates.get(key)
     if tpl is None:
         tpl = state.cert_templates[key] = _template(pair, verdict, state, u_min)
     shift = state.ring.pack(v)

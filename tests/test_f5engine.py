@@ -36,6 +36,8 @@ from siggb.f5engine import (
 )
 import siggb.f5engine as f5engine
 import siggb.polyring
+import siggb.signature
+import siggb.syzygy
 from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
 from siggb.polyring import (
     QQ,
@@ -129,6 +131,18 @@ def test_zero_generator_rejected():
         incremental_basis([ring.zero])
     with pytest.raises(DomainError):
         incremental_basis([])
+
+
+@pytest.mark.parametrize("engine", (incremental_basis, buchberger_basis), ids=("f5", "gm"))
+def test_generator_check_refusals(engine):
+    # both engines run one generator check, with the same errors and messages
+    ring, other = PolyRing(("x",)), PolyRing(("x", "y"))
+    with pytest.raises(DomainError, match="^empty generator sequence$"):
+        engine([])
+    with pytest.raises(DomainError, match="^zero generator$"):
+        engine([ring.parse("x"), ring.zero])
+    with pytest.raises(StructureError, match="^generators from different rings$"):
+        engine([ring.parse("x"), other.parse("x")])
 
 
 # -- criteria ------------------------------------------------------------------------
@@ -225,6 +239,23 @@ def _lex(gens):
     ring = gens[0].ring
     lex = PolyRing(ring.names, ring.field, MonomialOrder("lex"))
     return [lex.build(dict(g.terms)) for g in gens]
+
+
+def test_engine_takes_the_cofactors_it_holds(golden_gens, golden_expected, monkeypatch):
+    # pair and split S-polynomials take the cofactors of pair creation and
+    # of the reductor search: no run reaches the tuple lcm of ``spol``
+    def boom(*args):
+        raise AssertionError("tuple lcm reached from incremental_basis")
+
+    for mod in (siggb.polyring, siggb.signature, f5engine, siggb.syzygy):
+        for name in ("spol", "lcm_term", "exp_div"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    for opts in (None, certified):
+        assert interreduce(incremental_basis(golden_gens, opts=opts)[0]) == golden_expected
+        state, _ = incremental_basis(_lex(cyclic(4)), opts=opts)
+        assert state.stats.splits == 2
 
 
 def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):

@@ -76,7 +76,8 @@ def test_spol_labeled_witness(ring):
     f2 = ring.parse("x*z^2 - y^2*t")
     sig = Signature(e(1, 0, 0, 0), 1)
     out = build_labeled_spol(
-        sig, f1, ModuleVector.unit(1, ring), f2, ModuleVector.unit(2, ring)
+        sig, e(1, 0, 0, 0), f1, ModuleVector.unit(1, ring),
+        e(0, 1, 1, 0), f2, ModuleVector.unit(2, ring)
     )
     assert out.sig == sig
     assert out.witness is not None

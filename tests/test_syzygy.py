@@ -439,6 +439,20 @@ def test_shifted_templates_equal_certificates_from_scratch(template_states, name
         assert got.render(state) == want.render(state)
 
 
+def test_least_multiplier_runs_once_per_template(monkeypatch):
+    # a kept template holds u_min as its flagged u, so only a key without a
+    # template works it out
+    from siggb import syzygy
+    from siggb.corpus import cyclic
+
+    state = _certified_state(cyclic(4))
+    calls = []
+    least = syzygy._least_multiplier
+    monkeypatch.setattr(syzygy, "_least_multiplier", lambda *a: calls.append(a) or least(*a))
+    certs = certify_all(state)
+    assert (len(certs), len(state.cert_templates), len(calls)) == (148, 52, 52)
+
+
 def test_template_that_fails_its_check_is_never_kept(template_states):
     # An F5 verdict whose witness is an input of smaller index than the
     # component: the witness entry of the principal syzygy lies above the
