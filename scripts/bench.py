@@ -25,11 +25,13 @@ holds:
   two on the same machine at the same time;
 - the ``scan_run`` wall time over the corpus states that each f5 corpus run
   built (``scan.corpus100_s``), and over one fresh cyclic-5 over GF(32003)
-  state (``scan.cyclic5_s``), the median of ``REPEATS`` passes each;
+  state (``scan.cyclic5_s``), ``REPEATS`` passes each;
 - the ``certify_all`` wall times on cyclic-5 over GF(32003)
   (``certify.cyclic5_s``) and on katsura-5 over Q (``certify.katsura5qq_s``),
-  each certified with witness validation as ``siggb --certify`` runs it, the
-  median of ``CERTIFY_REPEATS`` fresh runs;
+  each certified with witness validation as ``siggb --certify`` runs it,
+  ``CERTIFY_REPEATS`` fresh runs each.  These run in the same child
+  processes as the f5 and gm times, so with ``--baseline`` they alternate
+  with the baseline's too, and their medians are over every round;
 - the wall time and the summary line of the tier-1 tests;
 - the size of ``src/siggb/*.py``: every line (``size.src_lines``), and the
   lines that hold code, without docstrings, comments and blank lines
@@ -83,9 +85,10 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def engine_times(repeats: int) -> dict:
-    """Median wall seconds of f5 and gm on katsura-5 over GF(32003) and over
-    Q and on the corpus, and of ``scan_run`` over the states of each f5
-    corpus run."""
+    """Median wall seconds of f5 and gm on cyclic-5 and katsura-5 over
+    GF(32003), on katsura-5 over Q and on the corpus, of ``scan_run`` over
+    the states of each f5 corpus run, and of ``scan_times`` and
+    ``certify_times``."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from siggb.baseline import buchberger_basis
     from siggb.corpus import corpus_shapes, cyclic, katsura, random_ideal
@@ -129,6 +132,8 @@ def engine_times(repeats: int) -> dict:
             if scans:
                 out[f"scan.{name}_s"] = {"median": statistics.median(scans),
                                          "samples": scans}
+    out.update(scan_times(repeats))
+    out.update(certify_times(CERTIFY_REPEATS))
     return out
 
 
@@ -187,7 +192,8 @@ print(json.dumps([secs, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 102
 def engine_times_of(checkouts: dict) -> dict:
     """``engine_times`` of each checkout, by label: ``ENGINE_ROUNDS`` rounds
     of one child process per checkout, each importing siggb from that
-    checkout's ``src/``; a median is over the samples of every round."""
+    checkout's ``src/``; a median is over the samples of every round, and
+    any other field of a measurement is kept from its last round."""
     samples = {label: {} for label in checkouts}
     for _ in range(ENGINE_ROUNDS):
         for label, root in checkouts.items():
@@ -197,9 +203,10 @@ def engine_times_of(checkouts: dict) -> dict:
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   check=True)
             for name, run in json.loads(proc.stdout).items():
-                samples[label].setdefault(name, []).extend(run["samples"])
-    return {label: {name: {"median": statistics.median(s), "samples": s}
-                    for name, s in runs.items()}
+                kept = samples[label].setdefault(name, {"samples": []})
+                kept.update(run, samples=kept["samples"] + run["samples"])
+    return {label: {name: {**run, "median": statistics.median(run["samples"])}
+                    for name, run in runs.items()}
             for label, runs in samples.items()}
 
 
@@ -295,8 +302,6 @@ def main() -> int:
         checkouts["baseline"] = os.path.abspath(args.baseline)
     engines = engine_times_of(checkouts)
     record["engines"] = engines["tree"]
-    record["engines"].update(scan_times(REPEATS))
-    record["engines"].update(certify_times(CERTIFY_REPEATS))
     cyclic6 = cyclic6_times(checkouts)
     record["engines"].update(cyclic6["tree"])
     if args.baseline:
