@@ -513,3 +513,27 @@ def test_verdict_that_does_not_divide_is_refused(template_states):
                     certify_rejection(ev.pair, forged, state)
                 return
     pytest.fail("no position to forge a witness from")
+
+
+def test_verdict_below_a_kept_template_is_refused(template_states):
+    # the kept template of (position, criterion, witness) gives u_min; a
+    # component u of that key that is no multiple of it is still refused,
+    # before any shift
+    from dataclasses import replace
+
+    from siggb.f5engine import PairRejected
+    from siggb.syzygy import CertificateError, certify_rejection
+
+    state = template_states["cyclic-4"]
+    zero = state.ring.zero_exp
+    for ev in rejection_events(state):
+        if ev.kind == "f5crit":
+            certify_rejection(ev.pair, ev, state)
+            key = (ev.pair.component(ev.component)[1], "f5crit", ev.witness)
+            if state.cert_templates[key].flagged_u != zero:
+                break
+    field = "u_i" if ev.component == "i" else "u_j"
+    pair = replace(ev.pair, **{field: zero})
+    forged = PairRejected(pair, "f5crit", "creation", ev.component, ev.witness)
+    with pytest.raises(CertificateError, match="does not apply"):
+        certify_rejection(pair, forged, state)
