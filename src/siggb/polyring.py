@@ -658,7 +658,7 @@ class Polynomial:
         return f"<{self}>"
 
 
-def check_generators(F: Iterable["Polynomial"]) -> tuple[list, "PolyRing"]:
+def check_generators(F: Iterable[Polynomial]) -> tuple[list, PolyRing]:
     """F as a list, and its ring: the input check of both engines.
     DomainError for an empty sequence or a zero generator, StructureError
     for generators from different rings."""
