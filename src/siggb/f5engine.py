@@ -97,36 +97,50 @@ class RewriteRule:
 class CriticalPair:
     """S-pair bookkeeping; component i carries the larger multiplied signature.
 
-    ``sig`` is u_i * Sig(r_i), the pair's signature, and ``sig_j`` is
-    u_j * Sig(r_j); the criteria read a component's index and term from them.
-    ``snapshot`` is the basis size when the pair was made.  It bounds only
-    clause (b) of the relaxed criterion (``falsifier``), whose elements have
-    a component's own index and so can grow within an iteration.  The F5
-    criterion takes no bound: its witnesses, of larger index, are all in the
-    basis before the pair is made (``component_f5_witnesses``).  In the
-    engine's pairs, a component's u and multiplied signature come from its
-    record, one per (position, cofactor) in ``BasisState.msigs``
-    (``_component``), so components with equal (u, position) share them;
-    the positions and snapshot are the state's shared ints, so the pairs of
-    one batch share one snapshot.  A created pair is its own event:
-    ``PairCreated`` names this class.
+    A pair holds its two component records, ``rec_i`` and ``rec_j``, one per
+    (position, cofactor) in ``BasisState.msigs`` (``_component``), so
+    components with equal (u, position) share one record: its u, its
+    multiplied signature once read, its packed term and its F5 verdict.
+    ``u_i``, ``u_j``, ``sig`` = u_i * Sig(r_i), the pair's signature, and
+    ``sig_j`` = u_j * Sig(r_j) read them.  ``snapshot`` is the basis size
+    when the pair was made.  It bounds only clause (b) of the relaxed
+    criterion (``falsifier``), whose elements have a component's own index
+    and so can grow within an iteration.  The F5 criterion takes no bound:
+    its witnesses, of larger index, are all in the basis before the pair is
+    made (``component_f5_witnesses``).  The positions and snapshot are the
+    state's shared ints, so the pairs of one batch share one snapshot.  A
+    created pair is its own event: ``PairCreated`` names this class.
     """
 
     i: int
     j: int
-    u_i: tuple[int, ...]
-    u_j: tuple[int, ...]
+    rec_i: list
+    rec_j: list
     degree: int
-    sig: Signature
-    sig_j: Signature
     snapshot: int
 
+    @property
+    def u_i(self) -> tuple[int, ...]:
+        return self.rec_i[0]
+
+    @property
+    def u_j(self) -> tuple[int, ...]:
+        return self.rec_j[0]
+
+    @property
+    def sig(self) -> Signature:
+        return _msig(self.rec_i)
+
+    @property
+    def sig_j(self) -> Signature:
+        return _msig(self.rec_j)
+
     def component(self, comp: str) -> tuple[tuple[int, ...], int]:
-        return (self.u_i, self.i) if comp == "i" else (self.u_j, self.j)
+        return (self.rec_i[0], self.i) if comp == "i" else (self.rec_j[0], self.j)
 
     def msig(self, comp: str) -> Signature:
         """The component's multiplied signature u * Sig(r_pos)."""
-        return self.sig if comp == "i" else self.sig_j
+        return _msig(self.rec_i if comp == "i" else self.rec_j)
 
     def render(self, state) -> str:
         return f"PAIR d={self.degree} sig={self.sig.render(state.ring)} ({self.i},{self.j})"
@@ -140,24 +154,42 @@ def _component(memo: dict, v: int, sig: Signature, ring) -> list:
     v, in the memo of a position with signature sig.
 
     A component u * r_pos has one record, shared by every pair and reductor
-    search that meets it: the list [u, u * sig, deg u, key], a list because
-    it is made for about every other component and a list is the cheapest
-    record to build.  key is None until a same-index signature comparison
-    packs the record's term (``_packed_term``), so that a term outside the
-    packed field raises DomainError only where a comparison or an F5 query
-    packs it.  The F5 verdict is not kept here: the query's own memo, keyed
-    on the packed term, holds it.
+    search that meets it: the list [u, u * sig or None, deg u, packed term
+    or None, F5 verdict or None, sig], a list because it is made for about
+    every other component and a list is the cheapest record to build.  Each
+    None is filled on first read: the multiplied signature by ``_msig``;
+    the packed term, pack(u) + pack(Gamma(sig)), where a same-index
+    comparison or an F5 query first needs it (``_packed_term``), so that a
+    term outside the packed field raises DomainError only there; the
+    verdict, the position of the component's first F5 witness or 0, where
+    the F5 criterion is first asked (``_f5_verdict``).
     """
     u = ring._varcache.get(v) or ring.unpack_vars(v)
-    rec = memo[v] = [u, Signature(tuple(map(add, u, sig.gamma)), sig.index), sum(u), None]
+    rec = memo[v] = [u, None, sum(u), None, None, sig]
     return rec
 
 
+def _msig(rec: list) -> Signature:
+    """The multiplied signature u * Sig(r_pos) of a component record, built
+    once."""
+    s = rec[1]
+    if s is None:
+        sig = rec[5]
+        s = rec[1] = Signature(tuple(map(add, rec[0], sig.gamma)), sig.index)
+    return s
+
+
 def _packed_term(rec: list, ring) -> int:
-    """The packed term of a component record's signature, packed once."""
+    """The packed term of a component record's signature, packed once: the
+    sum of u's and Gamma's packed monomials, which multiplies them.  Both
+    pack, u dividing a head and Gamma being a signature's, and their sum
+    has a guard bit set exactly where packing u * Gamma would raise."""
     k = rec[3]
     if k is None:
-        k = rec[3] = ring.pack(rec[1].gamma)
+        k = ring.pack(rec[0]) + ring.pack(rec[5].gamma)
+        if k & ring._guard:
+            raise DomainError(f"exponent {_msig(rec).gamma} does not fit a packed monomial")
+        rec[3] = k
     return k
 
 
@@ -311,7 +343,8 @@ class BasisState:
         self.heads: list[int] = [0]
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
         # by position: the variable fields of a cofactor u -> its component
-        # record [u, u * Sig(r_pos), deg u, packed term or None] (``_component``)
+        # record [u, u * Sig(r_pos), deg u, packed term, F5 verdict, Sig(r_pos)],
+        # each None until first read (``_component``)
         self.msigs: list[dict] = []
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
@@ -365,9 +398,10 @@ class BasisState:
         return rule
 
     def _append(self, lp: LabeledPoly) -> int:
-        """Store lp and drop the F5 tables it could change: those of every
-        index below lp's, for which it is a new candidate.  Every query
-        reads an element's packed head, so a zero polynomial is refused."""
+        """Store lp and drop the F5 tables it could change, those of every
+        index below lp's, for which it is a new candidate, with the verdicts
+        their components' records keep.  Every query reads an element's
+        packed head, so a zero polynomial is refused."""
         if lp.poly.is_zero:
             raise DomainError("a basis element must be nonzero")
         self.elements.append(lp)
@@ -376,8 +410,14 @@ class BasisState:
         self.msigs.append({})
         pos = self.size
         self.positions.append(pos)
-        for k0 in [k0 for k0 in self.f5_tables if k0 < lp.sig.index]:
+        dropped = [k0 for k0 in self.f5_tables if k0 < lp.sig.index]
+        for k0 in dropped:
             del self.f5_tables[k0]
+        if dropped:
+            for elt, memo in zip(self.elements, self.msigs):
+                if elt.sig.index in dropped:
+                    for rec in memo.values():
+                        rec[4] = None
         return pos
 
     def append_input(self, lp: LabeledPoly) -> int:
@@ -458,7 +498,8 @@ def component_f5_witnesses(msig: Signature, state: BasisState) -> tuple[int, ...
     (k0, term) alone, in the table's ``Reducers``, and this full tuple, read
     when a rejection lists its witnesses, is memoised the same way in
     ``F5Table.every``.  States built by hand may append out of that order;
-    appending an element of index j drops the tables of every k0 < j
+    appending an element of index j drops the tables of every k0 < j and
+    resets the verdicts their components' records keep
     (``BasisState._append``).  Divisibility is the ring's guard test on
     packed monomials, so a term outside the packed field raises DomainError.
     """
@@ -473,19 +514,29 @@ def component_f5_witnesses(msig: Signature, state: BasisState) -> tuple[int, ...
     return every
 
 
-def first_f5_witness(msig: Signature, state: BasisState) -> int:
-    """Position of the first F5 witness of the component with multiplied
-    signature msig, or 0 when it has none: the one F5-criterion query.
+def first_f5_witness(k0: int, e: int, state: BasisState) -> int:
+    """Position of the first F5 witness of a component of index k0 with
+    packed term e, or 0 when it has none: the one F5-criterion query.
 
     In the paper's terms, (u, r_k) is not normalized when u * Gamma(r_k) is
     top-reducible by the elements of larger index, which is the question
     ``Reducers.find`` answers for the packed term.  Its memo, keyed on the
-    packed term in the table of msig.index, is sound by the invariant in
-    ``component_f5_witnesses``.
+    packed term in the table of k0, is sound by the invariant in
+    ``component_f5_witnesses``, and a component record keeps the answer
+    (``_f5_verdict``).
     """
-    table = state.f5_tables.get(msig.index) or _f5_table(state, msig.index)
-    i = table.reducers.find(state.ring.pack(msig.gamma))
+    table = state.f5_tables.get(k0) or _f5_table(state, k0)
+    i = table.reducers.find(e)
     return table.cands[i] if i >= 0 else 0
+
+
+def _f5_verdict(rec: list, state: BasisState) -> int:
+    """A component record's F5 verdict, its first witness or 0, asked once
+    and kept in the record until ``BasisState._append`` resets it."""
+    hit = rec[4]
+    if hit is None:
+        hit = rec[4] = first_f5_witness(rec[5].index, _packed_term(rec, state.ring), state)
+    return hit
 
 
 def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteRule | None:
@@ -507,15 +558,16 @@ def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteR
 def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
     """F5 criterion: component i, then j, each asked for its first witness in
     the basis as it stands, which holds every witness the component can have
-    (``component_f5_witnesses``); the pair's snapshot plays no part.
+    (``component_f5_witnesses``); the pair's snapshot plays no part.  Each
+    answer is the one its component record keeps (``_f5_verdict``).
 
     One witness decides the verdict and builds the certificate;
     ``component_f5_witnesses`` lists them all.
     """
-    hit = first_f5_witness(pair.sig, state)
+    hit = _f5_verdict(pair.rec_i, state)
     if hit:
         return NormalizedVerdict(False, "i", hit)
-    hit = first_f5_witness(pair.sig_j, state)
+    hit = _f5_verdict(pair.rec_j, state)
     if hit:
         return NormalizedVerdict(False, "j", hit)
     return NormalizedVerdict(True)
@@ -562,9 +614,9 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
     components).  A reductor divides the head when the guard test passes
     on the difference of their variable fields (``BasisState.heads``), the
     cofactor that keys the multiple's component record in the position's
-    memo, the record pair creation reads.  Signatures of one index compare
-    by their packed terms, the record's and sig's, each packed on first
-    need.
+    memo, the record pair creation reads, with its F5 verdict.  Signatures
+    of one index compare by their packed terms, the record's and sig's, each
+    packed on first need.
     """
     ring = state.ring
     vguard, heads, elements, msigs = ring._varguard, state.heads, state.elements, state.msigs
@@ -576,9 +628,9 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
             continue
         elt, memo = elements[pos - 1], msigs[pos - 1]
         rec = memo.get(v) or _component(memo, v, elt.sig, ring)
-        msig = rec[1]
-        if msig.index != index:
-            cm = Cmp.LT if msig.index > index else Cmp.GT
+        k0 = rec[5].index
+        if k0 != index:
+            cm = Cmp.LT if k0 > index else Cmp.GT
         else:
             k = _packed_term(rec, ring)
             if key is None:
@@ -586,9 +638,9 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
             if k == key:
                 continue
             cm = Cmp.GT if k > key else Cmp.LT
-        if first_f5_witness(msig, state):
+        if _f5_verdict(rec, state):
             continue
-        if component_rewriter(msig, pos, state) is not None:
+        if component_rewriter(_msig(rec), pos, state) is not None:
             continue
         return rec[0], pos, elt, cm
     return None
@@ -689,8 +741,9 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     the heads' packed variable fields (``lcm_cofactors``), and each
     cofactor keys its component's record in its position's memo,
     ``BasisState.msigs`` (``_component``), so components with equal
-    (u, pos) share one u and one multiplied signature, and the pair's
-    degree is deg u plus the degree of the head.  A creation-time rejection
+    (u, pos) share one record, and the pair's degree is deg u plus the
+    degree of the head.  The pair holds both records, and the criteria and
+    the heap key, (-index, packed term), read them.  A creation-time rejection
     is the event right after its pair, which ``falsifier.scan_run`` reads as
     the pair's F5 verdict.
     """
@@ -711,46 +764,47 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
         ra = memo_a.get(va) or _component(memo_a, va, siga, ring)
         memo_b = msigs[b - 1]
         rb = memo_b.get(vb) or _component(memo_b, vb, elements[b - 1].sig, ring)
-        sa, sb = ra[1], rb[1]
         stats.pairs_created += 1
         # component i carries the larger signature: the smaller index, then
         # the larger term
-        ib = sb.index
+        ib = rb[5].index
         if ia == ib:
             ka, kb = _packed_term(ra, ring), _packed_term(rb, ring)
             if ka == kb:
                 stats.signature_collisions += 1
-                events.append(SignatureCollision(a, b, sa))
+                events.append(SignatureCollision(a, b, _msig(ra)))
                 continue
             swap = ka < kb
         else:
             swap = ia > ib
         if swap:
-            pair = CriticalPair(b, a, rb[0], ra[0], ra[2] + dega, sb, sa, snap)
+            pair = CriticalPair(b, a, rb, ra, ra[2] + dega, snap)
         else:
-            pair = CriticalPair(a, b, ra[0], rb[0], ra[2] + dega, sa, sb, snap)
+            pair = CriticalPair(a, b, ra, rb, ra[2] + dega, snap)
         events.append(pair)
         seq += 1
         if _rejected(state, pair, "creation"):
             continue
-        heapq.heappush(heap, (pair.degree, sig_key(pair.sig, ring), seq, pair))
+        ri = pair.rec_i
+        heapq.heappush(heap, (pair.degree, (-ri[5].index, _packed_term(ri, ring)), seq, pair))
     state._pair_seq = seq
 
 
 def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
     """Run the F5 criterion at creation, then the Rewritten criterion at
     either stage; record and count the rejection when one of them discards
-    the pair.  The F5 criterion is ``is_normalized``, which needs no snapshot:
-    a witness has a larger index than the component it flags, so every
-    witness is in the basis before the pair is made.  A rejection keeps the
-    component and its first witness."""
+    the pair.  The F5 criterion is each component record's verdict
+    (``_f5_verdict``), component i first, as ``is_normalized`` reads it; it
+    needs no snapshot: a witness has a larger index than the component it
+    flags, so every witness is in the basis before the pair is made.  A
+    rejection keeps the component and its first witness."""
     if stage == "creation":
-        nv = is_normalized(pair, state)
-        if not nv.normalized:
+        comp, hit = "i", _f5_verdict(pair.rec_i, state)
+        if not hit:
+            comp, hit = "j", _f5_verdict(pair.rec_j, state)
+        if hit:
             state.stats.rejected_not_normalized += 1
-            state.events.append(PairRejected(
-                pair, "f5crit", stage, nv.component, nv.witness, state_ref=state.ref
-            ))
+            state.events.append(PairRejected(pair, "f5crit", stage, comp, hit, state_ref=state.ref))
             return True
     rw = is_rewritable(pair, state)
     if rw.rewritable:

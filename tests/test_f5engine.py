@@ -2,7 +2,7 @@ import gc
 import random
 import sys
 import weakref
-from operator import sub
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +23,11 @@ from siggb.f5engine import (
     TRResult,
     _all_f5_witnesses,
     _component,
+    _f5_verdict,
     _find_reductor,
     _make_pairs,
+    _msig,
+    _packed_term,
     component_f5_witnesses,
     first_f5_witness,
     incremental_basis,
@@ -62,15 +65,21 @@ from siggb.falsifier import scan_run
 from siggb.syzygy import ModuleVector, evaluate
 
 
-def _pair(state, i, j, ui, uj):
-    """Build a pair record for criterion unit tests (i carries the larger side)."""
-    l = lcm_term(state.poly(i).ht, state.poly(j).ht)
-    from siggb.signature import sig_mul
+def _record(state, pos, u):
+    """The state's component record of u * r_pos, made as the engine makes
+    it when it has none."""
+    ring = state.ring
+    memo, v = state.msigs[pos - 1], ring.pack(u) & ring._varmask
+    return memo.get(v) or _component(memo, v, state.sig(pos), ring)
 
+
+def _pair(state, i, j, ui, uj):
+    """Build a pair for criterion unit tests (i carries the larger side),
+    holding the state's own component records, as the engine's pairs do."""
+    l = lcm_term(state.poly(i).ht, state.poly(j).ht)
     return CriticalPair(
-        i=i, j=j, u_i=ui, u_j=uj, degree=exp_degree(l),
-        sig=sig_mul(ui, state.sig(i)), sig_j=sig_mul(uj, state.sig(j)),
-        snapshot=state.size,
+        i=i, j=j, rec_i=_record(state, i, ui), rec_j=_record(state, j, uj),
+        degree=exp_degree(l), snapshot=state.size,
     )
 
 
@@ -125,22 +134,15 @@ def test_two_coprime_generators():
     assert top_reduce(s, [p for p in state.polys()]).is_zero
 
 
-def test_zero_generator_rejected():
-    ring = PolyRing(("x",))
-    with pytest.raises(DomainError):
-        incremental_basis([ring.zero])
-    with pytest.raises(DomainError):
-        incremental_basis([])
-
-
 @pytest.mark.parametrize("engine", (incremental_basis, buchberger_basis), ids=("f5", "gm"))
 def test_generator_check_refusals(engine):
     # both engines run one generator check, with the same errors and messages
     ring, other = PolyRing(("x",)), PolyRing(("x", "y"))
     with pytest.raises(DomainError, match="^empty generator sequence$"):
         engine([])
-    with pytest.raises(DomainError, match="^zero generator$"):
-        engine([ring.parse("x"), ring.zero])
+    for gens in ([ring.zero], [ring.parse("x"), ring.zero]):
+        with pytest.raises(DomainError, match="^zero generator$"):
+            engine(gens)
     with pytest.raises(StructureError, match="^generators from different rings$"):
         engine([ring.parse("x"), other.parse("x")])
 
@@ -217,18 +219,18 @@ def _eager_first(msig, state, snapshot):
 
 
 def _spy_first_witness(monkeypatch):
-    """Record every F5-criterion query as (caller, msig, basis seen, answer),
-    the caller being the one that asked ``is_normalized`` when the query
-    came through it."""
+    """Record every F5-criterion query as (caller, k0, packed term, basis
+    seen, answer), the caller being the one that asked for a component
+    record's verdict (``_f5_verdict``)."""
     calls = []
     real = f5engine.first_f5_witness
 
-    def spy(msig, state):
-        hit = real(msig, state)
+    def spy(k0, e, state):
+        hit = real(k0, e, state)
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "is_normalized":
+        if frame.f_code.co_name == "_f5_verdict":
             frame = frame.f_back
-        calls.append((frame.f_code.co_name, msig, state.size, hit))
+        calls.append((frame.f_code.co_name, k0, e, state.size, hit))
         return hit
 
     monkeypatch.setattr(f5engine, "first_f5_witness", spy)
@@ -260,7 +262,8 @@ def test_engine_takes_the_cofactors_it_holds(golden_gens, golden_expected, monke
 
 def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
     # the engine's F5 answers take no snapshot; the eager scan cuts at the
-    # basis each pair saw, and the two must agree on every pair
+    # basis each pair saw, and the two must agree on every pair and on every
+    # verdict a component record keeps
     calls = _spy_first_witness(monkeypatch)
     certified = EngineOptions(certify=True, validate_witnesses=True)
     runs = [(golden_gens, None), (cyclic(4), None), (katsura(4), None), (cyclic(5), None),
@@ -268,6 +271,7 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
     for gens, opts in runs:
         calls.clear()
         state, events = incremental_basis(gens, opts=opts)
+        ring = state.ring
         engine_calls = len(calls)
         pairs = [ev for ev in events if isinstance(ev, PairCreated)]
         assert pairs
@@ -290,15 +294,23 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
         scan_run(state)
         # the scan asks only what pair creation asked, so it adds no entry
         assert sum(len(table.reducers.first) for table in state.f5_tables.values()) == memo_size
-        # every answer, memo hits included, from pair creation, the reductor
-        # search and the post-run scan
-        callers = {c for c, *_ in calls[:engine_calls]}
+        # every answer comes from pair creation or the reductor search; the
+        # verdicts read above and by the scan are the ones the records keep
+        callers = {c for c, *_ in calls}
         assert callers == {"_rejected", "_find_reductor"}
-        assert len(calls) > engine_calls
-        keys = {(msig, seen, hit) for _, msig, seen, hit in calls}
-        assert len({msig for msig, *_ in keys}) < len(calls)
-        for msig, seen, hit in keys:
-            assert hit == _eager_first(msig, state, seen)
+        assert len(calls) == engine_calls
+        keys = {(k0, e, seen, hit) for _, k0, e, seen, hit in calls}
+        for k0, e, seen, hit in keys:
+            assert hit == _eager_first(Signature(ring.unpack(e), k0), state, seen)
+        # a record is asked once and keeps the answer it got, far fewer
+        # queries than the components the pairs read
+        records = [rec for memo in state.msigs for rec in memo.values() if rec[4] is not None]
+        assert len(records) == len(calls) < 2 * len(pairs)
+        answers = {}
+        for k0, e, seen, hit in keys:
+            answers.setdefault((k0, e), set()).add(hit)
+        for rec in records:
+            assert answers[rec[5].index, rec[3]] == {rec[4]}
         for k0, table in state.f5_tables.items():
             # the memo maps a packed term to a reducer index, or to ~k once
             # none of the k candidates divides it
@@ -330,12 +342,12 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
     state.current_index = 1
     msig = Signature((1, 1), 1)
-    assert first_f5_witness(msig, state) == 0
-    assert first_f5_witness(Signature((0, 3), 1), state) == 2
-    assert first_f5_witness(Signature((1, 1), 2), state) == 0
+    assert first_f5_witness(1, ring.pack((1, 1)), state) == 0
+    assert first_f5_witness(1, ring.pack((0, 3)), state) == 2
+    assert first_f5_witness(2, ring.pack((1, 1)), state) == 0
     pos = state.add_element(LabeledPoly(Signature((1, 0), 2), ring.parse("x*y")),
                             state.add_rule((1, 0), 2))
-    assert first_f5_witness(msig, state) == pos
+    assert first_f5_witness(1, ring.pack((1, 1)), state) == pos
     assert component_f5_witnesses(msig, state) == (pos,)
     # tables of the element's own index and above stay
     assert 2 in state.f5_tables
@@ -345,20 +357,47 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     assert not v.normalized and (v.component, v.witness) == ("i", pos)
 
 
-def test_f5_query_refuses_a_term_outside_the_packed_field():
-    # the F5 queries test divisibility on packed monomials, so a term that
-    # does not fit one raises DomainError, as a product that leaves its
-    # field does
+def test_append_resets_the_verdicts_of_the_tables_it_drops():
+    # a pair's component records keep their F5 verdicts; a hand-built state
+    # that then appends an element of larger index must not read a verdict
+    # taken before that element existed
     ring = PolyRing(("x", "y"))
     state = BasisState(ring, 2)
     state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
     state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
-    for gamma in ((2**31, 0), (2**30, 2**30)):
+    state.current_index = 1
+    pair = _pair(state, 1, 2, (1, 1), (2, 0))
+    assert is_normalized(pair, state).normalized
+    assert (pair.rec_i[4], pair.rec_j[4]) == (0, 0)
+    pos = state.add_element(LabeledPoly(Signature((1, 0), 2), ring.parse("x*y")),
+                            state.add_rule((1, 0), 2))
+    # the index-1 record is reset with the index-1 table; the index-2 one,
+    # whose candidates the element does not join, keeps its verdict
+    assert (pair.rec_i[4], pair.rec_j[4]) == (None, 0)
+    v = is_normalized(pair, state)
+    assert not v.normalized and (v.component, v.witness) == ("i", pos)
+
+
+def test_f5_query_refuses_a_term_outside_the_packed_field():
+    # the F5 queries test divisibility on packed monomials, so a term that
+    # does not fit one raises DomainError, as a product that leaves its
+    # field does: the first-witness query where its component record packs
+    # the term, the witness list where it packs the signature's
+    ring = PolyRing(("x", "y"))
+    state = BasisState(ring, 2)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
+    state.current_index = 1
+    pos = state.add_element(LabeledPoly(Signature((2**30, 0), 1), ring.parse("x*y")),
+                            state.add_rule((2**30, 0), 1))
+    for u, gamma in (((2**30, 0), (2**31, 0)), ((0, 2**30), (2**30, 2**30))):
+        rec = _record(state, pos, u)
         with pytest.raises(DomainError):
-            first_f5_witness(Signature(gamma, 1), state)
+            _f5_verdict(rec, state)
+        assert rec[3] is None and rec[4] is None
         with pytest.raises(DomainError):
             component_f5_witnesses(Signature(gamma, 1), state)
-    assert first_f5_witness(Signature((0, 2**30), 1), state) == 2
+    assert _f5_verdict(_record(state, 1, (0, 2**30)), state) == 2
 
 
 def test_no_pop_stage_f5_rejections_on_corpus(corpus_runs):
@@ -481,22 +520,72 @@ def test_lcm_cofactors_match_tuple_max_and_sub(case):
     ka, kb = ring.pack(a), ring.pack(b)
     packs, unpacks = dict(ring._packcache), dict(ring._unpackcache)
     va, vb = lcm_cofactors(ka & vmask, kb & vmask, ring._varguard)
-    rec_a, rec_b = (_component({}, v, Signature(ring.zero_exp, 1), ring) for v in (va, vb))
+    sig = Signature(ring.zero_exp, 1)
+    rec_a, rec_b = (_component({}, v, sig, ring) for v in (va, vb))
     # neither the kernel nor a record puts a variable-fields int, which
     # under degrevlex is no packed monomial, into the pack caches
     assert ring._packcache == packs and ring._unpackcache == unpacks
     l = tuple(map(max, a, b))
     ua, ub = tuple(map(sub, l, a)), tuple(map(sub, l, b))
-    # a record is [u, u * Sig, deg u, packed term or None]
+    # a record is [u, u * Sig, deg u, packed term, F5 verdict, Sig], the
+    # multiplied signature, the term and the verdict None until first read
     assert ring.unpack_vars(va) == rec_a[0] == ua
     assert ring.unpack_vars(vb) == rec_b[0] == ub
     assert (rec_a[2], rec_b[2]) == (sum(ua), sum(ub))
-    assert rec_a[1] == Signature(ua, 1) and rec_a[3] is None
+    assert rec_a[1] is None and rec_a[3] is None and rec_a[4] is None
+    assert rec_a[5] is rec_b[5] is sig
+    for rec, u in ((rec_a, ua), (rec_b, ub)):
+        msig = _msig(rec)
+        assert msig == sig_mul(u, sig) == Signature(u, 1) and _msig(rec) is msig
+        assert _packed_term(rec, ring) == ring.pack(msig.gamma)
     # u_a divides b and u_b divides a, so both pack; the lcm packs under lex
     assert va == ring.pack(ua) & vmask and vb == ring.pack(ub) & vmask
     assert (ka & vmask) + va == (kb & vmask) + vb
     if ring.order.kind == "lex":
         assert ka + va == ring.pack(l)
+
+
+def _near_the_edge(draw, kind, n, u):
+    """An exponent tuple Gamma that packs, with entries often at or one
+    past the rest of u's field below 2^31 - 1, or, under degrevlex, of its
+    total degree, so that u * Gamma lands at or just outside the edge."""
+    gamma = []
+    for k in range(n):
+        hi = _TOP - sum(gamma) if kind == "degrevlex" else _TOP
+        edges = [_TOP - u[k], _TOP - u[k] + 1]
+        if kind == "degrevlex":
+            edges += [_TOP - sum(u) - sum(gamma), _TOP - sum(u) - sum(gamma) + 1]
+        edges = sorted({min(max(x, 0), hi) for x in edges})
+        gamma.append(draw(st.one_of(st.integers(0, min(2, hi)), st.sampled_from(edges),
+                                    st.integers(0, hi))))
+    return tuple(gamma)
+
+
+@st.composite
+def _product_case(draw):
+    ring, u, _ = draw(_cofactor_case())
+    return ring, u, _near_the_edge(draw, ring.order.kind, ring.nvars, u)
+
+
+@given(_product_case())
+@settings(max_examples=400, deadline=None)
+def test_packed_term_raises_where_packing_the_product_would(case):
+    # a record's packed term is pack(u) + pack(Gamma), whose guard test must
+    # refuse exactly the products that pack(u * Gamma) refuses
+    ring, u, gamma = case
+    sig = Signature(gamma, 1)
+    # making the record, and building its signature, packs nothing
+    rec = _component({}, ring.pack(u) & ring._varmask, sig, ring)
+    product = _msig(rec).gamma
+    assert product == tuple(map(add, u, gamma))
+    try:
+        expected = ring.pack(product)
+    except DomainError:
+        with pytest.raises(DomainError):
+            _packed_term(rec, ring)
+        assert rec[3] is None
+    else:
+        assert _packed_term(rec, ring) == expected == rec[3]
 
 
 def test_pair_creation_raises_where_a_term_is_first_packed():

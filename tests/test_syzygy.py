@@ -519,9 +519,7 @@ def test_verdict_below_a_kept_template_is_refused(template_states):
     # the kept template of (position, criterion, witness) gives u_min; a
     # component u of that key that is no multiple of it is still refused,
     # before any shift
-    from dataclasses import replace
-
-    from siggb.f5engine import PairRejected
+    from siggb.f5engine import CriticalPair, PairRejected
     from siggb.syzygy import CertificateError, certify_rejection
 
     state = template_states["cyclic-4"]
@@ -532,8 +530,13 @@ def test_verdict_below_a_kept_template_is_refused(template_states):
             key = (ev.pair.component(ev.component)[1], "f5crit", ev.witness)
             if state.cert_templates[key].flagged_u != zero:
                 break
-    field = "u_i" if ev.component == "i" else "u_j"
-    pair = replace(ev.pair, **{field: zero})
-    forged = PairRejected(pair, "f5crit", "creation", ev.component, ev.witness)
+    # a forged record of u = 1 for the flagged component, with nothing read
+    p = ev.pair
+    u, pos = p.component(ev.component)
+    forged = [zero, None, 0, None, None, state.sig(pos)]
+    rec_i, rec_j = (forged, p.rec_j) if ev.component == "i" else (p.rec_i, forged)
+    pair = CriticalPair(p.i, p.j, rec_i, rec_j, p.degree, p.snapshot)
+    assert pair.component(ev.component) == (zero, pos)
+    verdict = PairRejected(pair, "f5crit", "creation", ev.component, ev.witness)
     with pytest.raises(CertificateError, match="does not apply"):
-        certify_rejection(pair, forged, state)
+        certify_rejection(pair, verdict, state)
