@@ -136,11 +136,11 @@ class CriticalPair:
         return _msig(self.rec_j)
 
     def component(self, comp: str) -> tuple[tuple[int, ...], int]:
-        return (self.rec_i[0], self.i) if comp == "i" else (self.rec_j[0], self.j)
+        return (self.u_i, self.i) if comp == "i" else (self.u_j, self.j)
 
     def msig(self, comp: str) -> Signature:
         """The component's multiplied signature u * Sig(r_pos)."""
-        return _msig(self.rec_i if comp == "i" else self.rec_j)
+        return self.sig if comp == "i" else self.sig_j
 
     def render(self, state) -> str:
         return f"PAIR d={self.degree} sig={self.sig.render(state.ring)} ({self.i},{self.j})"
