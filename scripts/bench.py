@@ -12,9 +12,11 @@ holds:
 - f5 (``incremental_basis`` then ``interreduce``) and gm
   (``buchberger_basis``) wall times on cyclic-5 over GF(32003)
   (``f5.cyclic5_s``, the criteria-bound run), on katsura-5 over GF(32003)
-  (``katsura5``) and over Q (``katsura5qq``), and on the 100-ideal corpus
-  of ``scripts/run_corpus.py``, the median over ``ENGINE_ROUNDS`` fresh
-  child processes of ``REPEATS`` runs each;
+  (``katsura5``) and over Q (``katsura5qq``), on katsura-6 over GF(32003)
+  (``katsura6``, whose gm run is the reduction-bound oracle of the
+  ``katsura6-gf`` workload), and on the 100-ideal corpus of
+  ``scripts/run_corpus.py``, the median over ``ENGINE_ROUNDS`` fresh child
+  processes of ``REPEATS`` runs each;
 - cyclic-6 over GF(32003), the run where the criteria's per-pair cost
   dominates: ``CYCLIC6_RUNS`` f5 runs (``incremental_basis`` alone), each in
   a fresh child process, their median wall time (``f5.cyclic6_s``) and the
@@ -85,8 +87,9 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def engine_times(repeats: int) -> dict:
-    """Median wall seconds of f5 and gm on cyclic-5 and katsura-5 over
-    GF(32003), on katsura-5 over Q and on the corpus, of ``scan_run`` over
+    """Median wall seconds of f5 and gm on cyclic-5, katsura-5 and
+    katsura-6 over GF(32003), on katsura-5 over Q and on the corpus, of
+    ``scan_run`` over
     the states of each f5 corpus run, and of ``scan_times`` and
     ``certify_times``."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -105,6 +108,7 @@ def engine_times(repeats: int) -> dict:
         "cyclic5": lambda: [cyclic(5, 32003)],
         "katsura5": lambda: [katsura(5)],
         "katsura5qq": lambda: [katsura(5, None)],
+        "katsura6": lambda: [katsura(6)],
         f"corpus{CORPUS_COUNT}": lambda: [random_ideal(k, d, n, s) for k, d, n, s
                                           in corpus_shapes(CORPUS_COUNT, 0)],
     }

@@ -7,7 +7,10 @@ the signature logic cannot mask itself here.
 The basis only grows, so the S-polynomials reduce against one
 ``polyring.Reducers`` appended alongside it, whose memo of each monomial's
 first reducer carries over from one reduction to the next; ``spol`` and
-``reduce_full`` are still called by name for every pair.
+``reduce_full`` are still called by name for every pair.  A pair's lcm is
+a packed monomial, made once from the heads' packed variable fields
+(``lcm_cofactors``), so the Gebauer-Moeller tests are int compares and
+guard-bit divisibility tests.
 """
 
 from __future__ import annotations
@@ -20,11 +23,7 @@ from .polyring import (
     Polynomial,
     Reducers,
     check_generators,
-    exp_degree,
-    exp_div,
-    exp_divides,
-    exp_mul,
-    lcm_term,
+    lcm_cofactors,
     minimal_basis,
     reduce_full,
     reduced_basis,
@@ -43,13 +42,13 @@ class PairQueue:
     it comes up.
     """
 
-    pending: dict = field(default_factory=dict)  # (i, j) -> lcm
+    pending: dict = field(default_factory=dict)  # (i, j) -> packed lcm
     removed: list = field(default_factory=list)  # ((i, j), criterion)
     heap: list = field(default_factory=list, repr=False)
 
-    def add(self, key, lcm, ring):
+    def add(self, key, lcm: int, ring):
         self.pending[key] = lcm
-        heappush(self.heap, (exp_degree(lcm), ring.pack(lcm), key))
+        heappush(self.heap, (sum(ring.unpack_vars(lcm & ring._varmask)), lcm, key))
 
     def pop(self):
         """The next pending pair (i, j), removed from the queue."""
@@ -84,11 +83,16 @@ class BaselineStats:
 
 
 def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: str):
-    """Add f to the basis, building new pairs under the chosen elimination."""
+    """Add f to the basis, building new pairs under the chosen elimination.
+
+    The lcm of a new pair (i, f) is f's packed head plus the packed
+    cofactor lcm/HT(f), which ``lcm_cofactors`` gives as variable fields."""
     ring = f.ring
     t = len(G)
-    lmf = f.ht
-    new_lcms = {i: lcm_term(G[i].ht, lmf) for i in range(t)}
+    varmask, guard = ring._varmask, ring._guard
+    hf = f.packed[0][0]
+    new_lcms = [hf + ring.pack(ring.unpack_vars(lcm_cofactors(
+        g.packed[0][0] & varmask, hf & varmask, ring._varguard)[1])) for g in G]
     stats.pairs_created += t
 
     if strategy == "none":
@@ -97,32 +101,28 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
         G.append(f)
         return
 
-    # chain criterion on old pairs: drop (i, j) when lmf divides its lcm
+    # chain criterion on old pairs: drop (i, j) when HT(f) divides its lcm
     # strictly (the two pairs with f survive)
     for key in list(queue.pending):
         i, j = key
         l = queue.pending[key]
-        if (
-            exp_divides(lmf, l)
-            and l != new_lcms[i]
-            and l != new_lcms[j]
-        ):
+        if not (l - hf) & guard and l != new_lcms[i] and l != new_lcms[j]:
             queue.discard(key, "chain")
             stats.rejected_chain += 1
 
     # group the new pairs by lcm and keep only minimal lcms, one pair each
-    by_lcm: dict[tuple[int, ...], list[int]] = {}
+    by_lcm: dict[int, list[int]] = {}
     for i in range(t):
         by_lcm.setdefault(new_lcms[i], []).append(i)
-    minimal: list[tuple[int, ...]] = []
-    for l in sorted(by_lcm, key=ring.pack):
-        if any(exp_divides(l2, l) for l2 in minimal):
+    minimal: list[int] = []
+    for l in sorted(by_lcm):
+        if any(not (l - l2) & guard for l2 in minimal):
             stats.rejected_chain += len(by_lcm[l])
             continue
         minimal.append(l)
     for l in minimal:
         members = by_lcm[l]
-        coprime = any(exp_mul(G[i].ht, lmf) == l for i in members)
+        coprime = any(G[i].packed[0][0] + hf == l for i in members)
         if coprime:
             stats.rejected_product += 1
             stats.rejected_chain += len(members) - 1

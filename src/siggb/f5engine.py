@@ -27,10 +27,11 @@ from .polyring import (
     exp_divides,
     exp_mask,
     _numerators,
-    _packed,
+    _remaining,
     _settle,
     _step,
     _sub_step,
+    _working,
     lcm_cofactors,
     minimal_basis,
     reduced_basis,
@@ -346,6 +347,9 @@ class BasisState:
         # record [u, u * Sig(r_pos), deg u, packed term, F5 verdict, Sig(r_pos)],
         # each None until first read (``_component``)
         self.msigs: list[dict] = []
+        # by position: a monomial's id -> the step that reduces it by r_pos
+        # (``_step``), which depends on the two alone, not on a signature
+        self.steps: list[dict] = []
         self.element_rule: list[RewriteRule | None] = []
         self.rules: dict[int, list[RewriteRule]] = {i: [] for i in range(1, m + 1)}
         self.stats = Stats()
@@ -408,6 +412,7 @@ class BasisState:
         self.heads.append(lp.poly.packed[0][0] & self.ring._varmask)
         self.sig_keys.append(sig_key(lp.sig, self.ring))
         self.msigs.append({})
+        self.steps.append({})
         pos = self.size
         self.positions.append(pos)
         dropped = [k0 for k0 in self.f5_tables if k0 < lp.sig.index]
@@ -654,25 +659,29 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     is returned together with the new S-polynomial against the reductor.
     Reduction to the zero polynomial reports zero.
 
-    The working polynomial lives on packed monomials, as in ``polyring``'s
-    reduction loop: an accumulator plus a heap, over ℚ of integer numerators
-    over one running denominator (``_numerators``).  A step pops the packed
-    head, hands it to ``_find_reductor`` as it is, and applies the
-    reductor's step (``_step``, then ``_sub_step``), so it costs the
-    reductor's length, not the working polynomial's.  Over ℚ a Fraction is
-    made only of a value that leaves the loop: the witness multiplier, the
-    head coefficient, and the polynomial the certified per-step check and
-    the result read.  The working polynomial and its witness are kept
-    unscaled (the certified per-step check compares the two as they are)
-    and made monic only where they leave the loop, so the result equals
-    that of rescaling after every step.  After a step the result settles
-    monic in one pass, each numerator over the head's, c: Fraction(v, c)
-    over ℚ, v·c⁻¹ mod p over GF(p) (``_settle``), and only the witness is
-    scaled.  On a split with no step taken the element is r itself, and a
-    zero result's witness is the last step's divided by the head
-    coefficient before that step (by one when it was the first).  Under
-    lex a reductor's tail shifted out of its packed field raises
-    DomainError (``_step``).
+    The working polynomial lives on monomial ids, as in ``polyring``'s
+    reduction loop: an accumulator indexed by id plus a heap of negated
+    packed monomials (``_working``), over ℚ of integer numerators over one
+    running denominator (``_numerators``).  A step pops the packed head,
+    hands it to ``_find_reductor`` as it is, and applies the reductor's
+    step (``_sub_step``), so it costs the reductor's length, not the
+    working polynomial's.  A step depends on the reductor's position and
+    the monomial alone, not on the signature, so each is built once
+    (``_step``) and kept in the position's memo, ``BasisState.steps``,
+    keyed by the monomial's id; a new step may intern new ids, which extend
+    the accumulator.  Over ℚ a Fraction is made only of a value that leaves
+    the loop: the witness multiplier, the head coefficient, and the
+    polynomial the certified per-step check and the result read.  The
+    working polynomial and its witness are kept unscaled (the certified
+    per-step check compares the two as they are) and made monic only where
+    they leave the loop, so the result equals that of rescaling after every
+    step.  After a step the result settles monic in one pass, each
+    numerator over the head's, c: Fraction(v, c) over ℚ, v·c⁻¹ mod p over
+    GF(p) (``_settle``), and only the witness is scaled.  On a split with
+    no step taken the element is r itself, and a zero result's witness is
+    the last step's divided by the head coefficient before that step (by
+    one when it was the first).  Under lex a reductor's tail shifted out of
+    its packed field raises DomainError (``_step``).
     """
     if r.poly.is_zero:
         return TRResult("zero", r)
@@ -681,17 +690,18 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     ring = state.ring
     field = ring.field
     prime = field.p
+    ids, negs = ring._ids, ring._negs
     den, terms = _numerators(r.poly)
-    acc, heap = _packed(terms)
-    head = -heapq.heappop(heap)
-    c = acc.pop(head)
+    # the head, id i and numerator c, starts the loop; the tail is the accumulator
+    [(i, c)], head = ring.intern(terms[:1]), terms[0][0]
+    acc, heap = _working(ring, terms[1:])
     witness = r.witness
     scale = None  # head coefficient after the last step; None before the first
     while True:
         found = _find_reductor(head, r.sig, state)
         if found is None or found[3] is Cmp.GT:
             if scale is not None:
-                poly = _settle(ring, [(head, field.one)], acc, prime, c)
+                poly = _settle(ring, [(head, field.one)], _remaining(ring, acc, heap), prime, c)
                 if witness is not None:
                     witness = witness.scale(field.inv(scale))
                 r = LabeledPoly(r.sig, poly, witness)
@@ -706,15 +716,18 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             state.stats.splits += 1
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
-        step = _step(elt.poly, head)
+        memo = state.steps[pos - 1]
+        step = memo.get(i) or memo.setdefault(i, _step(elt.poly, head))
+        acc += [None] * (len(negs) - len(acc))  # the ids a new step interned
         if witness is not None:
             q = c * step[0] % prime if prime else Fraction(c, den) / elt.poly.hc
             witness = witness - ModuleVector.unit(pos, ring).mul_term(u, q)
-        den = _sub_step(acc, heap, c, step, prime, den)
+        den = _sub_step(acc, heap, c, step, ring, den)
         state.stats.reduction_steps += 1
         while heap:
-            head = -heapq.heappop(heap)
-            c = acc.pop(head)
+            k = heapq.heappop(heap)
+            i, head = ids[k], -k
+            c, acc[i] = acc[i], None
             if prime:
                 c %= prime
             if c:
@@ -724,7 +737,8 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
                 witness = witness.scale(field.inv(scale))
             return TRResult("zero", LabeledPoly(r.sig, ring.zero, witness))
         scale = c if prime else Fraction(c, den)
-        if check and evaluate(witness, state) != _settle(ring, [(head, scale)], acc, prime, den):
+        if check and evaluate(witness, state) != _settle(ring, [(head, scale)],
+                                                         _remaining(ring, acc, heap), prime, den):
             raise EngineError("working witness diverged during reduction")
 
 

@@ -16,26 +16,31 @@ any prime p below 3.3·10^24, ints in [0, p).  Every kernel reads p from
 
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
-working polynomial as a ``{packed: coeff}`` accumulator plus a heap, over
-ℚ of integer numerators over one running denominator that become Fractions
-only where a value leaves the loop, and share one reduction step:
+working polynomial on dense monomial ids: a ring interns the packed
+monomials its reductions meet (``PolyRing.intern``), the accumulator is a
+list indexed by id, None where a monomial is absent, and a heap of negated
+packed monomials pops the largest first (``_working``).  Over ℚ the values
+are integer numerators over one running denominator that become Fractions
+only where a value leaves the loop.  The loops share one reduction step:
 ``_step`` prepares it, a reducer's head factor and its tail shifted to the
-monomial it reduces, and ``_sub_step`` applies it, rescaling the
-numerators over ℚ.  The one product kernel,
+monomial it reduces, as (id, coefficient) pairs, and ``_sub_step`` applies
+it, rescaling the live numerators over ℚ.  The one product kernel,
 ``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
-sums products in one packed accumulator, over ℚ as integer numerators over
-one common denominator.  A product by one term is one kernel too,
+sums products in one dict keyed by packed monomial, over ℚ as integer
+numerators over one common denominator.  One ``_settle`` makes the result
+of a reduction or a product.  A product by one term is one kernel too,
 ``shift_terms``, behind ``Polynomial.mul_term``, the module vectors' own
 and the reduction steps.  A packed field holds at most 2^31 - 1, so an
 exponent (under degrevlex, a total degree) beyond that raises DomainError,
 whether it is parsed or made by a product.
 
 ``_reduce`` reduces against a ``Reducers``, an append-only list of
-reducers with two memos keyed on a packed monomial e.  One remembers, across
-reductions, e's first dividing reducer, or that none of the first k divides
-it: in a list that only grows, a first divisor stays first.  The other holds
-e's prepared step, the first reducer's head factor and its tail shifted to
-e, built the first time a reduction pops e and reused by every later one.
+reducers with two memos of a monomial e.  One, keyed by e's packed
+monomial, remembers across reductions e's first dividing reducer, or that
+none of the first k divides it: in a list that only grows, a first divisor
+stays first.  The other, keyed by e's id, holds e's prepared step, the first
+reducer's head factor and its tail shifted to e, built the first time a
+reduction pops e and reused by every later one.
 """
 
 from __future__ import annotations
@@ -79,10 +84,6 @@ class Cmp(IntEnum):
 
 # ---------------------------------------------------------------------------
 # exponent vectors (plain int tuples)
-
-def exp_degree(e: tuple[int, ...]) -> int:
-    return sum(e)
-
 
 def exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) != len(b):
@@ -293,6 +294,9 @@ class PolyRing:
         self._unpackcache: dict[int, tuple[int, ...]] = {}
         self._varcache: dict[int, tuple[int, ...]] = {}  # unpack_vars, apart from the pack caches
         self._rendercache: dict[tuple[int, ...], str] = {}
+        # a monomial's dense id (``intern``): negated packed monomial -> id,
+        # and id -> negated packed monomial, the heap entry of a reduction
+        self._ids, self._negs = {}, []
         nfields = self.nvars * (2 if self.order.kind == "degrevlex" else 1)
         self._guard = sum(_GUARD << (_FIELD_BITS * i) for i in range(nfields))
         # the variable fields x_1, ..., x_n: the low nvars fields of a packed monomial
@@ -363,6 +367,18 @@ class PolyRing:
         if e is None:
             e = self._varcache[v] = _low_fields(v, self.nvars)
         return e
+
+    def intern(self, packed: Iterable) -> tuple:
+        """Packed terms as (id, coefficient) pairs, in their order: each
+        packed monomial's dense id, the next free one the first time the
+        ring meets it.  ``_negs`` maps an id to its negated packed monomial
+        and ``_ids`` maps that back, keyed by the same int, which is what a
+        reduction's heap holds; like the other caches they only grow."""
+        ids, negs = self._ids, self._negs
+        for k, _ in packed:
+            if ids.setdefault(-k, len(negs)) == len(negs):
+                negs.append(-k)
+        return tuple([(ids[-k], c) for k, c in packed])
 
     # construction ---------------------------------------------------------
 
@@ -752,64 +768,79 @@ def _merge(a: tuple, c, u: int, b: tuple, prime: int) -> tuple:
     return tuple(out)
 
 
-def _packed(terms: tuple) -> tuple[dict, list]:
-    """Packed terms as a ``{packed: coeff}`` accumulator and a heap of
-    their negated packed monomials, so heapq pops the largest monomial
-    first: the terms descend, so their negations ascend, which is a heap."""
-    return dict(terms), [-k for k, _ in terms]
+def _working(ring: PolyRing, terms: tuple) -> tuple[list, list]:
+    """The accumulator and heap of a reduction loop that starts from packed
+    terms.  The accumulator is a list indexed by monomial id
+    (``PolyRing.intern``), None where a monomial is absent; the heap holds
+    the live monomials' negated packed ints, so heapq pops the largest
+    first: the terms descend, so their negations ascend, which is a heap.
+    The heap's entries are exactly the live ones: a monomial goes on it
+    when it enters the accumulator and leaves it when it is popped."""
+    negs, terms = ring._negs, ring.intern(terms)
+    acc = [None] * len(negs)
+    for i, c in terms:
+        acc[i] = c
+    return acc, [negs[i] for i, _ in terms]
 
 
-def _sub_step(acc: dict, heap: list, c, step: tuple, prime: int, den: int) -> int:
+def _remaining(ring: PolyRing, acc: list, heap: list) -> list:
+    """The live (packed monomial, value) pairs of a reduction loop,
+    descending, for ``_settle``: the heap's entries, sorted, each with its
+    accumulator entry."""
+    return [(-k, acc[ring._ids[k]]) for k in sorted(heap)]
+
+
+def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -> int:
     """Reduce the term that c, popped from acc, was the coefficient of, by
     its prepared step (h, shifted) (``_step``): the one reduction step of
     both loops.  Returns the denominator acc's values are then over.
 
     Over GF(p) h is the reducer's head inverse, and acc -= c·h · shifted.
     Over ℚ c and acc's values are integer numerators over den, and h is the
-    reducer's head numerator: acc and den are rescaled by a = h / gcd(c, h),
-    then c / gcd(c, h) times the shifted tail numerators are subtracted, so
-    every numerator stays an integer.  A negative h leaves den negative,
-    which ``Fraction`` normalises where a value leaves the loop.
+    reducer's head numerator: the live entries, those on the heap, and den
+    are rescaled by a = h / gcd(c, h), then c / gcd(c, h) times the shifted
+    tail numerators are subtracted, so every numerator stays an integer.  A
+    negative h leaves den negative, which ``Fraction`` normalises where a
+    value leaves the loop.
 
-    A monomial new to acc goes on the heap.  Nothing leaves acc here and no
-    coefficient is reduced: over GF(p) a coefficient is a raw sum of
-    products, taken mod p only where a loop reads it, and a term that
-    cancels, over ℚ too, stays as a zero that the reader skips.
+    shifted holds (id, coefficient) pairs, so a term update indexes acc and
+    hashes nothing; a monomial new to acc goes on the heap.  Nothing leaves
+    acc here and no coefficient is reduced: over GF(p) a coefficient is a
+    raw sum of products, taken mod p only where a loop reads it, and a term
+    that cancels, over ℚ too, stays as a zero that the reader skips.
     """
     h, shifted = step
+    prime = ring.field.p
     if prime:
         q = c * h % prime
     else:
         g = gcd(c, h)
         q, a = c // g, h // g
         if a != 1:
-            for k in acc:
-                acc[k] *= a
+            for k in heap:
+                acc[ring._ids[k]] *= a
             den *= a
-    get = acc.get
-    for m, tc in shifted:
-        prev = get(m)
+    negs = ring._negs
+    for i, tc in shifted:
+        prev = acc[i]
         if prev is None:
-            acc[m] = -tc * q
-            heappush(heap, -m)
+            acc[i] = -tc * q
+            heappush(heap, negs[i])
         else:
-            acc[m] = prev - tc * q
+            acc[i] = prev - tc * q
     return den
 
 
-def _settle(ring: PolyRing, done: list, acc: dict, prime: int, den: int) -> Polynomial:
-    """The polynomial whose packed terms are ``done``, then acc's nonzero
-    terms, descending.  acc's values are integer numerators over den: over
-    ℚ (``prime`` 0) each becomes Fraction(value, den), over GF(p)
-    (``prime``) value·den⁻¹ mod p, one ``% p`` a term when den is 1, as it
-    is for every caller but a monic settle (``top_reduction_signed``).
+def _settle(ring: PolyRing, done: list, terms: Iterable, prime: int, den: int) -> Polynomial:
+    """The polynomial whose packed terms are ``done``, then the nonzero
+    terms of ``terms``, (packed monomial, integer numerator over den) pairs
+    in descending order: over ℚ (``prime`` 0) each numerator v becomes
+    Fraction(v, den), over GF(p) (``prime``) v·den⁻¹ mod p.  The one
+    settle of the reduction loops (``_remaining``) and the product kernel.
     Nothing is unpacked."""
-    if prime and den != 1:
-        inv = pow(den, -1, prime)
-        for k in acc:
-            acc[k] *= inv
-    for k in sorted(acc, reverse=True):
-        v = acc[k] % prime if prime else acc[k]
+    inv = pow(den, -1, prime) if prime else None
+    for k, v in terms:
+        v = v * inv % prime if prime else v
         if v:
             done.append((k, v if prime else Fraction(v, den)))
     return Polynomial(ring, tuple(done))
@@ -870,13 +901,14 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             for kb, nb in tb:
                 m = ka + kb
                 acc[m] = get(m, 0) + na * nb
-    return _settle(ring, [], acc, prime, den)
+    return _settle(ring, [], ((k, acc[k]) for k in sorted(acc, reverse=True)), prime, den)
 
 
 def _step(g: Polynomial, e: int) -> tuple:
     """The step that reduces the packed monomial e by g, whose head divides
     it: g's head factor and g's tail shifted to e (``shift_terms``, so a
-    lex product that leaves its field raises DomainError).
+    lex product that leaves its field raises DomainError), its monomials
+    interned once here (``PolyRing.intern``), as (id, coefficient) pairs.
 
     Over GF(p) the factor is the inverse of g's head coefficient and the
     tail keeps g's coefficients; over ℚ both are g's integer numerators
@@ -886,7 +918,7 @@ def _step(g: Polynomial, e: int) -> tuple:
     field = g.ring.field
     if field.p and h != 1:
         h = field.inv(h)
-    return h, shift_terms(g.ring, tail, e - hk)
+    return h, g.ring.intern(shift_terms(g.ring, tail, e - hk))
 
 
 class Reducers:
@@ -898,11 +930,11 @@ class Reducers:
     head divides it, or to ~k when none of the first k does, so that a later
     lookup resumes at k.  Reducers are only appended, so a first divisor,
     once found, stays the first, and no entry is ever invalidated.  The memo
-    ``steps`` maps a packed monomial e with a first reducer to e's prepared
-    step (``_step``), which ``_reduce`` builds the first time it pops e;
-    since e's first reducer never changes, neither does its step.  Only
-    ``_reduce`` builds steps: a list that only answers ``find`` copies no
-    tail.  ``append`` skips the zero polynomial.
+    ``steps`` maps the id (``PolyRing.intern``) of a monomial e with a first
+    reducer to e's prepared step (``_step``), which ``_reduce`` builds the
+    first time it pops e; since e's first reducer never changes, neither
+    does its step.  Only ``_reduce`` builds steps: a list that only answers
+    ``find`` copies no tail.  ``append`` skips the zero polynomial.
     """
 
     __slots__ = ("ring", "heads", "polys", "first", "steps")
@@ -943,14 +975,16 @@ class Reducers:
 def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -> Polynomial:
     """The reduction loop behind ``reduce_full`` and ``top_reduce``.
 
-    The working polynomial is a ``{packed: coeff}`` accumulator, read from
-    p's packed terms, plus a heap of negated packed ints, so heapq pops the
-    largest monomial first; a popped term that is zero (mod p) has
+    The working polynomial is an accumulator indexed by monomial id, read
+    from p's packed terms, plus a heap of negated packed ints, so heapq pops
+    the largest monomial first (``_working``); a pop costs one lookup of the
+    popped monomial's id, and a popped term that is zero (mod p) has
     cancelled and is skipped.  Each nonzero popped term e is reduced by the
     first basis element, in insertion order, whose head divides it, exactly
     as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
     the same.  The step is e's prepared one (``Reducers.steps``): built
-    once, then applied by ``_sub_step`` each time e comes up.
+    once, then applied by ``_sub_step`` each time e comes up; a step built
+    here may intern new ids, which extend the accumulator.
     ``full=False`` stops at the first irreducible term.
 
     Over ℚ every coefficient is an integer numerator N over one running
@@ -975,29 +1009,34 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     get, get_step = basis.first.get, steps.get
     n = len(polys)
     prime = ring.field.p
+    ids, negs = ring._ids, ring._negs
     den, terms = _numerators(p)
-    acc, heap = _packed(terms)
+    acc, heap = _working(ring, terms)
     done = []
     while heap:
-        e = -heappop(heap)
-        c = acc.pop(e)
+        k = heappop(heap)
+        i = ids[k]
+        c = acc[i]
+        acc[i] = None
         if prime:
             c %= prime
         if not c:
             continue
-        step = get_step(e)
+        step = get_step(i)
         if step is None:
-            i = get(e, -1)
-            if i < 0 and ~i < n:
-                i = find(e)
-            if i < 0:
+            e = -k
+            j = get(e, -1)
+            if j < 0 and ~j < n:
+                j = find(e)
+            if j < 0:
                 done.append((e, c if prime else Fraction(c, den)))
                 if not full:
                     break
                 continue
-            step = steps[e] = _step(polys[i], e)
-        den = _sub_step(acc, heap, c, step, prime, den)
-    return _settle(ring, done, acc, prime, den)
+            step = steps[i] = _step(polys[j], e)
+            acc += [None] * (len(negs) - len(acc))
+        den = _sub_step(acc, heap, c, step, ring, den)
+    return _settle(ring, done, _remaining(ring, acc, heap), prime, den)
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:

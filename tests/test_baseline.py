@@ -1,6 +1,8 @@
 from siggb.baseline import BaselineStats, PairQueue, buchberger_basis, ideal_equal
 from siggb.corpus import cyclic, katsura, random_ideal
-from siggb.polyring import PolyRing, exp_degree, top_reduce, spol
+import pytest
+
+from siggb.polyring import DomainError, PolyRing, top_reduce, spol
 
 
 def test_golden_basis(golden_gens, golden_expected):
@@ -60,7 +62,8 @@ def test_stats_block(golden_gens):
 
 class MinCheckedQueue(PairQueue):
     """A PairQueue whose every pop is checked against the minimum over the
-    pending pairs by (degree, order key, (i, j)) of the lcm."""
+    pending pairs by (degree, order key, (i, j)) of the lcm, which the
+    queue holds packed: its order key."""
 
     def __init__(self, ring):
         super().__init__()
@@ -68,8 +71,8 @@ class MinCheckedQueue(PairQueue):
         self.popped = []
 
     def pop(self):
-        pending, key = self.pending, self.ring.key
-        want = min(pending, key=lambda k: (exp_degree(pending[k]), key(pending[k]), k))
+        pending, unpack = self.pending, self.ring.unpack
+        want = min(pending, key=lambda k: (sum(unpack(pending[k])), pending[k], k))
         got = super().pop()
         assert got == want
         self.popped.append(got)
@@ -94,3 +97,16 @@ def test_pair_queue_pops_in_min_order(golden_gens):
     # the chain criterion discards a queued pair (on katsura-4), whose heap
     # entry is then skipped
     assert discarded
+
+
+def test_pair_lcms_past_the_packed_field():
+    # a pair's lcm is made from the heads' packed variable fields, never
+    # packed from a tuple: the product criterion discards a coprime pair
+    # whose lcm's degree leaves its packed field, and a pair it keeps
+    # raises DomainError at its S-polynomial
+    ring = PolyRing(("x", "y"))
+    P = ring.parse
+    big = 2**31 - 2
+    assert buchberger_basis([P(f"x^{big}"), P("y^3 + x")]) == [P("y^3 + x"), P(f"x^{big}")]
+    with pytest.raises(DomainError):
+        buchberger_basis([P(f"x^{2**30}*y + 1"), P(f"x*y^{2**30} + 1")])

@@ -49,20 +49,23 @@ from siggb.polyring import (
     Field,
     MonomialOrder,
     PolyRing,
+    Reducers,
     StructureError,
-    exp_degree,
     exp_divides,
     exp_mul,
     lcm_cofactors,
     lcm_term,
     minimal_basis,
+    reduce_full,
     reduced_basis,
     top_reduce,
     spol,
+    _step,
 )
 from siggb.signature import LabeledPoly, Signature, sig_mul
 from siggb.falsifier import scan_run
 from siggb.syzygy import ModuleVector, evaluate
+from test_polyring import ref_reduce_full, ref_top_reduce
 
 
 def _record(state, pos, u):
@@ -79,7 +82,7 @@ def _pair(state, i, j, ui, uj):
     l = lcm_term(state.poly(i).ht, state.poly(j).ht)
     return CriticalPair(
         i=i, j=j, rec_i=_record(state, i, ui), rec_j=_record(state, j, uj),
-        degree=exp_degree(l), snapshot=state.size,
+        degree=sum(l), snapshot=state.size,
     )
 
 
@@ -959,6 +962,51 @@ def test_signed_top_reduction_sweep_reaches_every_outcome():
             for kind, steps in (("reduced", 0), ("reduced", 2), ("split", 0), ("split", 1),
                                 ("zero", 1), ("zero", 2)):
                 assert (prime, certified, False, kind, steps) in seen
+
+
+def test_reducers_and_signed_reductions_interleaved_on_one_ring():
+    # two Reducers and the signed reductions of one state share the ring's
+    # monomial ids and intern new ones in turn; a signed reduction repeated
+    # on its state reuses the steps it memoised, and every result is the
+    # dict-and-sort reference's
+    for seed in range(60):
+        rng = random.Random(seed)
+        build = signed_case(rng)
+        (state, r), (ref_state, ref_r) = build(), build()
+        ring = state.ring
+        lists = [[_random_poly(rng, ring, 4) for _ in range(rng.randint(1, 3))] for _ in "ab"]
+        reducers = [Reducers(ring, polys) for polys in lists]
+        for _ in range(3):
+            q = _random_poly(rng, ring, 5)
+            for red, polys in zip(reducers, lists):
+                assert reduce_full(q, red) == ref_reduce_full(q, polys)
+                assert top_reduce(q, red) == ref_top_reduce(q, polys)
+            out = top_reduction_signed(r, state)
+            ref = ref_top_reduction_signed(ref_r, ref_state)
+            assert (out.kind, out.element, out.new_element) == (
+                ref.kind, ref.element, ref.new_element)
+            g = _random_poly(rng, ring, 3)
+            lists[0].append(g)
+            reducers[0].append(g)
+
+
+def test_signed_step_memo_holds_fresh_steps(golden_gens):
+    # a position's memo maps a monomial's id to the step that reduces it by
+    # that position's element, the one _step builds afresh
+    built = steps = 0
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    for gens in (golden_gens, katsura(4), katsura(4, None), _lex(cyclic(4)), cyclic(5)):
+        for opts in (None, certified):
+            state, _ = incremental_basis(gens, opts=opts)
+            ring = state.ring
+            assert len(state.steps) == state.size
+            for pos, memo in enumerate(state.steps, 1):
+                for i, step in memo.items():
+                    assert step == _step(state.poly(pos), -ring._negs[i])
+                built += len(memo)
+            steps += state.stats.reduction_steps
+    # each (position, monomial) step is built once, however often it is taken
+    assert 0 < built < steps
 
 
 # -- interreduce -----------------------------------------------------------------------

@@ -709,9 +709,12 @@ def test_reducers_match_the_list_so_far(case):
             assert top == top_reduce(q, so_far) == ref_top_reduce(q, so_far)
             if not ring.field.p:
                 assert normalized_fractions(got) and normalized_fractions(top)
-        # a step cached before this append is the one the list now builds
+        # a step cached before this append is the one the list now builds;
+        # the memo is keyed by the monomial's id
         fresh = Reducers(ring, so_far)
-        for e, step in reducers.steps.items():
+        for i, step in reducers.steps.items():
+            assert ring._ids[ring._negs[i]] == i
+            e = -ring._negs[i]
             assert step == _step(fresh.polys[fresh.find(e)], e)
     for e, k in reducers.first.items():
         want = next((i for i, h in enumerate(reducers.heads) if not (e - h) & ring._guard), None)
@@ -758,6 +761,48 @@ def test_reducers_overflow_under_lex():
         top_reduce(lex.parse("x^2"), reducers)
     # the memo the failed reductions left behind still answers right
     assert reduce_full(lex.parse("x*y + x"), reducers) == lex.parse(f"y^{k + 1} + y^{k}")
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_reductions_after_a_failed_or_early_ended_one(field):
+    # a reduction that raises midway, with live terms in its accumulator,
+    # or that stops at its first irreducible term leaves the ring's monomial
+    # ids as they are, and the next reduction on the ring is right
+    k = 2**30
+    lex = PolyRing(("x", "y", "z"), field, LEX)
+    P = lex.parse
+    basis = [P(f"x - 2*y^{k} - z"), P("z^3 + 1"), P("y*z^2 - z")]
+    queries = [P("x*y + 2*x + y^3*z"), P("x + y^2 + z^4"), P("y^3 - 2*y*z + z^2")]
+    for run in range(2):
+        reducers = Reducers(lex, basis)
+        with pytest.raises(DomainError):  # x^2 -> x*y^k -> y^(2k) leaves its field
+            reduce_full(P("x^2 + y*z + z^2"), reducers)
+        for q in queries:
+            assert reduce_full(q, reducers) == ref_reduce_full(q, basis)
+            # top_reduce leaves live terms behind it
+            top = top_reduce(q * P("z^2 + y + 1"), basis[1:])
+            assert top == ref_top_reduce(q * P("z^2 + y + 1"), basis[1:])
+            assert reduce_full(q, basis[1:]) == ref_reduce_full(q, basis[1:])
+
+
+@pytest.mark.parametrize("order", DIFF_ORDERS)
+def test_rational_rescale_reaches_live_ids_on_both_sides(order):
+    # over ℚ a step whose reducer head numerator does not divide the popped
+    # numerator rescales every live numerator; here the live monomials' ids
+    # lie on both sides of the popped one's, y's below and x*y's above x^2's
+    ring = PolyRing(("x", "y"), QQ, order)
+    P = ring.parse
+    y, x2, xy = (ring.pack(e) for e in ((0, 1), (2, 0), (1, 1)))
+    ring.intern(((y, 1),))
+    p = P("2*x^2 + 3*x*y + 5*y")
+    ring.intern(p.packed)
+    ids = ring._ids
+    assert ids[-y] < ids[-x2] < ids[-xy]
+    g = P("3*x^2 + 7*y^2")
+    for basis in ([g], [g, P("x*y + 1")]):
+        got = reduce_full(p, basis)
+        assert got == ref_reduce_full(p, basis) and normalized_fractions(got)
+    assert reduce_full(p, [g]) == P("3*x*y - 14/3*y^2 + 5*y")
 
 
 # -- the product kernel ----------------------------------------------------------
