@@ -689,8 +689,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     check = opts.certify and opts.validate_witnesses
     ring = state.ring
     field = ring.field
-    prime = field.p
-    ids, negs = ring._ids, ring._negs
+    prime, ids, negs = field.p, ring._ids, ring._negs
     den, terms = _numerators(r.poly)
     # the head, id i and numerator c, starts the loop; the tail is the accumulator
     [(i, c)], head = ring.intern(terms[:1]), terms[0][0]

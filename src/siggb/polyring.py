@@ -835,12 +835,15 @@ def _settle(ring: PolyRing, done: list, terms: Iterable, prime: int, den: int) -
     """The polynomial whose packed terms are ``done``, then the nonzero
     terms of ``terms``, (packed monomial, integer numerator over den) pairs
     in descending order: over ℚ (``prime`` 0) each numerator v becomes
-    Fraction(v, den), over GF(p) (``prime``) v·den⁻¹ mod p.  The one
-    settle of the reduction loops (``_remaining``) and the product kernel.
-    Nothing is unpacked."""
-    inv = pow(den, -1, prime) if prime else None
+    Fraction(v, den), over GF(p) (``prime``) v·den⁻¹ mod p, one ``% p`` a
+    term when den is 1, as it is for every caller but a monic settle
+    (``top_reduction_signed``).  The one settle of the reduction loops
+    (``_remaining``) and the product kernel.  Nothing is unpacked."""
+    if prime and den != 1:
+        inv = pow(den, -1, prime)
+        terms = [(k, v * inv) for k, v in terms]
     for k, v in terms:
-        v = v * inv % prime if prime else v
+        v = v % prime if prime else v
         if v:
             done.append((k, v if prime else Fraction(v, den)))
     return Polynomial(ring, tuple(done))
@@ -901,7 +904,8 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             for kb, nb in tb:
                 m = ka + kb
                 acc[m] = get(m, 0) + na * nb
-    return _settle(ring, [], ((k, acc[k]) for k in sorted(acc, reverse=True)), prime, den)
+    keys = sorted(acc, reverse=True)
+    return _settle(ring, [], zip(keys, map(acc.__getitem__, keys)), prime, den)
 
 
 def _step(g: Polynomial, e: int) -> tuple:
@@ -1008,16 +1012,14 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     polys, steps, find = basis.polys, basis.steps, basis.find
     get, get_step = basis.first.get, steps.get
     n = len(polys)
-    prime = ring.field.p
-    ids, negs = ring._ids, ring._negs
+    prime, ids, negs = ring.field.p, ring._ids, ring._negs
     den, terms = _numerators(p)
     acc, heap = _working(ring, terms)
     done = []
     while heap:
         k = heappop(heap)
         i = ids[k]
-        c = acc[i]
-        acc[i] = None
+        c, acc[i] = acc[i], None
         if prime:
             c %= prime
         if not c:
