@@ -89,8 +89,7 @@ def _update(G, queue: PairQueue, f: Polynomial, stats: BaselineStats, strategy: 
     cofactor lcm/HT(f), which ``lcm_cofactors`` gives as variable fields."""
     ring = f.ring
     t = len(G)
-    varmask, guard = ring._varmask, ring._guard
-    hf = f.packed[0][0]
+    varmask, guard, hf = ring._varmask, ring._guard, f.packed[0][0]
     new_lcms = [hf + ring.pack(ring.unpack_vars(lcm_cofactors(
         g.packed[0][0] & varmask, hf & varmask, ring._varguard)[1])) for g in G]
     stats.pairs_created += t

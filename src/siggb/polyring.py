@@ -375,10 +375,14 @@ class PolyRing:
         and ``_ids`` maps that back, keyed by the same int, which is what a
         reduction's heap holds; like the other caches they only grow."""
         ids, negs = self._ids, self._negs
-        for k, _ in packed:
-            if ids.setdefault(-k, len(negs)) == len(negs):
+        out = []
+        for k, c in packed:
+            i = ids.get(-k)
+            if i is None:
+                i = ids[-k] = len(negs)
                 negs.append(-k)
-        return tuple([(ids[-k], c) for k, c in packed])
+            out.append((i, c))
+        return tuple(out)
 
     # construction ---------------------------------------------------------
 
@@ -1009,9 +1013,7 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
         basis = Reducers(ring, basis)
     elif basis.ring is not ring and basis.ring != ring:
         raise StructureError("polynomials from different rings")
-    polys, steps, find = basis.polys, basis.steps, basis.find
-    get, get_step = basis.first.get, steps.get
-    n = len(polys)
+    polys, steps, find, get_step = basis.polys, basis.steps, basis.find, basis.steps.get
     prime, ids, negs = ring.field.p, ring._ids, ring._negs
     den, terms = _numerators(p)
     acc, heap = _working(ring, terms)
@@ -1025,17 +1027,14 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
         if not c:
             continue
         step = get_step(i)
-        if step is None:
-            e = -k
-            j = get(e, -1)
-            if j < 0 and ~j < n:
-                j = find(e)
+        if step is None:  # k is the negated packed monomial
+            j = find(-k)
             if j < 0:
-                done.append((e, c if prime else Fraction(c, den)))
+                done.append((-k, c if prime else Fraction(c, den)))
                 if not full:
                     break
                 continue
-            step = steps[i] = _step(polys[j], e)
+            step = steps[i] = _step(polys[j], -k)
             acc += [None] * (len(negs) - len(acc))
         den = _sub_step(acc, heap, c, step, ring, den)
     return _settle(ring, done, _remaining(ring, acc, heap), prime, den)
