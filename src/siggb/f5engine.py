@@ -692,7 +692,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     prime, ids, negs = field.p, ring._ids, ring._negs
     den, terms = _numerators(r.poly)
     # the head, id i and numerator c, starts the loop; the tail is the accumulator
-    [(i, c)], head = ring.intern(terms[:1]), terms[0][0]
+    (head, c), i = terms[0], ring.intern(terms[:1])[0]
     acc, heap = _working(ring, terms[1:])
     witness = r.witness
     scale = None  # head coefficient after the last step; None before the first

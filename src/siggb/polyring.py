@@ -23,7 +23,7 @@ packed monomials pops the largest first (``_working``).  Over ℚ the values
 are integer numerators over one running denominator that become Fractions
 only where a value leaves the loop.  The loops share one reduction step:
 ``_step`` prepares it, a reducer's head factor and its tail shifted to the
-monomial it reduces, as (id, coefficient) pairs, and ``_sub_step`` applies
+monomial it reduces, as ids and coefficients, and ``_sub_step`` applies
 it, rescaling the live numerators over ℚ.  The one product kernel,
 ``sum_of_products`` (behind ``*`` and the evaluation of module vectors),
 sums products in one dict keyed by packed monomial, over ℚ as integer
@@ -369,9 +369,9 @@ class PolyRing:
         return e
 
     def intern(self, packed: Iterable) -> tuple:
-        """Packed terms as (id, coefficient) pairs, in their order: each
-        packed monomial's dense id, the next free one the first time the
-        ring meets it.  ``_negs`` maps an id to its negated packed monomial
+        """The ids of packed terms' monomials, in their order: each packed
+        monomial's dense id, the next free one the first time the ring meets
+        it.  ``_negs`` maps an id to its negated packed monomial
         and ``_ids`` maps that back, keyed by the same int, which is what a
         reduction's heap holds; like the other caches they only grow."""
         ids, negs = self._ids, self._negs
@@ -381,7 +381,7 @@ class PolyRing:
             if i is None:
                 i = ids[-k] = len(negs)
                 negs.append(-k)
-            out.append((i, c))
+            out.append(i)
         return tuple(out)
 
     # construction ---------------------------------------------------------
@@ -780,11 +780,11 @@ def _working(ring: PolyRing, terms: tuple) -> tuple[list, list]:
     first: the terms descend, so their negations ascend, which is a heap.
     The heap's entries are exactly the live ones: a monomial goes on it
     when it enters the accumulator and leaves it when it is popped."""
-    negs, terms = ring._negs, ring.intern(terms)
+    negs, ids = ring._negs, ring.intern(terms)
     acc = [None] * len(negs)
-    for i, c in terms:
+    for i, (_, c) in zip(ids, terms):
         acc[i] = c
-    return acc, [negs[i] for i, _ in terms]
+    return acc, [negs[i] for i in ids]
 
 
 def _remaining(ring: PolyRing, acc: list, heap: list) -> list:
@@ -796,10 +796,10 @@ def _remaining(ring: PolyRing, acc: list, heap: list) -> list:
 
 def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -> int:
     """Reduce the term that c, popped from acc, was the coefficient of, by
-    its prepared step (h, shifted) (``_step``): the one reduction step of
+    its prepared step (h, ids, coeffs) (``_step``): the one reduction step of
     both loops.  Returns the denominator acc's values are then over.
 
-    Over GF(p) h is the reducer's head inverse, and acc -= c·h · shifted.
+    Over GF(p) h is the reducer's head inverse, and acc -= c·h · tail.
     Over ℚ c and acc's values are integer numerators over den, and h is the
     reducer's head numerator: the live entries, those on the heap, and den
     are rescaled by a = h / gcd(c, h), then c / gcd(c, h) times the shifted
@@ -807,13 +807,16 @@ def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -
     negative h leaves den negative, which ``Fraction`` normalises where a
     value leaves the loop.
 
-    shifted holds (id, coefficient) pairs, so a term update indexes acc and
-    hashes nothing; a monomial new to acc goes on the heap.  Nothing leaves
-    acc here and no coefficient is reduced: over GF(p) a coefficient is a
-    raw sum of products, taken mod p only where a loop reads it, and a term
-    that cancels, over ℚ too, stays as a zero that the reader skips.
+    The shifted tail is two tuples, its monomials' ids and its
+    coefficients: 16 bytes a term for as long as a memo keeps the step, a
+    third of what (id, coefficient) pairs would take.  A term update
+    indexes acc and hashes nothing; a monomial new to acc goes on the heap.
+    Nothing leaves acc here and no coefficient is reduced: over GF(p) a
+    coefficient is a raw sum of products, taken mod p only where a loop
+    reads it, and a term that cancels, over ℚ too, stays as a zero that the
+    reader skips.
     """
-    h, shifted = step
+    h, ids, coeffs = step
     prime = ring.field.p
     if prime:
         q = c * h % prime
@@ -825,7 +828,7 @@ def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -
                 acc[ring._ids[k]] *= a
             den *= a
     negs = ring._negs
-    for i, tc in shifted:
+    for i, tc in zip(ids, coeffs):
         prev = acc[i]
         if prev is None:
             acc[i] = -tc * q
@@ -916,7 +919,7 @@ def _step(g: Polynomial, e: int) -> tuple:
     """The step that reduces the packed monomial e by g, whose head divides
     it: g's head factor and g's tail shifted to e (``shift_terms``, so a
     lex product that leaves its field raises DomainError), its monomials
-    interned once here (``PolyRing.intern``), as (id, coefficient) pairs.
+    interned once here (``PolyRing.intern``): (h, ids, coeffs).
 
     Over GF(p) the factor is the inverse of g's head coefficient and the
     tail keeps g's coefficients; over ℚ both are g's integer numerators
@@ -926,7 +929,8 @@ def _step(g: Polynomial, e: int) -> tuple:
     field = g.ring.field
     if field.p and h != 1:
         h = field.inv(h)
-    return h, g.ring.intern(shift_terms(g.ring, tail, e - hk))
+    shifted = shift_terms(g.ring, tail, e - hk)
+    return h, g.ring.intern(shifted), tuple([c for _, c in shifted])
 
 
 class Reducers:
