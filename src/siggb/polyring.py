@@ -809,7 +809,7 @@ def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -
 
     The shifted tail is two tuples, its monomials' ids and its
     coefficients: 16 bytes a term for as long as a memo keeps the step, a
-    third of what (id, coefficient) pairs would take.  A term update
+    quarter of what (id, coefficient) pairs would take.  A term update
     indexes acc and hashes nothing; a monomial new to acc goes on the heap.
     Nothing leaves acc here and no coefficient is reduced: over GF(p) a
     coefficient is a raw sum of products, taken mod p only where a loop
