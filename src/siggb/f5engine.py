@@ -668,10 +668,11 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     working polynomial's.  A step depends on the reductor's position and
     the monomial alone, not on the signature, so each is built once
     (``_step``) and kept in the position's memo, ``BasisState.steps``,
-    keyed by the monomial's id; a new step may intern new ids, which extend
-    the accumulator.  Over ℚ a Fraction is made only of a value that leaves
-    the loop: the witness multiplier, the head coefficient, and the
-    polynomial the certified per-step check and the result read.  The
+    keyed by the monomial's id.  Every id of the loop is the state's ring's,
+    which r's and the reductors' rings equal but need not be.  Over ℚ a
+    Fraction is made only of a value that leaves the loop: the witness
+    multiplier, the head coefficient, and the polynomial the certified
+    per-step check and the result read.  The
     working polynomial and its witness are kept unscaled (the certified
     per-step check compares the two as they are) and made monic only where
     they leave the loop, so the result equals that of rescaling after every
@@ -689,7 +690,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
     check = opts.certify and opts.validate_witnesses
     ring = state.ring
     field = ring.field
-    prime, ids, negs = field.p, ring._ids, ring._negs
+    prime, ids = field.p, ring._ids
     den, terms = _numerators(r.poly)
     # the head, id i and numerator c, starts the loop; the tail is the accumulator
     (head, c), i = terms[0], ring.intern(terms[:1])[0]
@@ -716,8 +717,7 @@ def top_reduction_signed(r: LabeledPoly, state: BasisState) -> TRResult:
             return TRResult("split", r, _monicize(new))
         u, pos, elt, _ = found
         memo = state.steps[pos - 1]
-        step = memo.get(i) or memo.setdefault(i, _step(elt.poly, head))
-        acc += [None] * (len(negs) - len(acc))  # the ids a new step interned
+        step = memo.get(i) or memo.setdefault(i, _step(elt.poly, head, ring))
         if witness is not None:
             q = c * step[0] % prime if prime else Fraction(c, den) / elt.poly.hc
             witness = witness - ModuleVector.unit(pos, ring).mul_term(u, q)

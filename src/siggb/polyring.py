@@ -17,9 +17,12 @@ any prime p below 3.3·10^24, ints in [0, p).  Every kernel reads p from
 Both reduction loops, ``_reduce`` here (behind ``reduce_full`` and
 ``top_reduce``) and the signature engine's signed top reduction, keep the
 working polynomial on dense monomial ids: a ring interns the packed
-monomials its reductions meet (``PolyRing.intern``), the accumulator is a
-list indexed by id, None where a monomial is absent, and a heap of negated
-packed monomials pops the largest first (``_working``).  Over ℚ the values
+monomials its reductions meet (``PolyRing.intern``), and one reduction
+takes every id from one ring, its reducers' (a ``Reducers``' or the
+signature state's), which the polynomials' rings equal but need not be;
+the accumulator is a list indexed by id, None where a monomial is absent,
+and a heap of negated packed monomials pops the largest first
+(``_working``).  Over ℚ the values
 are integer numerators over one running denominator that become Fractions
 only where a value leaves the loop.  The loops share one reduction step:
 ``_step`` prepares it, a reducer's head factor and its tail shifted to the
@@ -810,7 +813,8 @@ def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -
     The shifted tail is two tuples, its monomials' ids and its
     coefficients: 16 bytes a term for as long as a memo keeps the step, a
     quarter of what (id, coefficient) pairs would take.  A term update
-    indexes acc and hashes nothing; a monomial new to acc goes on the heap.
+    indexes acc and hashes nothing; a monomial new to acc goes on the heap,
+    and acc first grows to cover the ids interned since it was made.
     Nothing leaves acc here and no coefficient is reduced: over GF(p) a
     coefficient is a raw sum of products, taken mod p only where a loop
     reads it, and a term that cancels, over ℚ too, stays as a zero that the
@@ -828,6 +832,8 @@ def _sub_step(acc: list, heap: list, c, step: tuple, ring: PolyRing, den: int) -
                 acc[ring._ids[k]] *= a
             den *= a
     negs = ring._negs
+    if len(acc) < len(negs):  # the ids a step built since acc was made interned
+        acc += [None] * (len(negs) - len(acc))
     for i, tc in zip(ids, coeffs):
         prev = acc[i]
         if prev is None:
@@ -915,22 +921,24 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     return _settle(ring, [], zip(keys, map(acc.__getitem__, keys)), prime, den)
 
 
-def _step(g: Polynomial, e: int) -> tuple:
+def _step(g: Polynomial, e: int, ring: PolyRing) -> tuple:
     """The step that reduces the packed monomial e by g, whose head divides
     it: g's head factor and g's tail shifted to e (``shift_terms``, so a
     lex product that leaves its field raises DomainError), its monomials
-    interned once here (``PolyRing.intern``): (h, ids, coeffs).
+    interned once here in ``ring``, the ring whose ids the reduction loop
+    uses, which g's may equal without being the same object
+    (``PolyRing.intern``): (h, ids, coeffs).
 
     Over GF(p) the factor is the inverse of g's head coefficient and the
     tail keeps g's coefficients; over ℚ both are g's integer numerators
     (``_numerators``, kept on g), the factor the head's."""
     _, terms = _numerators(g, keep=True)
     (hk, h), tail = terms[0], terms[1:]
-    field = g.ring.field
+    field = ring.field
     if field.p and h != 1:
         h = field.inv(h)
-    shifted = shift_terms(g.ring, tail, e - hk)
-    return h, g.ring.intern(shifted), tuple([c for _, c in shifted])
+    shifted = shift_terms(ring, tail, e - hk)
+    return h, ring.intern(shifted), tuple([c for _, c in shifted])
 
 
 class Reducers:
@@ -942,10 +950,10 @@ class Reducers:
     head divides it, or to ~k when none of the first k does, so that a later
     lookup resumes at k.  Reducers are only appended, so a first divisor,
     once found, stays the first, and no entry is ever invalidated.  The memo
-    ``steps`` maps the id (``PolyRing.intern``) of a monomial e with a first
-    reducer to e's prepared step (``_step``), which ``_reduce`` builds the
-    first time it pops e; since e's first reducer never changes, neither
-    does its step.  Only ``_reduce`` builds steps: a list that only answers
+    ``steps`` maps the id (``PolyRing.intern``, in ``ring``) of a monomial
+    e with a first reducer to e's prepared step (``_step``), which
+    ``_reduce`` builds the first time it pops e; since e's first reducer
+    never changes, neither does its step.  Only ``_reduce`` builds steps: a list that only answers
     ``find`` copies no tail.  ``append`` skips the zero polynomial.
     """
 
@@ -995,8 +1003,8 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
     first basis element, in insertion order, whose head divides it, exactly
     as a term-by-term ``sub_mul`` would, so every intermediate polynomial is
     the same.  The step is e's prepared one (``Reducers.steps``): built
-    once, then applied by ``_sub_step`` each time e comes up; a step built
-    here may intern new ids, which extend the accumulator.
+    once, then applied by ``_sub_step`` each time e comes up.  Every id
+    comes from basis's ring, which p's equals but need not be.
     ``full=False`` stops at the first irreducible term.
 
     Over ℚ every coefficient is an integer numerator N over one running
@@ -1017,10 +1025,11 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
         basis = Reducers(ring, basis)
     elif basis.ring is not ring and basis.ring != ring:
         raise StructureError("polynomials from different rings")
+    table = basis.ring  # every id of this reduction, as in basis.steps
     polys, steps, find, get_step = basis.polys, basis.steps, basis.find, basis.steps.get
-    prime, ids, negs = ring.field.p, ring._ids, ring._negs
+    prime, ids = ring.field.p, table._ids
     den, terms = _numerators(p)
-    acc, heap = _working(ring, terms)
+    acc, heap = _working(table, terms)
     done = []
     while heap:
         k = heappop(heap)
@@ -1038,10 +1047,9 @@ def _reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers, full: bool) -
                 if not full:
                     break
                 continue
-            step = steps[i] = _step(polys[j], -k)
-            acc += [None] * (len(negs) - len(acc))
-        den = _sub_step(acc, heap, c, step, ring, den)
-    return _settle(ring, done, _remaining(ring, acc, heap), prime, den)
+            step = steps[i] = _step(polys[j], -k, table)
+        den = _sub_step(acc, heap, c, step, table, den)
+    return _settle(ring, done, _remaining(table, acc, heap), prime, den)
 
 
 def top_reduce(p: Polynomial, basis: Sequence[Polynomial] | Reducers) -> Polynomial:

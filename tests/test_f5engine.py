@@ -49,6 +49,7 @@ from siggb.polyring import (
     Field,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     Reducers,
     StructureError,
     exp_divides,
@@ -1002,11 +1003,30 @@ def test_signed_step_memo_holds_fresh_steps(golden_gens):
             assert len(state.steps) == state.size
             for pos, memo in enumerate(state.steps, 1):
                 for i, step in memo.items():
-                    assert step == _step(state.poly(pos), -ring._negs[i])
+                    assert step == _step(state.poly(pos), -ring._negs[i], ring)
                 built += len(memo)
             steps += state.stats.reduction_steps
     # each (position, monomial) step is built once, however often it is taken
     assert 0 < built < steps
+
+
+def test_engines_on_generators_from_equal_rings_that_are_other_objects(golden_gens):
+    # every other generator comes from an equal ring built separately, whose
+    # monomial ids are its own: both engines give what they give on one ring
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    for gens in (golden_gens, katsura(4), katsura(4, None), _lex(cyclic(4)), cyclic(5)):
+        ring = gens[0].ring
+        twin = PolyRing(ring.names, ring.field, ring.order)
+        twin.intern(tuple((k, 1) for g in reversed(gens) for k, _ in g.packed))
+        mixed = [Polynomial(twin, g.packed) if i % 2 else g for i, g in enumerate(gens)]
+        assert buchberger_basis(mixed) == buchberger_basis(gens)
+        for opts in (None, certified):
+            (state, trace), (want, want_trace) = (incremental_basis(F, opts=opts)
+                                                  for F in (mixed, gens))
+            assert [state.poly(pos) for pos in range(1, state.size + 1)] == [
+                want.poly(pos) for pos in range(1, want.size + 1)]
+            assert state.stats == want.stats
+            assert [ev.render(state) for ev in trace] == [ev.render(want) for ev in want_trace]
 
 
 # -- interreduce -----------------------------------------------------------------------

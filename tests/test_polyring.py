@@ -14,6 +14,7 @@ from siggb.polyring import (
     MonomialOrder,
     ParseError,
     PolyRing,
+    Polynomial,
     QQ,
     Reducers,
     StructureError,
@@ -519,6 +520,7 @@ def ref_reduced_basis(polys):
 DIFF_ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"))
 DIFF_FIELDS = (QQ, Field(7))
 exps3 = st.tuples(*([st.integers(0, 2)] * 3))
+_all_exps3 = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
 
 
 def degree_bounded(q, homogeneous=False):
@@ -715,7 +717,7 @@ def test_reducers_match_the_list_so_far(case):
         for i, step in reducers.steps.items():
             assert ring._ids[ring._negs[i]] == i
             e = -ring._negs[i]
-            assert step == _step(fresh.polys[fresh.find(e)], e)
+            assert step == _step(fresh.polys[fresh.find(e)], e, ring)
     for e, k in reducers.first.items():
         want = next((i for i, h in enumerate(reducers.heads) if not (e - h) & ring._guard), None)
         if k >= 0:
@@ -803,6 +805,25 @@ def test_rational_rescale_reaches_live_ids_on_both_sides(order):
         got = reduce_full(p, basis)
         assert got == ref_reduce_full(p, basis) and normalized_fractions(got)
     assert reduce_full(p, [g]) == P("3*x*y - 14/3*y^2 + 5*y")
+
+
+@given(diff_case(max_basis=5))
+@settings(max_examples=200)
+def test_reductions_across_equal_rings_that_are_other_objects(case):
+    # an equal ring built separately has its own monomial ids; a reduction
+    # takes every id from its reducers' ring, whatever ring p and each
+    # reducer carry, and its result is in p's ring
+    ring, p, basis = case
+    twin = PolyRing(ring.names, ring.field, ring.order)
+    twin.intern(tuple((k, 1) for k in sorted(ring.pack(e) for e in _all_exps3)))
+    q = Polynomial(twin, p.packed)
+    mixed = [Polynomial(twin, g.packed) if i % 2 else g for i, g in enumerate(basis)]
+    full, top = ref_reduce_full(p, basis), ref_top_reduce(p, basis)
+    for red in (basis, Reducers(ring, basis), mixed, Reducers(twin, mixed)):
+        for f in (p, q):
+            got = reduce_full(f, red)
+            assert got == full and got.ring is f.ring
+            assert top_reduce(f, red) == top
 
 
 # -- the product kernel ----------------------------------------------------------
