@@ -37,7 +37,8 @@ holds:
 - the wall time and the summary line of the tier-1 tests;
 - the size of ``src/siggb/*.py``: every line (``size.src_lines``), and the
   lines that hold code, without docstrings, comments and blank lines
-  (``size.src_code_lines``);
+  (``size.src_code_lines``), in total and per module
+  (``size.src_code_lines_by_module``, by file name);
 - the git sha, whether the tree had uncommitted changes, the Python version
   and the processor count.
 
@@ -268,13 +269,16 @@ def _code_lines(path: str) -> int:
 
 
 def source_size() -> dict:
-    """Every line of ``src/siggb/*.py``, and the lines that hold code."""
+    """Every line of ``src/siggb/*.py``, and the lines that hold code, in
+    total and by module."""
     files = sorted(glob.glob(os.path.join(ROOT, "src", "siggb", "*.py")))
     total = 0
     for path in files:
         with open(path, encoding="utf-8") as fh:
             total += sum(1 for _ in fh)
-    return {"src_lines": total, "src_code_lines": sum(_code_lines(p) for p in files)}
+    by_module = {os.path.basename(p): _code_lines(p) for p in files}
+    return {"src_lines": total, "src_code_lines": sum(by_module.values()),
+            "src_code_lines_by_module": by_module}
 
 
 def main() -> int:

@@ -131,8 +131,8 @@ def parse_ideal(text: str) -> IdealSpec:
     return IdealSpec(ring, gens)
 
 
-def _print_basis(basis, out):
-    print("basis:", file=out)
+def _print_basis(header, basis, out):
+    print(header, file=out)
     for p in basis:
         print(p, file=out)
 
@@ -195,18 +195,14 @@ def run(args, out=sys.stdout, err=sys.stderr) -> int:
     status = EXIT_OK
     if args.engine == "both":
         if agree:
-            _print_basis(f5_basis, out)
+            _print_basis("basis:", f5_basis, out)
         else:
             print("oracle mismatch: engines disagree", file=err)
-            print("f5:", file=out)
-            for p in f5_basis:
-                print(p, file=out)
-            print("gm:", file=out)
-            for p in gm_basis:
-                print(p, file=out)
+            _print_basis("f5:", f5_basis, out)
+            _print_basis("gm:", gm_basis, out)
             status = EXIT_MISMATCH
     else:
-        _print_basis(f5_basis if args.engine == "f5" else gm_basis, out)
+        _print_basis("basis:", f5_basis if args.engine == "f5" else gm_basis, out)
 
     if args.stats:
         print("stats:", file=out)

@@ -15,10 +15,6 @@ def _var_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def random_ring(n: int, p: int = DEFAULT_PRIME) -> PolyRing:
-    return PolyRing(_var_names(n), Field(p), MonomialOrder("degrevlex"))
-
-
 def _monomials_upto(n: int, d: int):
     """The exponent tuples of n variables with sum at most d, in the order
     of ``itertools.product(range(d + 1), repeat=n)``: the first exponent
@@ -40,7 +36,7 @@ def random_ideal(
     generator's degree is drawn from [1, d].  Deterministic in the seed.
     """
     rng = random.Random(seed)
-    ring = random_ring(n, p)
+    ring = PolyRing(_var_names(n), Field(p), MonomialOrder("degrevlex"))
     gens: list[Polynomial] = []
     while len(gens) < k:
         deg = rng.randint(1, d)

@@ -195,11 +195,13 @@ def _packed_term(rec: list, ring) -> int:
 
 
 def _all_f5_witnesses(pair: CriticalPair, state: BasisState) -> tuple:
-    """((comp, prev_pos), ...), component i first, in basis order."""
+    """((comp, prev_pos), ...), component i first, in basis order, each
+    component's read by its record's packed term."""
+    ring = state.ring
     return tuple(
         (comp, prev)
-        for comp in ("i", "j")
-        for prev in component_f5_witnesses(pair.msig(comp), state)
+        for comp, rec in (("i", pair.rec_i), ("j", pair.rec_j))
+        for prev in component_f5_witnesses(rec[5].index, _packed_term(rec, ring), state)
     )
 
 
@@ -270,8 +272,8 @@ class PairRejected:
         if self.kind != "f5crit":
             return f"{prefix(self.component)}rule={self.rule.label}"
         lines = []
-        for comp in ("i", "j"):
-            witnesses = component_f5_witnesses(p.msig(comp), state)
+        for comp, rec in (("i", p.rec_i), ("j", p.rec_j)):
+            witnesses = component_f5_witnesses(rec[5].index, _packed_term(rec, ring), state)
             if witnesses:
                 head = prefix(comp)
                 lines.extend(f"{head}witness={prev}" for prev in witnesses)
@@ -488,32 +490,32 @@ def _f5_table(state: BasisState, k0: int) -> F5Table:
     return table
 
 
-def component_f5_witnesses(msig: Signature, state: BasisState) -> tuple[int, ...]:
-    """Basis elements of larger index than msig's whose head divides msig's
-    term, for a component with multiplied signature msig = u * Sig(r_pos),
-    in position order.
+def component_f5_witnesses(k0: int, e: int, state: BasisState) -> tuple[int, ...]:
+    """Basis elements of index larger than k0 whose head divides the packed
+    term e, for a component u * r_pos of index k0 with signature term
+    e = pack(u * Gamma(r_pos)), in position order.
 
-    The candidates, every element of index > k0 = msig.index, do not depend
+    The candidates, every element of index > k0, do not depend
     on when the question is asked.  The engine works index by index from m-1
     down to 1 and makes every element of index j in iteration j, so each
     candidate exists before any component of index k0 meets a pair, and
     later elements (index <= k0) never join.  So the basis as it stands
     answers for every pair of index k0, whenever it was made, and no
     snapshot cuts the answer: ``first_f5_witness`` memoises its answer on
-    (k0, term) alone, in the table's ``Reducers``, and this full tuple, read
+    (k0, e) alone, in the table's ``Reducers``, and this full tuple, read
     when a rejection lists its witnesses, is memoised the same way in
     ``F5Table.every``.  States built by hand may append out of that order;
     appending an element of index j drops the tables of every k0 < j and
     resets the verdicts their components' records keep
     (``BasisState._append``).  Divisibility is the ring's guard test on
-    packed monomials, so a term outside the packed field raises DomainError.
+    packed monomials, so a term outside the packed field raises DomainError
+    where its record packs it (``_packed_term``).
     """
-    table = _f5_table(state, msig.index)
-    t = msig.gamma
-    every = table.every.get(t)
+    table = _f5_table(state, k0)
+    every = table.every.get(e)
     if every is None:
-        e, guard = state.ring.pack(t), state.ring._guard
-        every = table.every[t] = tuple(
+        guard = state.ring._guard
+        every = table.every[e] = tuple(
             pos for pos, h in zip(table.cands, table.reducers.heads) if not (e - h) & guard
         )
     return every
@@ -560,22 +562,29 @@ def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteR
     return None
 
 
-def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
-    """F5 criterion: component i, then j, each asked for its first witness in
-    the basis as it stands, which holds every witness the component can have
-    (``component_f5_witnesses``); the pair's snapshot plays no part.  Each
-    answer is the one its component record keeps (``_f5_verdict``).
+def f5_hit(pair: CriticalPair, state: BasisState) -> tuple[str, int] | None:
+    """F5 criterion: (component, first witness) of component i, then j, or
+    None when the pair is normalized; the one walk over a pair's verdicts.
 
-    One witness decides the verdict and builds the certificate;
+    Each component is asked for its first witness in the basis as it
+    stands, which holds every witness the component can have
+    (``component_f5_witnesses``); the pair's snapshot plays no part.  Each
+    answer is the one its component record keeps (``_f5_verdict``), so after
+    pair creation asked it, reading it again asks nothing.  One witness
+    decides the verdict and builds the certificate;
     ``component_f5_witnesses`` lists them all.
     """
     hit = _f5_verdict(pair.rec_i, state)
     if hit:
-        return NormalizedVerdict(False, "i", hit)
+        return "i", hit
     hit = _f5_verdict(pair.rec_j, state)
-    if hit:
-        return NormalizedVerdict(False, "j", hit)
-    return NormalizedVerdict(True)
+    return ("j", hit) if hit else None
+
+
+def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
+    """``f5_hit`` as a verdict."""
+    hit = f5_hit(pair, state)
+    return NormalizedVerdict(True) if hit is None else NormalizedVerdict(False, *hit)
 
 
 def is_rewritable(pair: CriticalPair, state: BasisState) -> RewritableVerdict:
@@ -757,8 +766,8 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
     (u, pos) share one record, and the pair's degree is deg u plus the
     degree of the head.  The pair holds both records, and the criteria and
     the heap key, (-index, packed term), read them.  A creation-time rejection
-    is the event right after its pair, which ``falsifier.scan_run`` reads as
-    the pair's F5 verdict.
+    is the event right after its pair, so a trace reads each pair's fate
+    where the pair is.
     """
     ring = state.ring
     vguard = ring._varguard
@@ -806,18 +815,15 @@ def _make_pairs(state: BasisState, a: int, others: Iterable[int]) -> None:
 def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
     """Run the F5 criterion at creation, then the Rewritten criterion at
     either stage; record and count the rejection when one of them discards
-    the pair.  The F5 criterion is each component record's verdict
-    (``_f5_verdict``), component i first, as ``is_normalized`` reads it; it
-    needs no snapshot: a witness has a larger index than the component it
-    flags, so every witness is in the basis before the pair is made.  A
-    rejection keeps the component and its first witness."""
+    the pair.  The F5 criterion is ``f5_hit``; it needs no snapshot: a
+    witness has a larger index than the component it flags, so every
+    witness is in the basis before the pair is made.  A rejection keeps the
+    component and its first witness."""
     if stage == "creation":
-        comp, hit = "i", _f5_verdict(pair.rec_i, state)
-        if not hit:
-            comp, hit = "j", _f5_verdict(pair.rec_j, state)
+        hit = f5_hit(pair, state)
         if hit:
             state.stats.rejected_not_normalized += 1
-            state.events.append(PairRejected(pair, "f5crit", stage, comp, hit, state_ref=state.ref))
+            state.events.append(PairRejected(pair, "f5crit", stage, *hit, state_ref=state.ref))
             return True
     rw = is_rewritable(pair, state)
     if rw.rewritable:

@@ -10,25 +10,18 @@ Clause (b)'s inequality belongs to the element, not to the pair: it is the
 relation of the element's row, which the scan computes once per element.  So
 clause (b) can name only an element whose row reads "<"; on a correct run
 there are none.  Clause (a) is the plain F5 criterion, which the engine ran
-on every pair at creation and recorded: a creation-stage ``f5crit``
-``PairRejected`` is the event right after its pair.  The scan takes each
-pair's clause (a) verdict from that record and evaluates both clauses only
-when some row reads "<".
+on every pair at creation: each component record keeps its verdict, and
+``f5_hit`` reads a pair's two.  The scan takes each pair's clause (a)
+verdict from its records and evaluates both clauses only when some row
+reads "<".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
 
 from .polyring import Cmp, compare, exp_divides, exp_mul
-from .f5engine import (
-    BasisState,
-    CriticalPair,
-    PairCreated,
-    PairRejected,
-    is_normalized,
-)
+from .f5engine import BasisState, CriticalPair, PairCreated, f5_hit
 from .signature import Signature
 
 
@@ -141,12 +134,12 @@ def completely_normalized(
     pair: CriticalPair, state: BasisState, snapshot: int | None = None, candidates=None
 ) -> CNResult:
     """Literal evaluation of both clauses of the relaxed check.  Clause (a) is
-    ``is_normalized``, which takes no snapshot; ``snapshot`` bounds clause (b)
+    ``f5_hit``, which takes no snapshot; ``snapshot`` bounds clause (b)
     alone.  ``candidates`` are clause (b)'s (``_part_b_candidates``), built
     from the basis when not given."""
-    nv = is_normalized(pair, state)
-    if not nv.normalized:
-        return CNResult(False, "a", nv.component, nv.witness)
+    hit = f5_hit(pair, state)
+    if hit:
+        return CNResult(False, "a", *hit)
     for comp in ("i", "j"):
         prev = _component_part_b(pair.msig(comp), state, snapshot, candidates)
         if prev is not None:
@@ -161,18 +154,18 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
     input the equality, and both pair checks on each recorded pair (clause
     (b) against the basis as it stood at creation) must never disagree.
 
-    One walk of the events gives every pair its ``PairScan``, in order.  A
-    pair fails clause (a) exactly when the event after it is its
-    creation-stage ``f5crit`` rejection (``_make_pairs`` appends that event
-    there, and the F5 criterion runs nowhere else).  Clause (b) can fire
-    only at an element whose row reads "<", so ``completely_normalized`` is
-    asked only when some row does; on a correct run none does, and the
-    scan asks the criterion nothing.
+    One walk of the ``PairCreated`` events gives every pair its
+    ``PairScan``, in order.  A pair's clause (a) verdict is the one its
+    component records keep (``f5_hit``): pair creation asked it of every
+    pair, so the scan reads it and asks the criterion nothing.  Clause (b)
+    can fire only at an element whose row reads "<", so
+    ``completely_normalized`` is asked only when some row does; on a
+    correct run none does.
     """
     report = ImprovedCheckReport(rows=_element_rows(state))
     candidates = _part_b_candidates(report.rows)
     scans = report.pair_scans
-    for pair, nxt in pairwise(chain(state.events, (None,))):
+    for pair in state.events:
         if not isinstance(pair, PairCreated):
             continue
         if candidates:
@@ -181,8 +174,6 @@ def scan_run(state: BasisState) -> ImprovedCheckReport:
             report.part_b_firings += part_b
             scans.append(PairScan(pair, cn.via != "a", cn.completely_normalized, part_b))
         else:
-            normalized = not (
-                isinstance(nxt, PairRejected) and nxt.pair is pair and nxt.kind == "f5crit"
-            )
+            normalized = f5_hit(pair, state) is None
             scans.append(PairScan(pair, normalized, normalized, False))
     return report

@@ -515,9 +515,7 @@ class PolyRing:
                     saw_factor = True
                 elif kind == "op" and val == "*":
                     i += 1
-                    if i >= n or (tokens[i][0] == "op" and tokens[i][1] not in "+-"):
-                        err("dangling '*'", tokens[i - 1])
-                    if tokens[i][0] == "op":
+                    if i >= n or tokens[i][0] == "op":
                         err("dangling '*'", tokens[i - 1])
                 elif kind == "op" and val in "+-":
                     break
@@ -540,15 +538,15 @@ class Polynomial:
     ``packed`` is its one stored term form: (packed monomial, coefficient)
     pairs, strictly descending in the ring's order.  ``terms`` unpacks them
     to (exponent tuple, coefficient) pairs on every read, for parsing,
-    rendering and callers outside the ring; ``ht`` unpacks the head once.
+    rendering and callers outside the ring; ``ht`` unpacks the head through
+    the ring's cache.
     """
 
-    __slots__ = ("ring", "packed", "_ht", "_numer")
+    __slots__ = ("ring", "packed", "_numer")
 
     def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
         self.packed = packed
-        self._ht = None  # filled the first time ht is read
         self._numer = None  # over ℚ, filled once it is a factor or a reducer: _numerators
 
     # inspection -------------------------------------------------------------
@@ -572,12 +570,9 @@ class Polynomial:
     @property
     def ht(self) -> tuple[int, ...]:
         """Head term (monomial) under the ring's order, as an exponent tuple."""
-        e = self._ht
-        if e is None:
-            if not self.packed:
-                raise DomainError("zero polynomial has no head term")
-            e = self._ht = self.ring.unpack(self.packed[0][0])
-        return e
+        if not self.packed:
+            raise DomainError("zero polynomial has no head term")
+        return self.ring.unpack(self.packed[0][0])
 
     @property
     def hc(self):

@@ -116,8 +116,7 @@ class ModuleVector:
                        for pos, q in self.entries.items()}
         return out
 
-    def render(self, ring=None) -> str:
-        ring = ring or self.ring
+    def render(self) -> str:
         if not self.entries:
             return "0"
         parts = []
@@ -228,7 +227,7 @@ class Certificate:
             f"certificate pair=({self.pair.i},{self.pair.j}) kind={self.kind} "
             f"comp={self.component} flagged={ring.render_exp(self.flagged_u)}"
             f"*r{self.flagged_pos} bound={self.bound_sig.render(ring)}",
-            f"  syzygy: {self.vector.render(ring)}",
+            f"  syzygy: {self.vector.render()}",
             f"  evaluation: {self.evaluation} "
             f"[{'ok' if self.evaluation.is_zero else 'NONZERO'}]",
         ]

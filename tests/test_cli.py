@@ -180,6 +180,17 @@ def test_run_both_engines_golden(golden_expected):
     assert lines[1:] == [str(p) for p in golden_expected]
 
 
+def test_run_both_engines_mismatch(monkeypatch, golden_expected):
+    # engines that disagree: exit 3, one stderr line, and both bases, each
+    # under its own header
+    monkeypatch.setattr("siggb.cli.ideal_equal", lambda a, b: False)
+    code, out, err = cli(GOLDEN_FILE, "--engine", "both")
+    assert code == EXIT_MISMATCH == 3
+    assert err == "oracle mismatch: engines disagree\n"
+    basis = [str(p) for p in golden_expected]
+    assert out.splitlines() == ["f5:", *basis, "gm:", *basis]
+
+
 def test_run_trace_contains_pinned_rejections():
     code, out, _ = cli(GOLDEN_FILE, "--engine", "f5", "--trace-criteria")
     assert code == EXIT_OK

@@ -225,14 +225,15 @@ def _eager_first(msig, state, snapshot):
 def _spy_first_witness(monkeypatch):
     """Record every F5-criterion query as (caller, k0, packed term, basis
     seen, answer), the caller being the one that asked for a component
-    record's verdict (``_f5_verdict``)."""
+    record's verdict (``_f5_verdict``), directly or through a pair's walk
+    over its records (``f5_hit``)."""
     calls = []
     real = f5engine.first_f5_witness
 
     def spy(k0, e, state):
         hit = real(k0, e, state)
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "_f5_verdict":
+        while frame.f_code.co_name in ("_f5_verdict", "f5_hit"):
             frame = frame.f_back
         calls.append((frame.f_code.co_name, k0, e, state.size, hit))
         return hit
@@ -323,7 +324,9 @@ def test_first_witness_matches_eager_scan(golden_gens, monkeypatch):
                 hit = table.cands[i] if i >= 0 else 0
                 assert hit == _eager_first(Signature(state.ring.unpack(e), k0), state, state.size)
             # the witness lists the rejections above read, memoised uncut
-            for t, every in table.every.items():
+            # by packed term
+            for e, every in table.every.items():
+                t = ring.unpack(e)
                 assert list(every) == [
                     pos for pos in range(1, state.size + 1)
                     if state.sig(pos).index > k0 and exp_divides(state.poly(pos).ht, t)
@@ -345,14 +348,13 @@ def test_first_witness_memo_sees_a_later_larger_index_element():
     state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
     state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
     state.current_index = 1
-    msig = Signature((1, 1), 1)
     assert first_f5_witness(1, ring.pack((1, 1)), state) == 0
     assert first_f5_witness(1, ring.pack((0, 3)), state) == 2
     assert first_f5_witness(2, ring.pack((1, 1)), state) == 0
     pos = state.add_element(LabeledPoly(Signature((1, 0), 2), ring.parse("x*y")),
                             state.add_rule((1, 0), 2))
     assert first_f5_witness(1, ring.pack((1, 1)), state) == pos
-    assert component_f5_witnesses(msig, state) == (pos,)
+    assert component_f5_witnesses(1, ring.pack((1, 1)), state) == (pos,)
     # tables of the element's own index and above stay
     assert 2 in state.f5_tables
     # through a pair whose component i is x*y * r_1, with term x*y
@@ -385,8 +387,8 @@ def test_append_resets_the_verdicts_of_the_tables_it_drops():
 def test_f5_query_refuses_a_term_outside_the_packed_field():
     # the F5 queries test divisibility on packed monomials, so a term that
     # does not fit one raises DomainError, as a product that leaves its
-    # field does: the first-witness query where its component record packs
-    # the term, the witness list where it packs the signature's
+    # field does: the first-witness query and the witness listing both
+    # where the component record packs the term, and neither caches it
     ring = PolyRing(("x", "y"))
     state = BasisState(ring, 2)
     state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
@@ -394,13 +396,20 @@ def test_f5_query_refuses_a_term_outside_the_packed_field():
     state.current_index = 1
     pos = state.add_element(LabeledPoly(Signature((2**30, 0), 1), ring.parse("x*y")),
                             state.add_rule((2**30, 0), 1))
-    for u, gamma in (((2**30, 0), (2**31, 0)), ((0, 2**30), (2**30, 2**30))):
+    # the products x^(2^31) and x^(2^30) y^(2^30), of degree 2^31
+    for u in ((2**30, 0), (0, 2**30)):
         rec = _record(state, pos, u)
         with pytest.raises(DomainError):
             _f5_verdict(rec, state)
         assert rec[3] is None and rec[4] is None
-        with pytest.raises(DomainError):
-            component_f5_witnesses(Signature(gamma, 1), state)
+        pair = _pair(state, pos, 1, u, (1, 0))
+        assert pair.rec_i is rec
+        with pytest.raises(DomainError, match="does not fit a packed monomial"):
+            _all_f5_witnesses(pair, state)
+        with pytest.raises(DomainError, match="does not fit a packed monomial"):
+            PairRejected(pair, "f5crit", "creation", "i", 2).render(state)
+        assert rec[3] is None and rec[4] is None
+        assert not any(table.every for table in state.f5_tables.values())
     assert _f5_verdict(_record(state, 1, (0, 2**30)), state) == 2
 
 
@@ -470,6 +479,20 @@ def test_state_is_freed_by_refcount(golden_gens):
             # a rejection lists its witnesses only while its state lives
             with pytest.raises(StructureError):
                 rejected.witnesses
+
+
+def test_listing_witnesses_builds_no_multiplied_signature(golden_gens):
+    # an F5 rejection lists and renders its witnesses by its records'
+    # packed terms, so a record whose multiplied signature nothing built
+    # still has none afterwards
+    for gens in (golden_gens, cyclic(4)):
+        state, events = incremental_basis(gens)
+        rejected = [ev for ev in events if isinstance(ev, PairRejected) and ev.kind == "f5crit"]
+        lean = [rec for memo in state.msigs for rec in memo.values() if rec[1] is None]
+        assert any(ev.pair.rec_i[1] is None for ev in rejected)
+        for ev in rejected:
+            assert ev.render(state).count("\n") + 1 == len(ev.witnesses) > 0
+        assert all(rec[1] is None for rec in lean)
 
 
 def test_cyclic5_pair_records_stay_lean():

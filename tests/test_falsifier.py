@@ -102,8 +102,8 @@ def scan_states(small_runs):
 
 
 def test_creation_rejection_follows_its_pair(scan_states):
-    # scan_run reads each pair's F5 verdict from the event after it, so every
-    # creation-stage rejection must be that event
+    # a trace shows each pair's creation-time fate right after the pair, so
+    # every creation-stage rejection must be the event after its pair
     for state in scan_states:
         events = state.events
         seen = 0
@@ -148,14 +148,16 @@ def test_scan_asks_the_criterion_only_for_a_lt_row(scan_states, monkeypatch):
 
 
 def test_scan_without_the_engines_memo(golden_gens):
-    # the scan's records come from the engine's events, not from the F5
-    # memo, so emptying the memo changes nothing in the report
+    # the scan reads the verdicts the pairs' component records keep, not
+    # the F5 tables' memo, so emptying the tables changes nothing in the
+    # report and asks nothing again
     for gens in (golden_gens, cyclic(4), katsura(4), cyclic(5)):
         state, _ = incremental_basis(gens)
         assert state.f5_tables
         warm = _scan_lines(scan_run(state), state)
         state.f5_tables.clear()
         assert _scan_lines(scan_run(state), state) == warm
+        assert not state.f5_tables
 
 
 def _part_b_over_active_positions(u, pos, state, snapshot, cmp=compare):

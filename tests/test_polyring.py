@@ -257,6 +257,15 @@ def test_parse_errors(ring):
     assert err is not None and err.column == 5
 
 
+@pytest.mark.parametrize("text, column", [("x*", 2), ("x*+y", 2), ("x*-y", 2), ("x * * y", 3)])
+def test_parse_dangling_star_at_its_column(ring, text, column):
+    # a '*' with no factor after it, at the end, before a sign or before
+    # another operator, is reported at the '*'
+    with pytest.raises(ParseError, match="dangling '\\*'") as info:
+        ring.parse(text)
+    assert info.value.column == column
+
+
 small_fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
 )
