@@ -6,10 +6,11 @@ and the relaxed-criterion scan (``scan_run``'s report lines, then one line
 per pair scan).  The scan must also report zero clause-(b) firings and the
 lemma holding: the paper's result on the largest run.
 
-The test took 77 s with a peak resident size of 606 MB on a shared 2-core
-machine (Python 3.11.7, one run).  The engine alone took 23 s in the median
-of three runs (``f5.cyclic6_s`` in ``scripts/bench.py``), with a peak of
-467 MB.  So it is marked ``slow`` and left out of the default run:
+The test took 50 s of CPU time with a peak resident size of 618 MB on a
+shared 2-core machine (Python 3.11.7, two runs).  The engine alone took
+19 s in the median of three runs (``f5.cyclic6_s`` in ``scripts/bench.py``
+times the same), with a peak of 421 MB.  So it is marked ``slow`` and
+left out of the default run:
 
     PYTHONPATH=src python -m pytest -m slow tests/test_cyclic6.py
 
