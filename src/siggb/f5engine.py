@@ -101,7 +101,8 @@ class CriticalPair:
     A pair holds its two component records, ``rec_i`` and ``rec_j``, one per
     (position, cofactor) in ``BasisState.msigs`` (``_component``), so
     components with equal (u, position) share one record: its u, its
-    multiplied signature once read, its packed term and its F5 verdict.
+    multiplied signature once read, its packed term and its F5 and
+    Rewritten verdicts.
     ``u_i``, ``u_j``, ``sig`` = u_i * Sig(r_i), the pair's signature, and
     ``sig_j`` = u_j * Sig(r_j) read them.  ``snapshot`` is the basis size
     when the pair was made.  It bounds only clause (b) of the relaxed
@@ -163,7 +164,9 @@ def _component(memo: dict, v: int, sig: Signature, ring) -> list:
     comparison or an F5 query first needs it (``_packed_term``), so that a
     term outside the packed field raises DomainError only there; the
     verdict, the position of the component's first F5 witness or 0, where
-    the F5 criterion is first asked (``_f5_verdict``).
+    the F5 criterion is first asked (``_f5_verdict``).  The Rewritten
+    verdict, [rules walked, newest divisor], is appended where the Rewritten
+    criterion is first asked (``component_rewriter``).
     """
     u = ring._varcache.get(v) or ring.unpack_vars(v)
     rec = memo[v] = [u, None, sum(u), None, None, sig]
@@ -212,13 +215,6 @@ class NormalizedVerdict:
     normalized: bool
     component: str | None = None
     witness: int | None = None
-
-
-@dataclass(slots=True)
-class RewritableVerdict:
-    rewritable: bool
-    component: str | None = None
-    rule: RewriteRule | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,8 @@ class BasisState:
         self.f5_tables: dict[int, F5Table] = {}  # by component index k0
         # by position: the variable fields of a cofactor u -> its component
         # record [u, u * Sig(r_pos), deg u, packed term, F5 verdict, Sig(r_pos)],
-        # each None until first read (``_component``)
+        # each None until first read (``_component``), then the Rewritten
+        # verdict once asked (``component_rewriter``)
         self.msigs: list[dict] = []
         # by position: a monomial's id -> the step that reduces it by r_pos
         # (``_step``), which depends on the two alone, not on a signature
@@ -546,20 +543,34 @@ def _f5_verdict(rec: list, state: BasisState) -> int:
     return hit
 
 
-def component_rewriter(msig: Signature, pos: int, state: BasisState) -> RewriteRule | None:
-    """Newest rule of msig's index dividing msig's term, for the component
-    u * r_pos with multiplied signature msig = u * Sig(r_pos).
+def component_rewriter(rec: list, pos: int, state: BasisState) -> RewriteRule | None:
+    """The rule that rewrites the component u * r_pos of record rec, or None:
+    the newest rule of its index whose term divides u * Gamma(r_pos) decides,
+    and the component's own creation rule means "not rewritable".
 
-    The newest divisor decides: the component's own creation rule means "not
-    rewritable", any other rule rewrites the component.
+    The record keeps its Rewritten verdict, as it keeps its F5 verdict: how
+    many of its index's rules were walked, and the newest divisor among
+    them, added to the record when it is first asked.  A query walks only
+    the rules added since, newest first, and falls back to the kept divisor.
+    That is sound because a rule list only grows and a rule's gamma never
+    changes (the engine renames a rule's label, never its term), so the
+    newest divisor among the first n rules never changes.  The divisor is
+    compared with the position's own rule on every query.
     """
-    own = state.element_rule[pos - 1]
-    t = msig.gamma
-    miss = ~exp_mask(t)
-    for rule in reversed(state.rules.get(msig.index, [])):
-        if not rule.mask & miss and exp_divides(rule.gamma, t):
-            return None if rule is own else rule
-    return None
+    rules = state.rules.get(rec[5].index, ())
+    n = len(rules)
+    if len(rec) == 6:  # a list grows on demand: most records are never asked
+        rec += (0, None)
+    walked, rule = rec[6], rec[7]
+    if walked < n:
+        t = _msig(rec).gamma
+        miss = ~exp_mask(t)
+        for new in reversed(rules[walked:]):
+            if not new.mask & miss and exp_divides(new.gamma, t):
+                rule = new
+                break
+        rec[6], rec[7] = n, rule
+    return None if rule is state.element_rule[pos - 1] else rule
 
 
 def f5_hit(pair: CriticalPair, state: BasisState) -> tuple[str, int] | None:
@@ -595,14 +606,17 @@ def is_normalized(pair: CriticalPair, state: BasisState) -> NormalizedVerdict:
     return NormalizedVerdict(True) if hit is None else NormalizedVerdict(False, *hit)
 
 
-def is_rewritable(pair: CriticalPair, state: BasisState) -> RewritableVerdict:
-    """Rewritten criterion on both components, larger-signature side first,
-    against the rules as they stand."""
-    for comp, msig, pos in (("i", pair.sig, pair.i), ("j", pair.sig_j, pair.j)):
-        rule = component_rewriter(msig, pos, state)
+def is_rewritable(pair: CriticalPair, state: BasisState) -> tuple[str, RewriteRule] | None:
+    """Rewritten criterion: (component, rule) of component i, then j, or
+    None when neither is rewritable, against the rules as they stand; the
+    one walk over a pair's two records, as ``f5_hit`` is for the F5
+    criterion.  Each record keeps its Rewritten verdict and resumes its walk
+    at the rules added since it was last asked (``component_rewriter``)."""
+    for comp, rec, pos in (("i", pair.rec_i, pair.i), ("j", pair.rec_j, pair.j)):
+        rule = component_rewriter(rec, pos, state)
         if rule is not None:
-            return RewritableVerdict(True, comp, rule)
-    return RewritableVerdict(False)
+            return comp, rule
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +650,9 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
     components).  A reductor divides the head when the guard test passes
     on the difference of their variable fields (``BasisState.heads``), the
     cofactor that keys the multiple's component record in the position's
-    memo, the record pair creation reads, with its F5 verdict.  Signatures
-    of one index compare by their packed terms, the record's and sig's, each
-    packed on first need.
+    memo, the record pair creation reads, with its F5 and Rewritten
+    verdicts.  Signatures of one index compare by their packed terms, the
+    record's and sig's, each packed on first need.
     """
     ring = state.ring
     vguard, heads, elements, msigs = ring._varguard, state.heads, state.elements, state.msigs
@@ -662,7 +676,7 @@ def _find_reductor(head: int, sig: Signature, state: BasisState):
             cm = Cmp.GT if k > key else Cmp.LT
         if _f5_verdict(rec, state):
             continue
-        if component_rewriter(_msig(rec), pos, state) is not None:
+        if component_rewriter(rec, pos, state) is not None:
             continue
         return rec[0], pos, elt, cm
     return None
@@ -833,10 +847,10 @@ def _rejected(state: BasisState, pair: CriticalPair, stage: str) -> bool:
             state.stats.rejected_not_normalized += 1
             state.events.append(PairRejected(pair, "f5crit", stage, *hit, state_ref=state.ref))
             return True
-    rw = is_rewritable(pair, state)
-    if rw.rewritable:
+    hit = is_rewritable(pair, state)
+    if hit:
         state.stats.rejected_rewritable += 1
-        state.events.append(PairRejected(pair, "rewrite", stage, rw.component, rule=rw.rule))
+        state.events.append(PairRejected(pair, "rewrite", stage, hit[0], rule=hit[1]))
         return True
     return False
 
@@ -854,9 +868,8 @@ def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
 def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -> None:
     ring = state.ring
     start = _spol_of_pair(state, pair)
-    pending: list = []
     seq = 0
-    heapq.heappush(pending, (sig_key(start.sig, ring), seq, start, rule))
+    pending = [(sig_key(start.sig, ring), seq, start, rule)]
     while pending:
         _, _, lp, lp_rule = heapq.heappop(pending)
         res = top_reduction_signed(lp, state)
@@ -874,15 +887,9 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
             _make_pairs(state, pos, state.active_positions())
         else:  # split
             new_rule = state.add_rule(res.new_element.sig.gamma, res.new_element.sig.index)
-            seq += 1
-            heapq.heappush(
-                pending, (sig_key(res.element.sig, ring), seq, res.element, lp_rule)
-            )
-            seq += 1
-            heapq.heappush(
-                pending,
-                (sig_key(res.new_element.sig, ring), seq, res.new_element, new_rule),
-            )
+            for half, half_rule in ((res.element, lp_rule), (res.new_element, new_rule)):
+                seq += 1
+                heapq.heappush(pending, (sig_key(half.sig, ring), seq, half, half_rule))
 
 
 def incremental_basis(

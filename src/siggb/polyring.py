@@ -542,12 +542,13 @@ class Polynomial:
     the ring's cache.
     """
 
-    __slots__ = ("ring", "packed", "_numer")
+    __slots__ = ("ring", "packed", "_numer", "_tail")
 
     def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
         self.packed = packed
         self._numer = None  # over ℚ, filled once it is a factor or a reducer: _numerators
+        self._tail = None  # filled once it is a reducer: _step
 
     # inspection -------------------------------------------------------------
 
@@ -889,7 +890,9 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     terms themselves.  Over ℚ the numerators of each b, in
     ``syzygy.evaluate`` a basis polynomial, are kept on it for later calls.
     A product term that leaves its packed field raises DomainError
-    (``_check_shift``, once per term of a).
+    (``_check_shift``): under degrevlex every field of a product term is at
+    most its degree, and the heads' product has the largest, so one test
+    per product on the heads suffices; under lex each term of a is tested.
     """
     prime = ring.field.p
     factors = []
@@ -904,10 +907,12 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             den = lcm(den, da * db)
     acc: dict[int, int] = {}
     get = acc.get
+    lex = ring.order.kind == "lex"
     for dab, ta, tb in factors:
+        for ka, _ in (ta if lex else ta[:1]):
+            _check_shift(ring, tb, ka)
         s = den // dab
         for ka, na in ta:
-            _check_shift(ring, tb, ka)
             na *= s
             for kb, nb in tb:
                 m = ka + kb
@@ -926,14 +931,19 @@ def _step(g: Polynomial, e: int, ring: PolyRing) -> tuple:
 
     Over GF(p) the factor is the inverse of g's head coefficient and the
     tail keeps g's coefficients; over ℚ both are g's integer numerators
-    (``_numerators``, kept on g), the factor the head's."""
+    (``_numerators``, kept on g), the factor the head's.  The tail's
+    coefficients depend on g alone, so they are one tuple, built by g's
+    first step and kept on g (``Polynomial._tail``), which every step of g
+    shares, in every memo that keeps one."""
     _, terms = _numerators(g, keep=True)
     (hk, h), tail = terms[0], terms[1:]
     field = ring.field
     if field.p and h != 1:
         h = field.inv(h)
-    shifted = shift_terms(ring, tail, e - hk)
-    return h, ring.intern(shifted), tuple([c for _, c in shifted])
+    coeffs = g._tail
+    if coeffs is None:
+        coeffs = g._tail = tuple([c for _, c in tail])
+    return h, ring.intern(shift_terms(ring, tail, e - hk)), coeffs
 
 
 class Reducers:
@@ -1065,21 +1075,21 @@ def minimal_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """The nonzero elements whose head no other element's head divides,
     keeping the first of equal heads, in their given order.
 
+    One pass over the heads in ascending packed order keeps a head that no
+    kept head divides: a divisor is no larger in the monomial order, so it
+    comes first, and the stable sort puts the first of equal heads first.
+
     For a Groebner basis the result is a minimal Groebner basis of the same
     ideal; for other input it can lose part of the ideal.
     """
     polys = [p for p in polys if p.packed]
-    if not polys:
-        return []
-    guard = polys[0].ring._guard
     heads = [p.packed[0][0] for p in polys]
-    return [
-        p for i, (p, h) in enumerate(zip(polys, heads))
-        if not any(
-            not (h - g) & guard and (g != h or j < i)
-            for j, g in enumerate(heads) if j != i
-        )
-    ]
+    kept = []
+    for i in sorted(range(len(polys)), key=heads.__getitem__):
+        guard = polys[i].ring._guard
+        if all((heads[i] - heads[j]) & guard for j in kept):
+            kept.append(i)
+    return [polys[i] for i in sorted(kept)]
 
 
 def reduced_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:

@@ -29,6 +29,7 @@ from siggb.f5engine import (
     _msig,
     _packed_term,
     component_f5_witnesses,
+    component_rewriter,
     first_f5_witness,
     incremental_basis,
     interreduce,
@@ -429,7 +430,100 @@ def test_is_rewritable_empty_rule_table(golden_gens):
     state, _ = incremental_basis(golden_gens[:1])
     # a self-pair style probe: only the input's own rule exists
     pair = _pair(state, 1, 1, (0, 0, 0, 0), (0, 0, 0, 0))
-    assert not is_rewritable(pair, state).rewritable
+    assert is_rewritable(pair, state) is None
+
+
+def _spy_exp_divides(monkeypatch):
+    """Record the first argument of every ``exp_divides`` call the engine
+    makes."""
+    calls = []
+    real = f5engine.exp_divides
+
+    def spy(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(f5engine, "exp_divides", spy)
+    return calls
+
+
+def test_rewriter_names_a_newer_rule_added_after_a_query(monkeypatch):
+    # a component record keeps its Rewritten verdict between queries; a
+    # dividing rule added after a query is newer than the kept divisor, so
+    # the next query must name it, and a query with no new rule walks none
+    ring = PolyRing(("x", "y"))
+    state = BasisState(ring, 2)
+    state.append_input(LabeledPoly(Signature((0, 0), 1), ring.parse("x^2")))
+    state.append_input(LabeledPoly(Signature((0, 0), 2), ring.parse("y^3")))
+    state.current_index = 1
+    pos = state.add_element(LabeledPoly(Signature((0, 1), 1), ring.parse("x*y")),
+                            state.add_rule((0, 1), 1))
+    calls = _spy_exp_divides(monkeypatch)
+    rec = _record(state, pos, (1, 0))  # x * y*e1, term x*y
+    # its own rule is the newest divisor: not rewritable
+    assert component_rewriter(rec, pos, state) is None
+    assert rec[6:] == [2, state.element_rule[pos - 1]]
+    walked = len(calls)
+    assert component_rewriter(rec, pos, state) is None
+    assert len(calls) == walked
+    newer = state.add_rule((1, 0), 1)
+    assert component_rewriter(rec, pos, state) is newer
+    assert len(calls) == walked + 1
+    # a rule that does not divide x*y leaves the kept divisor deciding
+    state.add_rule((2, 0), 1)
+    assert component_rewriter(rec, pos, state) is newer
+    walked = len(calls)
+    assert component_rewriter(rec, pos, state) is newer
+    assert len(calls) == walked
+    newest = state.add_rule((1, 1), 1)
+    assert component_rewriter(rec, pos, state) is newest
+    # the same term through another position: the same divisor, compared
+    # with that position's own rule
+    assert component_rewriter(_record(state, 1, (1, 1)), 1, state) is newest
+    other = _record(state, pos, (0, 0))  # y*e1 itself, divided by its own rule alone
+    assert component_rewriter(other, pos, state) is None
+    assert other[7] is state.element_rule[pos - 1]
+    # through a pair: component i first, then j
+    pair = _pair(state, pos, 2, (1, 0), (0, 0))
+    assert is_rewritable(pair, state) == ("i", newest)
+    pair = _pair(state, pos, 2, (0, 0), (0, 0))
+    assert is_rewritable(pair, state) is None
+
+
+def _rewriter_from_scratch(rec, pos, state):
+    """The rule that rewrites a record's component, by a newest-first walk
+    over every rule of its index with no mask and no memo."""
+    t = tuple(map(add, rec[0], rec[5].gamma))
+    for rule in reversed(state.rules.get(rec[5].index, [])):
+        if exp_divides(rule.gamma, t):
+            return None if rule is state.element_rule[pos - 1] else rule
+    return None
+
+
+def test_kept_rewritten_verdicts_match_a_walk_from_scratch(golden_gens, monkeypatch):
+    # every Rewritten answer of a run, from pair creation, pops and the
+    # reductor search, is the one a walk over all rules gives
+    real = f5engine.component_rewriter
+    resumed = kept = rewritten = 0
+
+    def spy(rec, pos, state):
+        nonlocal resumed, kept, rewritten
+        if len(rec) > 6:
+            n = len(state.rules.get(rec[5].index, []))
+            resumed += rec[6] < n
+            kept += rec[6] == n
+        rule = real(rec, pos, state)
+        assert rule is _rewriter_from_scratch(rec, pos, state)
+        rewritten += rule is not None
+        return rule
+
+    monkeypatch.setattr(f5engine, "component_rewriter", spy)
+    certified = EngineOptions(certify=True, validate_witnesses=True)
+    for gens, opts in ((golden_gens, None), (cyclic(4), None), (cyclic(5), None),
+                       (katsura(4, None), certified), (_lex(cyclic(4)), None)):
+        state, _ = incremental_basis(gens, opts=opts)
+        assert state.stats.rejected_rewritable
+    assert resumed and kept and rewritten
 
 
 def test_rejections_match_worked_examples(golden_state):
@@ -1031,6 +1125,19 @@ def test_signed_step_memo_holds_fresh_steps(golden_gens):
             steps += state.stats.reduction_steps
     # each (position, monomial) step is built once, however often it is taken
     assert 0 < built < steps
+
+
+def test_signed_steps_of_a_position_share_one_coefficient_tuple(golden_gens):
+    # a step's coefficients are its reducer's tail, which depends on the
+    # reducer alone: every step a position's memo keeps holds one tuple
+    shared = 0
+    for gens in (golden_gens, katsura(4), katsura(4, None), _lex(cyclic(4)), cyclic(5)):
+        state, _ = incremental_basis(gens)
+        for pos, memo in enumerate(state.steps, 1):
+            tails = {id(step[2]) for step in memo.values()}
+            assert tails <= {id(state.poly(pos)._tail)}
+            shared += len(memo) > 1
+    assert shared
 
 
 def test_engines_on_generators_from_equal_rings_that_are_other_objects(golden_gens):

@@ -199,6 +199,28 @@ def test_minimal_basis_keeps_first_of_equal_heads():
     assert minimal_basis([]) == []
 
 
+def ref_minimal_basis(polys):
+    """The nonzero elements whose head no other element's head divides,
+    keeping the first of equal heads, by comparing every pair."""
+    polys = [p for p in polys if not p.is_zero]
+    return [
+        p for i, p in enumerate(polys)
+        if not any(exp_divides(q.ht, p.ht) and (q.ht != p.ht or j < i)
+                   for j, q in enumerate(polys) if j != i)
+    ]
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_minimal_basis_matches_all_pairs(data):
+    # heads drawn from a small box, so that divisors and equal heads are common
+    ring, p, basis = data.draw(diff_case(max_basis=8))
+    polys = basis + [p, p.mul_term((0, 1, 0)), ring.zero]
+    polys = data.draw(st.permutations(polys))
+    got, want = minimal_basis(polys), ref_minimal_basis(polys)
+    assert list(map(id, got)) == list(map(id, want))
+
+
 # -- ring construction / parsing ----------------------------------------------
 
 @pytest.fixture
@@ -734,6 +756,21 @@ def test_reducers_match_the_list_so_far(case):
         else:
             # no divisor among the first ~k; one may have come after
             assert want is None or want >= ~k
+
+
+@given(diff_case(max_basis=5))
+@settings(max_examples=200)
+def test_reducers_steps_of_a_reducer_share_one_coefficient_tuple(case):
+    # a step's coefficients are its reducer's tail, which depends on the
+    # reducer alone: every step of one reducer holds the same tuple object
+    ring, p, basis = case
+    reducers = Reducers(ring, basis)
+    for q in [p, p.mul_term((1, 0, 1))] + basis:
+        reduce_full(q, reducers)
+    for i, step in reducers.steps.items():
+        g = reducers.polys[reducers.find(-ring._negs[i])]
+        _, terms = siggb.polyring._numerators(g)
+        assert step[2] is g._tail == tuple(c for _, c in terms[1:])
 
 
 def test_reducers_memo_resumes_after_an_append():
