@@ -83,7 +83,7 @@ MUTANTS = (
         REWRITER_TESTS,
         note="one verdict per (index, u), whatever the position",
     ),
-    # the reduction kernel (PR 26)
+    # the reduction kernel (_sub_step, _remaining and the signed step memo)
     Mutant(
         "rational-rescale-skips-a-live-entry", POLY,
         (("            for k in heap:\n", "            for k in heap[1:]:\n"),),

@@ -433,20 +433,6 @@ def test_is_rewritable_empty_rule_table(golden_gens):
     assert is_rewritable(pair, state) is None
 
 
-def _spy_exp_divides(monkeypatch):
-    """Record the first argument of every ``exp_divides`` call the engine
-    makes."""
-    calls = []
-    real = f5engine.exp_divides
-
-    def spy(a, b):
-        calls.append(a)
-        return real(a, b)
-
-    monkeypatch.setattr(f5engine, "exp_divides", spy)
-    return calls
-
-
 def test_rewriter_names_a_newer_rule_added_after_a_query(monkeypatch):
     # a component record keeps its Rewritten verdict between queries; a
     # dividing rule added after a query is newer than the kept divisor, so
@@ -458,7 +444,14 @@ def test_rewriter_names_a_newer_rule_added_after_a_query(monkeypatch):
     state.current_index = 1
     pos = state.add_element(LabeledPoly(Signature((0, 1), 1), ring.parse("x*y")),
                             state.add_rule((0, 1), 1))
-    calls = _spy_exp_divides(monkeypatch)
+    calls = []
+    real = f5engine.exp_divides
+
+    def spy(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(f5engine, "exp_divides", spy)
     rec = _record(state, pos, (1, 0))  # x * y*e1, term x*y
     # its own rule is the newest divisor: not rewritable
     assert component_rewriter(rec, pos, state) is None
