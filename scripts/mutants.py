@@ -63,23 +63,24 @@ MUTANTS = (
     # the Rewritten verdict a component record keeps (component_rewriter)
     Mutant(
         "rewriter-keeps-count-not-divisor", F5,
-        (("        rec[6], rec[7] = n, rule\n", "        rec[6] = n\n"),),
+        (("        rec[6:] = n, rule\n", "        rec[6:] = n, None\n"),),
         REWRITER_TESTS,
         note="a query with no new rule falls back to no divisor",
     ),
     Mutant(
         "rewriter-walks-from-zero", F5,
-        (("    walked, rule = rec[6], rec[7]\n", "    walked, rule = 0, rec[7]\n"),),
+        (("    walked, rule = rec[6:] or (0, None)",
+          "    walked, rule = 0, (rec[6:] or (0, None))[1]"),),
         REWRITER_TESTS[:1],
         note="same answers, but every query walks every rule again",
     ),
     Mutant(
         "rewriter-memo-shared-across-positions", F5,
-        (("    walked, rule = rec[6], rec[7]\n",
+        (("    walked, rule = rec[6:] or (0, None)",
           "    memo = state.__dict__.setdefault('_shared', {}).setdefault(\n"
-          "        (rec[5].index, rec[0]), [None] * 6 + [0, None])\n"
-          "    walked, rule = memo[6], memo[7]\n"),
-         ("        rec[6], rec[7] = n, rule\n", "        memo[6], memo[7] = n, rule\n")),
+          "        (rec[5].index, rec[0]), [0, None])\n"
+          "    walked, rule = memo"),
+         ("        rec[6:] = n, rule\n", "        memo[:] = n, rule\n")),
         REWRITER_TESTS,
         note="one verdict per (index, u), whatever the position",
     ),

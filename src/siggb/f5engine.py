@@ -550,18 +550,17 @@ def component_rewriter(rec: list, pos: int, state: BasisState) -> RewriteRule | 
 
     The record keeps its Rewritten verdict, as it keeps its F5 verdict: how
     many of its index's rules were walked, and the newest divisor among
-    them, added to the record when it is first asked.  A query walks only
-    the rules added since, newest first, and falls back to the kept divisor.
-    That is sound because a rule list only grows and a rule's gamma never
-    changes (the engine renames a rule's label, never its term), so the
+    them, as two slots ``rec[6:]`` that its first walk appends.  A query
+    walks only the rules added since, newest first, and falls back to the
+    kept divisor.  That is sound because a rule list only grows and a
+    rule's gamma never changes (the engine renames a rule's label, never its
+    term, whose divisor mask ``RewriteRule`` builds once as well), so the
     newest divisor among the first n rules never changes.  The divisor is
     compared with the position's own rule on every query.
     """
     rules = state.rules.get(rec[5].index, ())
     n = len(rules)
-    if len(rec) == 6:  # a list grows on demand: most records are never asked
-        rec += (0, None)
-    walked, rule = rec[6], rec[7]
+    walked, rule = rec[6:] or (0, None)  # most records are never asked
     if walked < n:
         t = _msig(rec).gamma
         miss = ~exp_mask(t)
@@ -569,7 +568,7 @@ def component_rewriter(rec: list, pos: int, state: BasisState) -> RewriteRule | 
             if not new.mask & miss and exp_divides(new.gamma, t):
                 rule = new
                 break
-        rec[6], rec[7] = n, rule
+        rec[6:] = n, rule
     return None if rule is state.element_rule[pos - 1] else rule
 
 
@@ -868,8 +867,9 @@ def _spol_of_pair(state: BasisState, pair: CriticalPair) -> LabeledPoly:
 def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -> None:
     ring = state.ring
     start = _spol_of_pair(state, pair)
+    pending: list = []
     seq = 0
-    pending = [(sig_key(start.sig, ring), seq, start, rule)]
+    heapq.heappush(pending, (sig_key(start.sig, ring), seq, start, rule))
     while pending:
         _, _, lp, lp_rule = heapq.heappop(pending)
         res = top_reduction_signed(lp, state)
@@ -887,9 +887,15 @@ def _reduce_admitted(state: BasisState, pair: CriticalPair, rule: RewriteRule) -
             _make_pairs(state, pos, state.active_positions())
         else:  # split
             new_rule = state.add_rule(res.new_element.sig.gamma, res.new_element.sig.index)
-            for half, half_rule in ((res.element, lp_rule), (res.new_element, new_rule)):
-                seq += 1
-                heapq.heappush(pending, (sig_key(half.sig, ring), seq, half, half_rule))
+            seq += 1
+            heapq.heappush(
+                pending, (sig_key(res.element.sig, ring), seq, res.element, lp_rule)
+            )
+            seq += 1
+            heapq.heappush(
+                pending,
+                (sig_key(res.new_element.sig, ring), seq, res.new_element, new_rule),
+            )
 
 
 def incremental_basis(

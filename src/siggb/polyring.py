@@ -890,9 +890,7 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
     terms themselves.  Over ℚ the numerators of each b, in
     ``syzygy.evaluate`` a basis polynomial, are kept on it for later calls.
     A product term that leaves its packed field raises DomainError
-    (``_check_shift``): under degrevlex every field of a product term is at
-    most its degree, and the heads' product has the largest, so one test
-    per product on the heads suffices; under lex each term of a is tested.
+    (``_check_shift``, once per term of a).
     """
     prime = ring.field.p
     factors = []
@@ -907,12 +905,10 @@ def sum_of_products(ring: PolyRing, products: Iterable) -> Polynomial:
             den = lcm(den, da * db)
     acc: dict[int, int] = {}
     get = acc.get
-    lex = ring.order.kind == "lex"
     for dab, ta, tb in factors:
-        for ka, _ in (ta if lex else ta[:1]):
-            _check_shift(ring, tb, ka)
         s = den // dab
         for ka, na in ta:
+            _check_shift(ring, tb, ka)
             na *= s
             for kb, nb in tb:
                 m = ka + kb
